@@ -13,7 +13,7 @@ use crate::ranking::{
     rank_why_no_metered, rank_why_so_metered, rank_why_so_parallel, Method, RankConfig, RankMeta,
     RankStats, RankedCause,
 };
-use crate::resp::approx::{anytime_min_contingency, ApproxBudget, RhoBounds};
+use crate::resp::approx::{AnytimeKernel, ApproxBudget, RhoBounds};
 use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, Tuple, TupleRef, Value};
 use causality_lineage::{n_lineage_cached, LineageArena};
 use std::fmt;
@@ -233,12 +233,20 @@ impl<'a> Explainer<'a> {
     /// The cause *set* is exact (Theorem 3.2 is PTIME); only the ρ
     /// values are bracketed. Each cause carries a
     /// [`RhoBounds`] with `lower ≤ ρ ≤ upper`, its `rho` field is the
-    /// certified lower bound, and causes are ranked by that bound. The
-    /// step budget is split evenly across the candidate causes; the
-    /// deadline (if any) is shared. With [`ApproxBudget::zero`] the
-    /// result is the polynomial greedy bracket; with
-    /// [`ApproxBudget::unlimited`] every bracket collapses to the exact
-    /// ρ.
+    /// certified lower bound, and causes are ranked by that bound.
+    ///
+    /// The solve runs in two phases on one packed kernel for the whole
+    /// request (see [`crate::resp::approx`]). First every cause gets its
+    /// budget-free greedy bracket, so each one is sound whatever the
+    /// budget. Then what is left of the budget goes to refinement, cause
+    /// by cause in order: the step budget is split evenly across the
+    /// causes and the deadline (if any) is shared, so a refinement that
+    /// starts after the deadline returns its bracket at once. With
+    /// [`ApproxBudget::zero`] the result is the polynomial greedy
+    /// bracket; with [`ApproxBudget::unlimited`] every bracket collapses
+    /// to the exact ρ. Without a deadline each cause's outcome equals
+    /// [`crate::resp::approx::anytime_min_contingency`] under its share
+    /// of the steps.
     pub fn why_anytime(
         &self,
         answer: &[Value],
@@ -254,22 +262,35 @@ impl<'a> Explainer<'a> {
         let lineage_us = lineage_started.elapsed().as_micros() as u64;
 
         let solve_started = Instant::now();
+        // Phase one: every cause's budget-free bracket.
+        let mut kernel = AnytimeKernel::new(&phin);
+        let brackets: Vec<_> = causes
+            .actual
+            .iter()
+            .map(|&t| kernel.bracket(arena.id(t).expect("actual cause is interned")))
+            .collect();
         let per_cause = ApproxBudget {
             max_steps: budget.max_steps / causes.actual.len().max(1) as u64,
             deadline: budget.deadline,
         };
         let mut refinements = 0u32;
         let mut explained: Vec<ExplainedCause> = Vec::with_capacity(causes.actual.len());
-        for &t in &causes.actual {
-            let v = arena.id(t).expect("actual cause is interned");
-            let out = anytime_min_contingency(&phin, v, per_cause);
+        // Each arena variable is rendered at most once per call.
+        let mut rendered: Vec<Option<String>> = vec![None; arena.len()];
+        // Phase two: refinement on what is left of the budget.
+        for (&t, bracket) in causes.actual.iter().zip(brackets) {
+            let out = kernel.refine(bracket, per_cause);
             refinements += out.refinements;
             let contingency = out
                 .contingency
                 .as_deref()
                 .unwrap_or_default()
                 .iter()
-                .map(|&id| self.render_tuple(arena.resolve(id)))
+                .map(|&id| {
+                    rendered[id as usize]
+                        .get_or_insert_with(|| self.render_tuple(arena.resolve(id)))
+                        .clone()
+                })
                 .collect();
             explained.push(ExplainedCause {
                 tuple: t,

@@ -36,6 +36,26 @@
 //! `upper` never increases, and `lower ≤ ρ ≤ upper` holds at every
 //! intermediate step (property-tested differentially against the exact
 //! oracle in `tests/approx_differential.rs`).
+//!
+//! The work is split in two phases on a per-request packed kernel
+//! (`AnytimeKernel`). The lineage is packed once into contiguous `u64`
+//! rows, padded to the widest conjunct; residual sets are computed into
+//! reused buffers, the greedy keeps incremental element counts, and the
+//! search runs on word slices with no per-node allocation.
+//!
+//! 1. **Bracket** (budget-free): the greedy contingency and the
+//!    certified size floor for one cause.
+//! 2. **Refine** (budgeted): the iterative deepening above. A refinement
+//!    whose budget is already spent returns its bracket at once.
+//!
+//! [`anytime_min_contingency`] runs both phases for one cause;
+//! [`crate::explain::Explainer::why_anytime`] brackets every cause
+//! before it refines any, so a deadline is spent on refinement only.
+//! The seed per-witness kernel survives in [`oracle`] as the
+//! differential baseline: at every clock-free budget the two return
+//! bit-identical [`AnytimeOutcome`]s.
+
+pub mod oracle;
 
 use causality_lineage::{BitDnf, VarSet};
 use std::time::Instant;
@@ -201,9 +221,14 @@ impl BudgetTracker {
         }
     }
 
+    /// Whether the budget is gone, so the next step would fail.
+    fn spent(&self) -> bool {
+        self.expired || self.steps >= self.max_steps
+    }
+
     /// Consume one step; `false` once the budget is gone.
     fn step(&mut self) -> bool {
-        if self.expired || self.steps >= self.max_steps {
+        if self.spent() {
             self.expired = true;
             return false;
         }
@@ -220,215 +245,395 @@ impl BudgetTracker {
     }
 }
 
-/// One witness's hitting-set instance: the residual sets plus the
-/// greedy/packing certificates computed up front (budget-free).
-struct WitnessInstance {
-    sets: Vec<VarSet>,
-    sizes: Vec<usize>,
-    greedy: Vec<u32>,
-    /// Certified lower bound on this witness's minimum hitting set:
-    /// `max(packing, ⌈greedy/(ln n + 1)⌉)`.
-    lower_size: usize,
+/// A cause's budget-free bracket: the output of
+/// [`AnytimeKernel::bracket`] and the input of [`AnytimeKernel::refine`].
+pub(crate) struct Bracket {
+    /// The cause's arena variable.
+    v: u32,
+    /// The shortest per-witness greedy contingency (the first one on
+    /// ties); witnesses the bracket's `lower`.
+    best: Vec<u32>,
+    /// Certified lower bound on `|Γ_min|`.
+    certified: usize,
+    /// The feasible witnesses in conjunct order, each with the certified
+    /// lower bound on its own minimum hitting set.
+    witnesses: Vec<(usize, usize)>,
 }
 
-impl WitnessInstance {
-    fn build(others: &[&VarSet], witness: &VarSet) -> Option<WitnessInstance> {
-        let sets: Vec<VarSet> = others.iter().map(|c| c.without(witness)).collect();
-        if sets.iter().any(VarSet::is_empty) {
-            // A conjunct lies inside the witness — infeasible (cannot
-            // happen in a minimized DNF, mirrored from `exact`).
-            return None;
+/// The per-request packed anytime kernel.
+///
+/// The lineage is packed once into contiguous `u64` rows, one per
+/// conjunct and all as wide as the widest conjunct. A witness's
+/// residual sets `c ∖ w` are written into a reused buffer, the greedy
+/// keeps incremental element counts, and the search runs on word
+/// slices, so neither phase allocates per residual set or per search
+/// node. Outcomes are bit-identical to the seed kernel in [`oracle`].
+pub(crate) struct AnytimeKernel {
+    /// `u64` words per row.
+    words: usize,
+    /// The lineage, one `words`-wide row per conjunct, in conjunct order.
+    rows: Vec<u64>,
+    // Scratch, reused across causes and witnesses.
+    others: Vec<usize>,
+    residuals: Vec<u64>,
+    sizes: Vec<u32>,
+    counts: Vec<u32>,
+    covered: Vec<bool>,
+    chosen: Vec<u32>,
+    mask: Vec<u64>,
+    blocked: Vec<u64>,
+}
+
+impl AnytimeKernel {
+    /// Pack a *minimized* arena-form n-lineage.
+    pub(crate) fn new(phin: &BitDnf) -> AnytimeKernel {
+        let words = phin
+            .conjuncts()
+            .iter()
+            .map(VarSet::word_count)
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let mut rows = vec![0u64; phin.len() * words];
+        for (row, c) in rows.chunks_exact_mut(words).zip(phin.conjuncts()) {
+            for e in c.iter() {
+                row[e / 64] |= 1 << (e % 64);
+            }
         }
-        let greedy = greedy_hitting_set(&sets);
-        let packing = packing_lower_bound(&sets, &VarSet::new());
-        let harmonic = (greedy.len() as f64 / harmonic_bound(sets.len())).ceil() as usize;
-        let lower_size = packing.max(harmonic).max(usize::from(!sets.is_empty()));
-        let sizes = sets.iter().map(VarSet::len).collect();
-        Some(WitnessInstance {
-            sets,
-            sizes,
-            greedy,
-            lower_size,
+        AnytimeKernel {
+            words,
+            rows,
+            others: Vec::new(),
+            residuals: Vec::new(),
+            sizes: Vec::new(),
+            counts: vec![0; words * 64],
+            covered: Vec::new(),
+            chosen: Vec::new(),
+            mask: vec![0; words],
+            blocked: vec![0; words],
+        }
+    }
+
+    fn contains(&self, row: usize, v: u32) -> bool {
+        let w = v as usize / 64;
+        w < self.words && self.rows[row * self.words + w] >> (v % 64) & 1 == 1
+    }
+
+    /// Collect the rows that do not contain `v` into `others`.
+    fn split(&mut self, v: u32) {
+        self.others.clear();
+        for row in 0..self.rows.len() / self.words {
+            if !self.contains(row, v) {
+                self.others.push(row);
+            }
+        }
+    }
+
+    /// The budget-free phase: greedy feasible contingency plus certified
+    /// size lower bound per witness, decided exactly for cause-ness.
+    /// `None` iff `v` is not a cause.
+    pub(crate) fn bracket(&mut self, v: u32) -> Option<Bracket> {
+        let words = self.words;
+        self.split(v);
+        let n = self.others.len();
+        self.residuals.resize(n * words, 0);
+        let mut best: Option<Vec<u32>> = None;
+        let mut witnesses = Vec::new();
+        for w in 0..self.rows.len() / words {
+            if !self.contains(w, v) {
+                continue;
+            }
+            let sets = &mut self.residuals;
+            if !fill_residuals(&self.rows, words, &self.others, w, sets) {
+                // A conjunct lies inside the witness — infeasible (cannot
+                // happen in a minimized DNF, mirrored from `exact`).
+                continue;
+            }
+            greedy_hitting_set(
+                sets,
+                words,
+                &mut self.counts,
+                &mut self.covered,
+                &mut self.chosen,
+            );
+            let packing = packing_bound(sets, words, &mut self.blocked);
+            let harmonic = (self.chosen.len() as f64 / harmonic_bound(n)).ceil() as usize;
+            witnesses.push((w, packing.max(harmonic).max(usize::from(n > 0))));
+            if best.as_ref().is_none_or(|b| self.chosen.len() < b.len()) {
+                best = Some(self.chosen.clone());
+            }
+        }
+        let best = best?;
+        // |Γ_min| is the min over witnesses, so only the *smallest*
+        // per-witness lower bound is certified globally.
+        let certified = witnesses
+            .iter()
+            .map(|&(_, lower)| lower)
+            .min()
+            .expect("a feasible witness")
+            .min(best.len());
+        Some(Bracket {
+            v,
+            best,
+            certified,
+            witnesses,
         })
+    }
+
+    /// The budgeted phase: iterative deepening from the certified floor.
+    /// Each completed level either refutes size m everywhere (upper
+    /// tightens) or finds a solution of size exactly m (bounds collapse
+    /// — every smaller size was already refuted).
+    pub(crate) fn refine(
+        &mut self,
+        bracket: Option<Bracket>,
+        budget: ApproxBudget,
+    ) -> AnytimeOutcome {
+        let Some(Bracket {
+            v,
+            mut best,
+            mut certified,
+            witnesses,
+        }) = bracket
+        else {
+            return AnytimeOutcome::not_a_cause();
+        };
+        let mut history = vec![RhoBounds::from_sizes(best.len(), certified)];
+        let mut refinements = 0u32;
+        let mut tracker = BudgetTracker::new(budget);
+        // A budget spent before the first step would fail that step:
+        // return the bracket without rebuilding the residual sets.
+        if certified < best.len() && !tracker.spent() {
+            let words = self.words;
+            self.split(v);
+            let n = self.others.len();
+            self.residuals.resize(n * words, 0);
+            self.sizes.resize(n, 0);
+            'refine: while certified < best.len() {
+                let level = certified;
+                let mut found = false;
+                for &(w, lower) in &witnesses {
+                    if lower > level {
+                        continue; // this witness cannot beat the level — already certified
+                    }
+                    // One witness's residuals at a time: memory stays at
+                    // one lineage's worth however many witnesses there are.
+                    let sets = &mut self.residuals;
+                    fill_residuals(&self.rows, words, &self.others, w, sets);
+                    for (size, s) in self.sizes.iter_mut().zip(sets.chunks_exact(words)) {
+                        *size = s.iter().map(|w| w.count_ones()).sum();
+                    }
+                    self.chosen.clear();
+                    self.mask.fill(0);
+                    let mut search = Search {
+                        sets: &self.residuals,
+                        sizes: &self.sizes,
+                        words,
+                        limit: level,
+                        mask: &mut self.mask,
+                        blocked: &mut self.blocked,
+                        chosen: &mut self.chosen,
+                        tracker: &mut tracker,
+                    };
+                    match search.run() {
+                        Ok(true) => {
+                            best.clone_from(&self.chosen);
+                            found = true;
+                            break;
+                        }
+                        Ok(false) => {}
+                        Err(()) => break 'refine, // budget gone mid-level: keep last certified bounds
+                    }
+                }
+                certified = if found { best.len() } else { level + 1 };
+                refinements += 1;
+                history.push(RhoBounds::from_sizes(best.len(), certified));
+            }
+        }
+        AnytimeOutcome {
+            bounds: RhoBounds::from_sizes(best.len(), certified),
+            contingency: Some(best),
+            certified_min_size: certified,
+            refinements,
+            steps_used: tracker.steps,
+            history,
+        }
+    }
+}
+
+/// Write `c ∖ witness` for every row `c` in `others` into `out`, one
+/// `words`-wide row each; `false` as soon as one comes out empty.
+fn fill_residuals(
+    rows: &[u64],
+    words: usize,
+    others: &[usize],
+    witness: usize,
+    out: &mut [u64],
+) -> bool {
+    let w = &rows[witness * words..(witness + 1) * words];
+    for (dst, &c) in out.chunks_exact_mut(words).zip(others) {
+        let mut any = 0;
+        for ((d, &a), &b) in dst.iter_mut().zip(&rows[c * words..(c + 1) * words]).zip(w) {
+            *d = a & !b;
+            any |= *d;
+        }
+        if any == 0 {
+            return false;
+        }
+    }
+    true
+}
+
+/// The elements of a packed row, ascending.
+fn elems(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(i, &word)| {
+        let mut w = word;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                i * 64 + bit
+            })
+        })
+    })
+}
+
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(&x, &y)| x & y != 0)
+}
+
+fn or_into(acc: &mut [u64], s: &[u64]) {
+    for (a, &b) in acc.iter_mut().zip(s) {
+        *a |= b;
     }
 }
 
 /// Greedy hitting set: repeatedly pick the most frequent element among
 /// uncovered sets (ties toward the smallest id, as in the exact
-/// solver's seed). Feasibility is guaranteed for non-empty input sets.
-fn greedy_hitting_set(sets: &[VarSet]) -> Vec<u32> {
-    let words = sets.iter().map(VarSet::word_count).max().unwrap_or(0);
-    let mut counts = vec![0u32; words * 64];
-    let mut chosen: Vec<u32> = Vec::new();
-    let mut uncovered: Vec<&VarSet> = sets.iter().collect();
-    while !uncovered.is_empty() {
-        counts.fill(0);
-        for s in &uncovered {
-            for v in s.iter() {
-                counts[v] += 1;
+/// solver's seed), keeping the counts incrementally. Feasibility is
+/// guaranteed for non-empty input sets.
+fn greedy_hitting_set(
+    sets: &[u64],
+    words: usize,
+    counts: &mut [u32],
+    covered: &mut Vec<bool>,
+    chosen: &mut Vec<u32>,
+) {
+    counts.fill(0);
+    for s in sets.chunks_exact(words) {
+        for e in elems(s) {
+            counts[e] += 1;
+        }
+    }
+    let mut uncovered = sets.len() / words;
+    covered.clear();
+    covered.resize(uncovered, false);
+    chosen.clear();
+    while uncovered > 0 {
+        let (mut pick, mut most) = (0, 0);
+        for (e, &c) in counts.iter().enumerate() {
+            if c > most {
+                (pick, most) = (e, c);
             }
         }
-        let (pick, _) = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .max_by_key(|&(v, &c)| (c, std::cmp::Reverse(v)))
-            .expect("uncovered sets are non-empty");
         chosen.push(pick as u32);
-        uncovered.retain(|s| !s.contains(pick));
+        let (w, bit) = (pick / 64, 1u64 << (pick % 64));
+        for (s, done) in sets.chunks_exact(words).zip(covered.iter_mut()) {
+            if !*done && s[w] & bit != 0 {
+                *done = true;
+                uncovered -= 1;
+                for e in elems(s) {
+                    counts[e] -= 1;
+                }
+            }
+        }
     }
-    chosen
 }
 
-/// Greedy packing of pairwise-disjoint sets not yet hit by `mask`:
-/// each packed set needs its own element, so the count lower-bounds the
-/// remaining hitting-set size.
-fn packing_lower_bound(sets: &[VarSet], mask: &VarSet) -> usize {
-    let mut blocked = VarSet::new();
+/// Greedy packing of pairwise-disjoint sets: each packed set needs its
+/// own element, so the count lower-bounds the hitting-set size.
+fn packing_bound(sets: &[u64], words: usize, blocked: &mut [u64]) -> usize {
+    blocked.fill(0);
     let mut lb = 0usize;
-    for s in sets {
-        if !s.intersects(mask) && !s.intersects(&blocked) {
+    for s in sets.chunks_exact(words) {
+        if !intersects(s, blocked) {
             lb += 1;
-            blocked.union_with(s);
+            or_into(blocked, s);
         }
     }
     lb
 }
 
-/// Depth-limited search: is there a hitting set of size ≤ `limit`?
-/// `Ok(true)` leaves the solution in `chosen`; `Err(())` means the
-/// budget expired mid-search (the level is *not* refuted).
-fn depth_limited(
-    inst: &WitnessInstance,
-    chosen: &mut Vec<u32>,
-    mask: &mut VarSet,
+/// One witness's depth-limited search: is there a hitting set of size
+/// ≤ `limit`? `Ok(true)` leaves the solution in `chosen`; `Err(())`
+/// means the budget expired mid-search (the level is *not* refuted).
+struct Search<'a> {
+    sets: &'a [u64],
+    sizes: &'a [u32],
+    words: usize,
     limit: usize,
-    tracker: &mut BudgetTracker,
-) -> Result<bool, ()> {
-    if !tracker.step() {
-        return Err(());
-    }
-    let uncovered: Vec<usize> = (0..inst.sets.len())
-        .filter(|&i| !inst.sets[i].intersects(mask))
-        .collect();
-    if uncovered.is_empty() {
-        return Ok(true);
-    }
-    let lb = packing_lower_bound(&inst.sets, mask);
-    if chosen.len() + lb > limit {
-        return Ok(false);
-    }
-    let pivot = *uncovered
-        .iter()
-        .min_by_key(|&&i| inst.sizes[i])
-        .expect("uncovered non-empty");
-    // Pivot elements are disjoint from `mask` (the set is uncovered),
-    // so insert/remove below never clobbers an earlier choice.
-    let pivot_elems: Vec<usize> = inst.sets[pivot].iter().collect();
-    for v in pivot_elems {
-        chosen.push(v as u32);
-        mask.insert(v);
-        let found = depth_limited(inst, chosen, mask, limit, tracker)?;
-        if found {
-            return Ok(true);
+    mask: &'a mut [u64],
+    blocked: &'a mut [u64],
+    chosen: &'a mut Vec<u32>,
+    tracker: &'a mut BudgetTracker,
+}
+
+impl Search<'_> {
+    fn run(&mut self) -> Result<bool, ()> {
+        if !self.tracker.step() {
+            return Err(());
         }
-        mask.remove(v);
-        chosen.pop();
+        // One pass finds the uncovered sets, the first smallest of them
+        // (the pivot) and the packing bound over them.
+        let sets = self.sets;
+        self.blocked.fill(0);
+        let mut lb = 0usize;
+        let mut pivot: Option<usize> = None;
+        for (i, s) in sets.chunks_exact(self.words).enumerate() {
+            if intersects(s, self.mask) {
+                continue;
+            }
+            if pivot.is_none_or(|p| self.sizes[i] < self.sizes[p]) {
+                pivot = Some(i);
+            }
+            if !intersects(s, self.blocked) {
+                lb += 1;
+                or_into(self.blocked, s);
+            }
+        }
+        let Some(pivot) = pivot else {
+            return Ok(true);
+        };
+        if self.chosen.len() + lb > self.limit {
+            return Ok(false);
+        }
+        // Pivot elements are disjoint from `mask` (the set is uncovered),
+        // so setting/clearing below never clobbers an earlier choice.
+        for e in elems(&sets[pivot * self.words..(pivot + 1) * self.words]) {
+            self.chosen.push(e as u32);
+            self.mask[e / 64] |= 1 << (e % 64);
+            if self.run()? {
+                return Ok(true);
+            }
+            self.mask[e / 64] &= !(1 << (e % 64));
+            self.chosen.pop();
+        }
+        Ok(false)
     }
-    Ok(false)
 }
 
 /// Anytime minimum-contingency bounds for variable `v` over a
 /// *minimized* arena-form n-lineage (the approximate counterpart of
-/// [`super::exact::min_contingency_bits`]).
+/// [`super::exact::min_contingency_bits`]). Packs the lineage for this
+/// one call; [`crate::explain::Explainer::why_anytime`] packs it once
+/// per request instead.
 ///
 /// Always returns a sound bracket; with [`ApproxBudget::unlimited`] the
 /// bracket collapses and `contingency` is a true minimum contingency.
 pub fn anytime_min_contingency(phin: &BitDnf, v: u32, budget: ApproxBudget) -> AnytimeOutcome {
-    if !phin.mentions(v) || phin.is_tautology() {
-        return AnytimeOutcome::not_a_cause();
-    }
-    let witnesses: Vec<&VarSet> = phin
-        .conjuncts()
-        .iter()
-        .filter(|c| c.contains(v as usize))
-        .collect();
-    let others: Vec<&VarSet> = phin
-        .conjuncts()
-        .iter()
-        .filter(|c| !c.contains(v as usize))
-        .collect();
-
-    // Budget-free certificates: greedy feasible set + size lower bound
-    // per witness. Feasibility decides cause-ness exactly.
-    let instances: Vec<WitnessInstance> = witnesses
-        .iter()
-        .filter_map(|w| WitnessInstance::build(&others, w))
-        .collect();
-    if instances.is_empty() {
-        return AnytimeOutcome::not_a_cause();
-    }
-
-    let mut best: Vec<u32> = instances
-        .iter()
-        .map(|i| i.greedy.clone())
-        .min_by_key(Vec::len)
-        .expect("at least one feasible witness");
-    // |Γ_min| is the min over witnesses, so only the *smallest*
-    // per-witness lower bound is certified globally.
-    let mut certified = instances
-        .iter()
-        .map(|i| i.lower_size)
-        .min()
-        .expect("at least one feasible witness")
-        .min(best.len());
-
-    let mut history = vec![RhoBounds::from_sizes(best.len(), certified)];
-    let mut refinements = 0u32;
-    let mut tracker = BudgetTracker::new(budget);
-
-    // Iterative deepening from the certified floor: each completed
-    // level either refutes size m everywhere (upper tightens) or finds
-    // a solution of size exactly m (bounds collapse — every smaller
-    // size was already refuted).
-    'refine: while certified < best.len() {
-        let m = certified;
-        let mut chosen: Vec<u32> = Vec::new();
-        let mut mask = VarSet::new();
-        let mut found = false;
-        for inst in &instances {
-            if inst.lower_size > m {
-                continue; // this witness cannot beat m — already certified
-            }
-            chosen.clear();
-            mask.clear();
-            match depth_limited(inst, &mut chosen, &mut mask, m, &mut tracker) {
-                Ok(true) => {
-                    best = chosen.clone();
-                    found = true;
-                    break;
-                }
-                Ok(false) => {}
-                Err(()) => break 'refine, // budget gone mid-level: keep last certified bounds
-            }
-        }
-        if found {
-            certified = best.len();
-        } else {
-            certified = m + 1;
-        }
-        refinements += 1;
-        history.push(RhoBounds::from_sizes(best.len(), certified));
-    }
-
-    AnytimeOutcome {
-        bounds: RhoBounds::from_sizes(best.len(), certified),
-        contingency: Some(best),
-        certified_min_size: certified,
-        refinements,
-        steps_used: tracker.steps,
-        history,
-    }
+    let mut kernel = AnytimeKernel::new(phin);
+    let bracket = kernel.bracket(v);
+    kernel.refine(bracket, budget)
 }
 
 #[cfg(test)]

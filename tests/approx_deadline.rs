@@ -10,7 +10,7 @@ use causality::datagen::hard_instances::{dense_triangles, triangle_fan};
 use causality::prelude::*;
 use causality_core::explain::ExplainMode;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const HARD_TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -243,5 +243,47 @@ fn approx_route_is_visible_in_telemetry() {
             "approx counters exported:\n{prom}"
         );
         svc.shutdown();
+    });
+}
+
+/// ROADMAP's deadline contract (anytime answers return within budget +
+/// one refinement step), as a ratio so it holds in debug and release
+/// alike. Z is the zero-budget `why_anytime` time (median of 5): the
+/// lineage plus every cause's bracket. A call given a deadline Z after
+/// its start should therefore spend its slack on refinement only and
+/// return close to Z: the median over six dense triangle instances of
+/// elapsed ÷ Z must stay ≤ 1.35. Interleaving brackets with refinement
+/// lets the first causes' refinement use up the deadline before the
+/// later brackets are computed, which lands near 2.
+#[test]
+fn anytime_answers_return_within_the_deadline_plus_one_step() {
+    with_timeout(|| {
+        let mut ratios: Vec<f64> = (1..=6)
+            .map(|seed| {
+                let inst = dense_triangles(4, 64, seed);
+                let explainer = Explainer::new(&inst.db, &inst.query);
+                // Zero budget without a slack, else a deadline `slack`
+                // after the call starts.
+                let timed = |slack: Option<Duration>| {
+                    let started = Instant::now();
+                    let budget =
+                        slack.map_or(ApproxBudget::zero(), |z| ApproxBudget::until(started + z));
+                    let (explanation, _) = explainer.why_anytime(&[], budget).unwrap();
+                    assert_sound_brackets(&explanation);
+                    started.elapsed()
+                };
+                timed(None); // builds the join indexes
+                let mut zero: Vec<Duration> = (0..5).map(|_| timed(None)).collect();
+                zero.sort();
+                let z = zero[2];
+                timed(Some(z)).as_secs_f64() / z.as_secs_f64()
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let median = (ratios[2] + ratios[3]) / 2.0;
+        assert!(
+            median <= 1.35,
+            "elapsed ÷ zero-budget time, per instance: {ratios:?}"
+        );
     });
 }

@@ -12,17 +12,28 @@
 //!   to the exact ρ, and the returned contingency is a true minimum;
 //! * **known-ρ end to end** — the `datagen::hard_instances` families
 //!   (triangle fan, self-join star) route through `Explainer::why_anytime`
-//!   and bracket/collapse onto their by-construction responsibilities.
+//!   and bracket/collapse onto their by-construction responsibilities;
+//! * **bit identity** — the packed kernel returns exactly the seed
+//!   per-witness kernel's `AnytimeOutcome` (`approx::oracle`) at zero,
+//!   step, expired-deadline and unlimited budgets, on narrow and
+//!   multi-word lineages and on dense triangles;
+//! * **the two-phase schedule is invisible without a clock** —
+//!   `why_anytime` under a step budget is the explanation assembled
+//!   from per-cause seed solves, and under an expired deadline it is
+//!   the zero-budget explanation.
 //!
 //! Same discipline as `tests/lineage_bitset_differential.rs`: random
 //! DNFs drawn small, seed oracle retained as ground truth.
 
+use causality::datagen::hard_instances::{dense_triangles, triangle_fan};
 use causality::prelude::*;
-use causality_core::explain::ExplainMode;
-use causality_core::resp::approx::harmonic_bound;
+use causality_core::dichotomy::classify::DichotomyTag;
+use causality_core::explain::{ExplainMode, ExplainedCause, ExplanationKind};
+use causality_core::resp::approx::{harmonic_bound, oracle};
 use causality_core::resp::exact;
-use causality_lineage::{BitDnf, Conjunct, Dnf, LineageArena};
+use causality_lineage::{BitDnf, Conjunct, Dnf, LineageArena, VarSet};
 use proptest::prelude::*;
+use std::time::Instant;
 
 /// Build a DNF from raw `(rel, row)` conjunct descriptions.
 fn dnf_of(raw: &[Vec<(u32, u32)>]) -> Dnf {
@@ -42,8 +53,71 @@ fn exact_rho(phin: &BitDnf, v: u32) -> f64 {
     }
 }
 
+/// Every clock-free budget, plus a deadline that has already passed
+/// (decided before the first step, so still deterministic).
+fn identity_budgets() -> [ApproxBudget; 7] {
+    [
+        ApproxBudget::zero(),
+        ApproxBudget::steps(1),
+        ApproxBudget::steps(7),
+        ApproxBudget::steps(64),
+        ApproxBudget::steps(500),
+        ApproxBudget::until(Instant::now()),
+        ApproxBudget::unlimited(),
+    ]
+}
+
+/// The packed kernel's outcome equals the seed kernel's in every field:
+/// bounds, contingency and its order, certified size, refinements,
+/// steps and history.
+fn assert_matches_oracle(phin: &BitDnf, v: u32) {
+    for budget in identity_budgets() {
+        assert_eq!(
+            anytime_min_contingency(phin, v, budget),
+            oracle::anytime_min_contingency(phin, v, budget),
+            "v={v} budget={budget:?}"
+        );
+    }
+}
+
+/// The minimized lineage of a Boolean query, with its arena.
+fn minimized_lineage(db: &Database, query: &ConjunctiveQuery) -> (LineageArena, BitDnf) {
+    let (arena, bits) = LineageArena::from_dnf(&n_lineage(db, query).unwrap());
+    (arena, bits.minimized())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Bit identity on arena-interned lineages (at most 30 variables,
+    /// so one word).
+    #[test]
+    fn packed_kernel_matches_the_seed_oracle(
+        raw in prop::collection::vec(
+            prop::collection::vec((0u32..3, 0u32..10), 0..4), 0..20),
+    ) {
+        let (arena, bits) = LineageArena::from_dnf(&dnf_of(&raw));
+        let phin = bits.minimized();
+        for v in 0..arena.len() as u32 + 2 {
+            assert_matches_oracle(&phin, v);
+        }
+    }
+
+    /// Bit identity on multi-word lineages: ids up to 129 spread over
+    /// three words, and conjuncts of different widths, so rows must be
+    /// padded to the widest one. Probes every mentioned id plus ids on
+    /// and past the word boundaries.
+    #[test]
+    fn packed_kernel_matches_the_seed_oracle_across_words(
+        raw in prop::collection::vec(prop::collection::vec(0usize..130, 1..5), 0..24),
+    ) {
+        let phin = BitDnf::new(raw.iter().map(|c| c.iter().copied().collect::<VarSet>()).collect())
+            .minimized();
+        let mentioned = phin.variables();
+        for v in mentioned.iter().map(|v| v as u32).chain([63, 64, 129, 300]) {
+            assert_matches_oracle(&phin, v);
+        }
+    }
 
     /// Soundness at every budget: the bracket always contains the exact
     /// responsibility, and budget zero spends no search steps.
@@ -213,4 +287,137 @@ fn exact_paths_carry_no_bounds() {
     let expl = Explainer::new(&inst.db, &inst.query).why(&[]).unwrap();
     assert_eq!(expl.mode, ExplainMode::Exact);
     assert!(expl.causes.iter().all(|c| c.bounds.is_none()));
+}
+
+/// Bit identity on the benchmark's NP-hard instances: every cause of
+/// `dense_triangles(4, 64, s)` at every identity budget.
+#[test]
+fn packed_kernel_matches_the_seed_oracle_on_dense_triangles() {
+    for seed in [1, 7, 23] {
+        let inst = dense_triangles(4, 64, seed);
+        let (_, phin) = minimized_lineage(&inst.db, &inst.query);
+        for v in phin.variables().iter() {
+            assert_matches_oracle(&phin, v as u32);
+        }
+    }
+}
+
+/// `why_anytime` with its one timing field zeroed, so explanations
+/// compare bit for bit.
+fn untimed(mut explanation: Explanation) -> Explanation {
+    if let ExplainMode::Approximate {
+        budget_spent_us, ..
+    } = &mut explanation.mode
+    {
+        *budget_spent_us = 0;
+    }
+    explanation
+}
+
+/// The explanation the one-phase `why_anytime` built: one seed-kernel
+/// solve per cause under `budget`, rendered and ranked the same way.
+fn assembled_explanation(db: &Database, query: &ConjunctiveQuery, steps: u64) -> Explanation {
+    let (arena, phin) = minimized_lineage(db, query);
+    let causes = arena.tuples_of(&phin.variables());
+    let share = ApproxBudget::steps(steps / causes.len().max(1) as u64);
+    let mut refinements = 0;
+    let mut explained: Vec<ExplainedCause> = causes
+        .iter()
+        .map(|&t| {
+            let out = oracle::anytime_min_contingency(&phin, arena.id(t).unwrap(), share);
+            refinements += out.refinements;
+            let render = |t: TupleRef| format!("{}{}", db.relation(t.rel).name(), db.tuple(t));
+            ExplainedCause {
+                tuple: t,
+                relation: db.relation(t.rel).name().to_string(),
+                values: db.tuple(t).clone(),
+                rho: out.bounds.lower,
+                counterfactual: out.is_exact() && out.bounds.lower == 1.0,
+                contingency: out
+                    .contingency
+                    .unwrap()
+                    .iter()
+                    .map(|&id| render(arena.resolve(id)))
+                    .collect(),
+                bounds: Some(out.bounds),
+            }
+        })
+        .collect();
+    explained.sort_by(|a, b| {
+        let upper = |c: &ExplainedCause| c.bounds.unwrap().upper;
+        b.rho
+            .total_cmp(&a.rho)
+            .then(upper(b).total_cmp(&upper(a)))
+            .then(a.tuple.cmp(&b.tuple))
+    });
+    let bounds = explained.iter().fold(RhoBounds::exact(0.0), |acc, c| {
+        let b = c.bounds.unwrap();
+        RhoBounds {
+            lower: acc.lower.max(b.lower),
+            upper: acc.upper.max(b.upper),
+        }
+    });
+    Explanation {
+        kind: ExplanationKind::WhySo,
+        answer: vec![],
+        causes: explained,
+        dichotomy: DichotomyTag::NpHard,
+        lineage_conjuncts: phin.len(),
+        mode: ExplainMode::Approximate {
+            bounds,
+            budget_spent_us: 0,
+            refinements,
+        },
+    }
+}
+
+/// Without a clock the two-phase schedule changes nothing: under a step
+/// budget `why_anytime` equals the per-cause seed solves under an even
+/// share of the steps, from the greedy bracket to full collapse.
+#[test]
+fn why_anytime_under_a_step_budget_equals_per_cause_solves() {
+    for inst in [dense_triangles(4, 64, 2), dense_triangles(4, 64, 5)] {
+        let explainer = Explainer::new(&inst.db, &inst.query);
+        for steps in [0, 200, 5_000, u64::MAX] {
+            let (explanation, _) = explainer
+                .why_anytime(&[], ApproxBudget::steps(steps))
+                .unwrap();
+            assert_eq!(
+                untimed(explanation),
+                assembled_explanation(&inst.db, &inst.query, steps),
+                "steps={steps}"
+            );
+        }
+    }
+    let fan = triangle_fan(6);
+    let (explanation, _) = Explainer::new(&fan.db, &fan.query)
+        .why_anytime(&[], ApproxBudget::steps(40))
+        .unwrap();
+    assert_eq!(
+        untimed(explanation),
+        assembled_explanation(&fan.db, &fan.query, 40)
+    );
+}
+
+/// A deadline that has passed before the call leaves every cause at its
+/// budget-free bracket: the zero-budget explanation, bit for bit.
+#[test]
+fn why_anytime_past_its_deadline_equals_the_zero_budget_answer() {
+    for seed in [3, 4] {
+        let inst = dense_triangles(4, 64, seed);
+        let explainer = Explainer::new(&inst.db, &inst.query);
+        let (zero, _) = explainer.why_anytime(&[], ApproxBudget::zero()).unwrap();
+        let (expired, _) = explainer
+            .why_anytime(&[], ApproxBudget::until(Instant::now()))
+            .unwrap();
+        assert!(
+            matches!(
+                expired.mode,
+                ExplainMode::Approximate { refinements: 0, .. }
+            ),
+            "{:?}",
+            expired.mode
+        );
+        assert_eq!(untimed(expired), untimed(zero));
+    }
 }
