@@ -35,6 +35,15 @@ impl TenantId {
     pub(crate) fn key(&self) -> TenantKey {
         self.key
     }
+
+    /// The same tenant served from shard `shard` instead of its home —
+    /// the route of a retry or hedge.
+    pub(crate) fn on_shard(self, shard: usize) -> TenantId {
+        TenantId {
+            shard: shard as u32,
+            ..self
+        }
+    }
 }
 
 /// FNV-1a over the tenant name: deterministic across processes and

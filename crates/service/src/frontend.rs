@@ -32,20 +32,20 @@
 //! meantime.
 
 use crate::breaker::{Admit, BreakerConfig, BreakerRegistry};
-use crate::chaos::FaultPlan;
+use crate::chaos::{FaultAction, FaultPlan};
 use crate::clock::{Clock, SystemClock};
 use crate::dispatch::{Dispatcher, TenantId};
 use crate::request::{ExplainRequest, ExplainResponse, PendingExplain, ServiceError};
 use crate::retry::{backoff, JitterRng, RetryPolicy};
-use crate::shard::{lock_unpoisoned, validate, ServiceConfig, Shard};
-use crate::stats::{FrontendStats, ServiceStats};
+use crate::shard::{lock_unpoisoned, validate, Enqueue, ServiceConfig, Shard};
+use crate::stats::{FrontendStats, ServiceStats, StatsCounters};
 use crate::supervisor::{
     assess, HealthState, ShardSignals, ShardTracker, SupervisorConfig, Verdict,
 };
 use crate::worker::{anytime_routable, Job};
 use causality_core::explain::Explainer;
 use causality_core::resp::approx::ApproxBudget;
-use causality_engine::{Database, Snapshot};
+use causality_engine::{Database, Snapshot, SnapshotStore};
 use causality_telemetry::{
     metrics_jsonl, prometheus_text, traces_jsonl, Counter, MetricsRegistry, RequestTrace, Stage,
 };
@@ -179,7 +179,7 @@ impl FrontendCounters {
 /// assert_eq!(resp.expect_explanation().causes.len(), 2);
 /// ```
 pub struct ShardedService {
-    shards: Arc<Vec<Shard>>,
+    pub(crate) shards: Arc<Vec<Shard>>,
     dispatcher: Dispatcher,
     cfg: TierConfig,
     breakers: Arc<BreakerRegistry>,
@@ -216,7 +216,7 @@ impl ShardedService {
                         cfg.shard,
                         cfg.admission_limit,
                         &format!("shard{i}"),
-                        Some(Arc::clone(&breakers)),
+                        Arc::clone(&breakers),
                     )
                 })
                 .collect(),
@@ -245,7 +245,7 @@ impl ShardedService {
         let id = self.dispatcher.register(name).ok_or_else(|| {
             ServiceError::InvalidRequest(format!("tenant {name:?} is already registered"))
         })?;
-        self.shards[id.shard()].add_tenant(id.key(), db);
+        self.shards[id.shard()].install_store(id.key(), Arc::new(SnapshotStore::new(db)));
         Ok(id)
     }
 
@@ -283,7 +283,7 @@ impl ShardedService {
         tenant: TenantId,
         request: ExplainRequest,
     ) -> Result<PendingExplain, ServiceError> {
-        self.submit_inner(tenant, request, self.cfg.default_deadline)
+        self.submit_inner(tenant, request, self.cfg.default_deadline, Enqueue::Admit)
     }
 
     /// Submit with an explicit per-request deadline budget: if the
@@ -295,37 +295,42 @@ impl ShardedService {
         request: ExplainRequest,
         budget: Duration,
     ) -> Result<PendingExplain, ServiceError> {
-        self.submit_inner(tenant, request, Some(budget))
+        self.submit_inner(tenant, request, Some(budget), Enqueue::Admit)
     }
 
-    fn submit_inner(
+    /// A single-shot submit onto the tenant's home shard, for the tier's
+    /// own `submit`s and for [`CausalityService`](crate::CausalityService)'s.
+    pub(crate) fn submit_inner(
         &self,
         tenant: TenantId,
         request: ExplainRequest,
         deadline: Option<Duration>,
+        mode: Enqueue,
     ) -> Result<PendingExplain, ServiceError> {
         let (tx, rx) = mpsc::channel();
-        self.submit_routed(tenant, request, deadline, tenant.shard(), tx, None)?;
+        self.submit_routed(tenant, request, deadline, mode, tx, None)?;
         Ok(PendingExplain { rx })
     }
 
     /// The one submission path every entry point funnels through:
     /// validation, breaker admission, the brownout check, trace start
-    /// (with the PR 9 `retry` span when this is a backed-off retry), and
-    /// the admitted enqueue onto shard `shard_idx`.
+    /// (with the PR 9 `retry` span when this is a backed-off retry), job
+    /// construction, and the enqueue in `mode` onto shard
+    /// `tenant.shard()` (a retry or hedge passes a rerouted
+    /// [`TenantId::on_shard`]).
     fn submit_routed(
         &self,
         tenant: TenantId,
         request: ExplainRequest,
         deadline: Option<Duration>,
-        shard_idx: usize,
+        mode: Enqueue,
         tx: mpsc::Sender<ExplainResponse>,
         retry_span: Option<(Instant, Duration)>,
     ) -> Result<(), ServiceError> {
         validate(&request)?;
         let shard = self
             .shards
-            .get(shard_idx)
+            .get(tenant.shard())
             .ok_or_else(|| ServiceError::InvalidRequest("foreign tenant id".to_string()))?;
         // Per-tenant circuit breaker: an open breaker sheds the request
         // before it can touch a queue (and before tracing — like an
@@ -351,7 +356,7 @@ impl ShardedService {
         let mut trace = shard.core.telemetry.start(t0);
         if let Some(tb) = trace.as_deref_mut() {
             tb.set_request(
-                shard_idx,
+                tenant.shard(),
                 tenant.key(),
                 request.kind.label(),
                 request.query.atoms().len(),
@@ -362,22 +367,22 @@ impl ShardedService {
             tb.begin(Stage::Dispatch);
         }
         let enqueued = Instant::now();
-        let mut job = Job {
-            tenant: tenant.key(),
-            request,
-            deadline: deadline.map(|budget| enqueued + budget),
-            enqueued,
-            tx,
-            trace: None,
-        };
+        let deadline = deadline.map(|budget| enqueued + budget);
         if let Some(tb) = trace.as_deref_mut() {
-            if let Some(deadline) = job.deadline {
+            if let Some(deadline) = deadline {
                 tb.set_deadline(deadline);
             }
             tb.begin(Stage::ShardQueue);
         }
-        job.trace = trace;
-        shard.submit_admitted(job)
+        let job = Job {
+            tenant: tenant.key(),
+            request,
+            deadline,
+            enqueued,
+            tx,
+            trace,
+        };
+        shard.enqueue(job, mode)
     }
 
     /// Update and read the brownout state from the tier-wide queued
@@ -420,11 +425,7 @@ impl ShardedService {
         tenant: TenantId,
         request: &ExplainRequest,
     ) -> Result<ExplainResponse, ServiceError> {
-        let store = shard
-            .core
-            .store(tenant.key())
-            .ok_or_else(|| ServiceError::InvalidRequest("foreign tenant id".to_string()))?;
-        let snapshot = store.current();
+        let snapshot = self.store(tenant)?.current();
         let index_cache = shard.core.index_cache_for(tenant.key(), &snapshot);
         let explainer = Explainer::new(snapshot.database(), &request.query)
             .with_method(request.method)
@@ -507,10 +508,10 @@ impl ShardedService {
         }
         let (tx, rx) = mpsc::channel();
         self.submit_routed(
-            tenant,
+            tenant.on_shard(target),
             request.clone(),
             self.cfg.default_deadline,
-            target,
+            Enqueue::Admit,
             tx.clone(),
             retry_span,
         )?;
@@ -526,10 +527,10 @@ impl ShardedService {
                 if let Some(sibling) = self.reroute_target(tenant, target) {
                     if self
                         .submit_routed(
-                            tenant,
+                            tenant.on_shard(sibling),
                             request,
                             self.cfg.default_deadline,
-                            sibling,
+                            Enqueue::Admit,
                             tx,
                             None,
                         )
@@ -583,10 +584,7 @@ impl ShardedService {
         Ok(self.store(tenant)?.update(f).version())
     }
 
-    fn store(
-        &self,
-        tenant: TenantId,
-    ) -> Result<std::sync::Arc<causality_engine::SnapshotStore>, ServiceError> {
+    pub(crate) fn store(&self, tenant: TenantId) -> Result<Arc<SnapshotStore>, ServiceError> {
         self.shards
             .get(tenant.shard())
             .and_then(|shard| shard.core.store(tenant.key()))
@@ -594,52 +592,64 @@ impl ShardedService {
     }
 
     /// Install a chaos-testing fault on **every** shard: matched
-    /// requests panic inside their worker (each shard must contain the
-    /// blast radius — see
-    /// [`CausalityService::inject_fault`](crate::CausalityService::inject_fault)).
+    /// requests panic inside their worker, and each shard must contain
+    /// the blast radius — the request resolves to
+    /// [`ServiceError::Panicked`], the panic is counted in
+    /// [`ServiceStats::panics_caught`], and every worker keeps serving.
     /// To take down a single shard, match on something only that
-    /// shard's tenants send.
-    pub fn inject_fault(
-        &self,
-        hook: impl Fn(&ExplainRequest) -> bool + Send + Sync + Clone + 'static,
-    ) {
-        for shard in self.shards.iter() {
-            *lock_unpoisoned(&shard.core.fault) = Some(Box::new(hook.clone()));
-            shard.core.chaos_armed.store(true, Ordering::Release);
-        }
+    /// shard's tenants send. Replaces any chaos hook installed before.
+    pub fn inject_fault(&self, hook: impl Fn(&ExplainRequest) -> bool + Send + Sync + 'static) {
+        self.arm(move |_, request, _| FaultAction {
+            panic: hook(request),
+            ..FaultAction::default()
+        });
     }
 
     /// Install a chaos/load-testing stall on every shard: matched
-    /// requests sleep for the returned duration before computing.
+    /// requests sleep for the returned duration before computing —
+    /// simulating slow computations (to fill queues, expire deadlines,
+    /// or exercise admission control) without burning CPU. Replaces any
+    /// chaos hook installed before.
     pub fn inject_delay(
         &self,
-        hook: impl Fn(&ExplainRequest) -> Option<Duration> + Send + Sync + Clone + 'static,
+        hook: impl Fn(&ExplainRequest) -> Option<Duration> + Send + Sync + 'static,
     ) {
-        for shard in self.shards.iter() {
-            *lock_unpoisoned(&shard.core.delay) = Some(Box::new(hook.clone()));
-            shard.core.chaos_armed.store(true, Ordering::Release);
-        }
+        self.arm(move |_, request, _| FaultAction {
+            stall: hook(request),
+            ..FaultAction::default()
+        });
     }
 
     /// Arm a seeded [`FaultPlan`]: each shard consults the plan with its
     /// own computation ordinal, so one generated schedule drives every
     /// worker-side fault (panics, stalls, lock poisoning) of a chaos
-    /// soak deterministically. Supersedes any hooks from
-    /// [`ShardedService::inject_fault`] / [`ShardedService::inject_delay`]
-    /// for ordinals the plan covers; disarm via
-    /// [`ShardedService::clear_faults`].
+    /// soak deterministically. Replaces any chaos hook installed before;
+    /// disarm via [`ShardedService::clear_faults`].
     pub fn install_fault_plan(&self, plan: &FaultPlan) {
+        let plan = plan.clone();
+        self.arm(move |shard, _, ordinal| plan.action_for(shard, ordinal));
+    }
+
+    /// Install `hook` as every shard's chaos hook, called with the
+    /// shard's index, replacing the one before: a shard holds one hook
+    /// at a time.
+    fn arm(
+        &self,
+        hook: impl Fn(usize, &ExplainRequest, u64) -> FaultAction + Send + Sync + 'static,
+    ) {
+        let hook = Arc::new(hook);
         for (i, shard) in self.shards.iter().enumerate() {
-            let plan = plan.clone();
-            *lock_unpoisoned(&shard.core.plan) =
-                Some(Box::new(move |ordinal| plan.action_for(i, ordinal)));
+            let hook = Arc::clone(&hook);
+            *lock_unpoisoned(&shard.core.chaos) =
+                Some(Box::new(move |request, ordinal| hook(i, request, ordinal)));
             shard.core.chaos_armed.store(true, Ordering::Release);
         }
     }
 
-    /// How many computations shard `i` has started — the ordinal clock a
-    /// chaos harness reads to synchronize plan-external events (bursts,
-    /// clock skew) with the plan's worker-side schedule.
+    /// How many computations shard `i` has started while a chaos hook
+    /// was armed — the ordinal clock a chaos harness reads to
+    /// synchronize plan-external events (bursts, clock skew) with the
+    /// plan's worker-side schedule.
     pub fn shard_progress(&self, shard: usize) -> u64 {
         self.shards
             .get(shard)
@@ -647,14 +657,10 @@ impl ShardedService {
             .unwrap_or(0)
     }
 
-    /// Remove every hook installed by [`ShardedService::inject_fault`] /
-    /// [`ShardedService::inject_delay`] /
-    /// [`ShardedService::install_fault_plan`].
+    /// Remove the chaos hook from every shard.
     pub fn clear_faults(&self) {
         for shard in self.shards.iter() {
-            *lock_unpoisoned(&shard.core.fault) = None;
-            *lock_unpoisoned(&shard.core.delay) = None;
-            *lock_unpoisoned(&shard.core.plan) = None;
+            *lock_unpoisoned(&shard.core.chaos) = None;
             shard.core.chaos_armed.store(false, Ordering::Release);
         }
     }
@@ -681,20 +687,7 @@ impl ShardedService {
     /// [`TierStats::aggregate`]) plus the front end's resilience
     /// counters.
     pub fn stats(&self) -> TierStats {
-        TierStats {
-            shards: self
-                .shards
-                .iter()
-                .map(|shard| {
-                    shard.core.stats.snapshot(
-                        shard.core.cfg.workers,
-                        shard.core.max_version(),
-                        shard.core.index_cache.len() as u64,
-                    )
-                })
-                .collect(),
-            frontend: self.frontend_stats(),
-        }
+        self.collect_stats(StatsCounters::snapshot)
     }
 
     /// Like [`ShardedService::stats`], but zeroes every shard's monotone
@@ -704,15 +697,25 @@ impl ShardedService {
     /// counters (`shard_restarts`, `shard_quarantines`) are reported but
     /// **not** reset: a phase boundary does not undo a restart.
     pub fn snapshot_and_reset(&self) -> TierStats {
+        self.collect_stats(StatsCounters::snapshot_and_reset)
+    }
+
+    fn collect_stats(
+        &self,
+        read: fn(&StatsCounters, usize, u64, u64) -> ServiceStats,
+    ) -> TierStats {
         TierStats {
             shards: self
                 .shards
                 .iter()
                 .map(|shard| {
-                    shard.core.stats.snapshot_and_reset(
-                        shard.core.cfg.workers,
-                        shard.core.max_version(),
-                        shard.core.index_cache.len() as u64,
+                    let core = &shard.core;
+                    let index_entries = core.index_cache.len() as u64;
+                    read(
+                        &core.stats,
+                        core.cfg.workers,
+                        core.max_version(),
+                        index_entries,
                     )
                 })
                 .collect(),
@@ -1199,6 +1202,86 @@ mod tests {
             .unwrap();
         assert!(matches!(resp.result, Err(ServiceError::Panicked(_))));
         assert_eq!(tier.stats().frontend.retries, 0);
+        tier.shutdown();
+    }
+
+    fn one_worker_tier(cache_capacity: usize) -> (ShardedService, TenantId) {
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            shard: ServiceConfig {
+                workers: 1,
+                cache_capacity,
+                ..ServiceConfig::default()
+            },
+            ..TierConfig::default()
+        });
+        let t = tier.add_tenant("chaos", example_2_2()).unwrap();
+        (tier, t)
+    }
+
+    #[test]
+    fn the_latest_chaos_hook_replaces_the_one_before() {
+        let (tier, t) = one_worker_tier(1024);
+        tier.inject_fault(|_| true);
+        tier.inject_delay(|_| None);
+        let resp = tier
+            .explain(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
+            .unwrap();
+        assert!(
+            resp.result.is_ok(),
+            "the delay hook replaced the fault hook"
+        );
+        tier.shutdown();
+    }
+
+    #[test]
+    fn the_ordinal_advances_per_computation_only_while_a_hook_is_armed() {
+        // One cache slot and alternating answers: every request is a
+        // fresh computation.
+        let (tier, t) = one_worker_tier(1);
+        let mut answers = ["a2", "a3"].into_iter().cycle();
+        let mut compute = || {
+            let answer = Value::str(answers.next().unwrap());
+            let resp = tier
+                .explain(t, ExplainRequest::why_so(query(), vec![answer]))
+                .unwrap();
+            assert!(!resp.cache_hit);
+        };
+        compute();
+        assert_eq!(tier.shard_progress(0), 0, "no hook armed yet");
+        tier.install_fault_plan(&FaultPlan {
+            seed: 0,
+            events: Vec::new(),
+        });
+        for expected in 1..=3 {
+            compute();
+            assert_eq!(tier.shard_progress(0), expected);
+        }
+        tier.inject_delay(|_| None);
+        compute();
+        assert_eq!(tier.shard_progress(0), 4, "any armed hook draws");
+        tier.clear_faults();
+        compute();
+        compute();
+        assert_eq!(tier.shard_progress(0), 4, "cleared: the ordinal stands");
+        tier.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_hook_costs_one_response_not_the_worker() {
+        let (tier, t) = one_worker_tier(1024);
+        let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
+        tier.inject_fault(|_| panic!("the hook itself panicked"));
+        match tier.explain(t, req.clone()).unwrap().result {
+            Err(ServiceError::Panicked(msg)) => {
+                assert!(msg.contains("the hook itself panicked"), "got: {msg}")
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        tier.clear_faults();
+        let healed = tier.explain(t, req).unwrap();
+        assert!(healed.result.is_ok(), "the sole worker still serves");
+        assert_eq!(tier.stats().aggregate().panics_caught, 1);
         tier.shutdown();
     }
 

@@ -28,9 +28,12 @@
 //!   own responsibility LRU — so one tenant's writes or traffic can
 //!   never evict, queue behind, or crash another shard's tenants.
 //!
-//! [`CausalityService`] remains as the single-tenant facade over one
-//! shard (blocking `submit` backpressure, `try_submit`, no admission
-//! control), preserving the original embedded-service semantics.
+//! [`CausalityService`] is the single-tenant handle on a one-shard tier
+//! with breakers and the supervisor off. Its requests take the tier's
+//! one submission path; it keeps the original embedded-service queueing
+//! (blocking `submit` backpressure, `try_submit` reporting
+//! [`ServiceError::QueueFull`], no admission control) and reaches fault
+//! injection and telemetry export through [`CausalityService::tier`].
 //!
 //! Mechanisms shared by both entry points:
 //! * snapshots — writers [`CausalityService::publish`]/[`CausalityService::update`]
@@ -63,9 +66,10 @@
 //!   `catch_unwind` boundary, so a panicking job resolves to
 //!   [`ServiceError::Panicked`] instead of killing its worker (counted
 //!   in [`ServiceStats::panics_caught`]); service mutexes recover from
-//!   poisoning, and [`CausalityService::inject_fault`] /
-//!   [`CausalityService::inject_delay`] let tests panic or stall chosen
-//!   requests on purpose;
+//!   poisoning, and [`ShardedService::inject_fault`] /
+//!   [`ShardedService::inject_delay`] let tests panic or stall chosen
+//!   requests on purpose (one chaos hook per shard; the latest install
+//!   wins);
 //! * observability — [`ServiceStats`] carries request/cache/coalesce
 //!   counters, admission rejects, deadline misses, a live queue-depth
 //!   gauge, and a fixed-bucket submit→response latency histogram

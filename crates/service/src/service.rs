@@ -1,28 +1,27 @@
-//! The single-shard concurrent explanation service (the PR 2 API).
+//! The single-tenant handle on a one-shard tier (the PR 2 API).
 //!
-//! [`CausalityService`] wraps exactly one `Shard`
-//! hosting exactly one tenant: the worker pool, batching, coalescing,
-//! snapshot store, index cache, and responsibility LRU all live in the
-//! shard/worker layers shared with the multi-tenant
-//! [`ShardedService`](crate::ShardedService). What this facade adds is
-//! the original single-database ergonomics: `submit` blocks for
-//! backpressure (no admission control), `try_submit` reports
-//! [`ServiceError::QueueFull`], and writes go straight to the one store.
+//! [`CausalityService`] serves one database. It registers that database
+//! as the only tenant of a one-shard [`ShardedService`] with circuit
+//! breakers and the supervisor switched off, hides the tenant id, and
+//! sends every request down the tier's one submission path. What the
+//! handle adds is the queueing contract of the original API — `submit`
+//! blocks while the queue is full (backpressure, no admission control)
+//! and `try_submit` reports [`ServiceError::QueueFull`] — and writes that
+//! cannot name a foreign tenant. Fault injection and telemetry export
+//! live on the tier, reached through [`CausalityService::tier`].
 
+use crate::breaker::BreakerConfig;
+use crate::dispatch::TenantId;
+use crate::frontend::{ShardedService, TierConfig};
 use crate::request::{ExplainRequest, ExplainResponse, PendingExplain, ServiceError};
-use crate::shard::{lock_unpoisoned, validate, Shard, TenantKey};
+use crate::shard::Enqueue;
 use crate::stats::ServiceStats;
-use crate::worker::Job;
+use crate::supervisor::SupervisorConfig;
 use causality_engine::{Database, Snapshot, SnapshotStore};
-use causality_telemetry::{metrics_jsonl, prometheus_text, traces_jsonl, RequestTrace, Stage};
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 pub use crate::shard::ServiceConfig;
-
-/// The one tenant a single-shard service hosts.
-const SOLE_TENANT: TenantKey = 0;
 
 /// A concurrent explanation service over one logical database.
 ///
@@ -38,7 +37,8 @@ const SOLE_TENANT: TenantKey = 0;
 /// assert_eq!(resp.expect_explanation().causes.len(), 2);
 /// ```
 pub struct CausalityService {
-    pub(crate) shard: Shard,
+    tier: ShardedService,
+    tenant: TenantId,
     store: Arc<SnapshotStore>,
 }
 
@@ -50,67 +50,35 @@ impl CausalityService {
 
     /// Start a service with explicit tuning knobs.
     pub fn with_config(db: Database, cfg: ServiceConfig) -> Self {
-        // No tier-shared breaker registry: the single-shard facade keeps
-        // the PR 2 semantics (no admission control, no traffic shedding).
-        let shard = Shard::spawn(cfg, usize::MAX, "causality", None);
-        let store = shard.add_tenant(SOLE_TENANT, db);
-        CausalityService { shard, store }
-    }
-
-    /// Validate, build the job, and (when sampled) open its trace through
-    /// the Admission → Dispatch → ShardQueue stages.
-    fn prepare(
-        &self,
-        request: ExplainRequest,
-        budget: Option<Duration>,
-    ) -> Result<(Job, PendingExplain), ServiceError> {
-        let t0 = Instant::now();
-        validate(&request)?;
-        let mut trace = self.shard.core.telemetry.start(t0);
-        if let Some(tb) = trace.as_deref_mut() {
-            tb.set_request(
-                0,
-                SOLE_TENANT,
-                request.kind.label(),
-                request.query.atoms().len(),
-            );
-            tb.begin(Stage::Dispatch);
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            breaker: BreakerConfig::disabled(),
+            supervisor: SupervisorConfig::disabled(),
+            shard: cfg,
+            ..TierConfig::default()
+        });
+        let tenant = tier
+            .add_tenant("default", db)
+            .expect("a fresh tier has no tenants");
+        let store = tier.store(tenant).expect("the tenant was just added");
+        CausalityService {
+            tier,
+            tenant,
+            store,
         }
-        let (tx, rx) = mpsc::channel();
-        let enqueued = Instant::now();
-        let deadline = budget.map(|budget| enqueued + budget);
-        if let Some(tb) = trace.as_deref_mut() {
-            if let Some(deadline) = deadline {
-                tb.set_deadline(deadline);
-            }
-            tb.begin(Stage::ShardQueue);
-        }
-        Ok((
-            Job {
-                tenant: SOLE_TENANT,
-                request,
-                deadline,
-                enqueued,
-                tx,
-                trace,
-            },
-            PendingExplain { rx },
-        ))
     }
 
     /// Enqueue a request, blocking while the queue is full (backpressure).
     pub fn submit(&self, request: ExplainRequest) -> Result<PendingExplain, ServiceError> {
-        let (job, pending) = self.prepare(request, None)?;
-        self.shard.submit_blocking(job)?;
-        Ok(pending)
+        self.tier
+            .submit_inner(self.tenant, request, None, Enqueue::Block)
     }
 
     /// Enqueue a request without blocking; [`ServiceError::QueueFull`]
     /// when the bounded queue has no room.
     pub fn try_submit(&self, request: ExplainRequest) -> Result<PendingExplain, ServiceError> {
-        let (job, pending) = self.prepare(request, None)?;
-        self.shard.try_submit(job)?;
-        Ok(pending)
+        self.tier
+            .submit_inner(self.tenant, request, None, Enqueue::Try)
     }
 
     /// Enqueue a request with a per-request **deadline budget**: if the
@@ -122,9 +90,8 @@ impl CausalityService {
         request: ExplainRequest,
         budget: Duration,
     ) -> Result<PendingExplain, ServiceError> {
-        let (job, pending) = self.prepare(request, Some(budget))?;
-        self.shard.submit_blocking(job)?;
-        Ok(pending)
+        self.tier
+            .submit_inner(self.tenant, request, Some(budget), Enqueue::Block)
     }
 
     /// Submit and wait: the blocking convenience call.
@@ -148,45 +115,9 @@ impl CausalityService {
         self.store.update(f).version()
     }
 
-    /// Install a chaos-testing fault: every request the predicate
-    /// matches **panics** inside the worker that computes it. The pool
-    /// must isolate the blast radius — the matched request resolves to
-    /// [`ServiceError::Panicked`], the panic is counted in
-    /// [`ServiceStats::panics_caught`], and every worker keeps serving.
-    /// Used by the panic-isolation regression tests; also handy for
-    /// game-day drills against a staging deployment.
-    pub fn inject_fault(&self, hook: impl Fn(&ExplainRequest) -> bool + Send + Sync + 'static) {
-        *lock_unpoisoned(&self.shard.core.fault) = Some(Box::new(hook));
-        self.shard.core.chaos_armed.store(true, Ordering::Release);
-    }
-
-    /// Install a chaos/load-testing stall: every request the hook
-    /// matches sleeps for the returned duration inside its worker before
-    /// computing — simulating slow computations (to fill queues, expire
-    /// deadlines, or exercise admission control) without burning CPU.
-    pub fn inject_delay(
-        &self,
-        hook: impl Fn(&ExplainRequest) -> Option<Duration> + Send + Sync + 'static,
-    ) {
-        *lock_unpoisoned(&self.shard.core.delay) = Some(Box::new(hook));
-        self.shard.core.chaos_armed.store(true, Ordering::Release);
-    }
-
-    /// Remove the hooks installed by [`CausalityService::inject_fault`]
-    /// and [`CausalityService::inject_delay`].
-    pub fn clear_faults(&self) {
-        *lock_unpoisoned(&self.shard.core.fault) = None;
-        *lock_unpoisoned(&self.shard.core.delay) = None;
-        self.shard.core.chaos_armed.store(false, Ordering::Release);
-    }
-
     /// A point-in-time view of the service counters.
     pub fn stats(&self) -> ServiceStats {
-        self.shard.core.stats.snapshot(
-            self.shard.core.cfg.workers,
-            self.store.version(),
-            self.shard.core.index_cache.len() as u64,
-        )
+        self.tier.stats().aggregate()
     }
 
     /// Like [`CausalityService::stats`], but also zeroes every monotone
@@ -194,50 +125,22 @@ impl CausalityService {
     /// live), so successive measurement phases — warmup vs timed window
     /// in the load harness — never bleed together.
     pub fn snapshot_and_reset(&self) -> ServiceStats {
-        self.shard.core.stats.snapshot_and_reset(
-            self.shard.core.cfg.workers,
-            self.store.version(),
-            self.shard.core.index_cache.len() as u64,
-        )
+        self.tier.snapshot_and_reset().aggregate()
     }
 
-    /// Prometheus text exposition of the service's metrics registry
-    /// (single shard, labelled `shard="0"`).
-    pub fn export_metrics(&self) -> String {
-        prometheus_text(&[self.shard.core.registry.as_ref()], "causality_")
-    }
-
-    /// The same metric samples as [`CausalityService::export_metrics`],
-    /// rendered as JSONL.
-    pub fn export_metrics_jsonl(&self) -> String {
-        metrics_jsonl(&[self.shard.core.registry.as_ref()])
-    }
-
-    /// The sampled traces currently retained in the ring, oldest first.
-    /// Non-draining: exporting twice returns the same traces.
-    pub fn recent_traces(&self) -> Vec<RequestTrace> {
-        self.shard.core.telemetry.traces()
-    }
-
-    /// [`CausalityService::recent_traces`] rendered as JSONL.
-    pub fn export_traces(&self) -> String {
-        traces_jsonl(&self.recent_traces())
-    }
-
-    /// The explanation slow-log: traces whose total latency or deadline
-    /// slack crossed the configured thresholds.
-    pub fn slow_log_records(&self) -> Vec<RequestTrace> {
-        self.shard.core.telemetry.slow_log()
-    }
-
-    /// [`CausalityService::slow_log_records`] rendered as JSONL.
-    pub fn export_slow_log(&self) -> String {
-        traces_jsonl(&self.slow_log_records())
+    /// The one-shard tier behind the handle, for fault injection
+    /// ([`ShardedService::inject_fault`], [`ShardedService::inject_delay`],
+    /// [`ShardedService::clear_faults`]) and telemetry export
+    /// ([`ShardedService::export_metrics`],
+    /// [`ShardedService::recent_traces`],
+    /// [`ShardedService::slow_log_records`] and their JSONL forms).
+    pub fn tier(&self) -> &ShardedService {
+        &self.tier
     }
 
     /// Stop accepting work, drain the queue, and join the workers.
     pub fn shutdown(self) {
-        self.shard.shutdown();
+        self.tier.shutdown();
     }
 }
 
@@ -485,7 +388,8 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        svc.inject_fault(|req| req.answer == vec![Value::str("a3")]);
+        svc.tier()
+            .inject_fault(|req| req.answer == vec![Value::str("a3")]);
         let poisoned = svc
             .explain(ExplainRequest::why_so(query(), vec![Value::str("a3")]))
             .unwrap();
@@ -497,7 +401,7 @@ mod tests {
         }
         // Every worker still serves, including the one that caught the
         // panic (more requests than workers).
-        svc.clear_faults();
+        svc.tier().clear_faults();
         for _ in 0..4 {
             let ok = svc
                 .explain(ExplainRequest::why_so(query(), vec![Value::str("a2")]))
@@ -511,12 +415,12 @@ mod tests {
     fn panicked_results_are_not_cached() {
         let svc = CausalityService::new(example_2_2());
         let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
-        svc.inject_fault(|_| true);
+        svc.tier().inject_fault(|_| true);
         assert!(matches!(
             svc.explain(req.clone()).unwrap().result,
             Err(ServiceError::Panicked(_))
         ));
-        svc.clear_faults();
+        svc.tier().clear_faults();
         let healed = svc.explain(req).unwrap();
         assert!(healed.result.is_ok(), "the request recomputes cleanly");
         assert!(!healed.cache_hit, "the panicked attempt left no entry");
@@ -528,7 +432,7 @@ mod tests {
         let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
         svc.explain(req.clone()).unwrap();
         // Poison resp_cache and live_snapshots by panicking mid-hold.
-        let core = Arc::clone(&svc.shard.core);
+        let core = Arc::clone(&svc.tier.shards[0].core);
         let _ = std::thread::spawn(move || {
             let _cache = core.resp_cache.lock().unwrap();
             let _live = core.live_snapshots.lock().unwrap();
@@ -536,7 +440,7 @@ mod tests {
         })
         .join();
         assert!(
-            svc.shard.core.resp_cache.lock().is_err(),
+            svc.tier.shards[0].core.resp_cache.lock().is_err(),
             "cache is poisoned"
         );
         // Serving continues: lock recovery hands back the intact state.
@@ -605,7 +509,7 @@ mod tests {
         );
         // Stall the worker on a blocker request so the deadlined request
         // sits in the queue past its budget.
-        svc.inject_delay(|req| {
+        svc.tier().inject_delay(|req| {
             (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(120))
         });
         let blocker = svc
@@ -629,7 +533,7 @@ mod tests {
             "the expired request never reached a computation"
         );
         // A generous budget is met.
-        svc.clear_faults();
+        svc.tier().clear_faults();
         let fine = svc
             .submit_with_deadline(
                 ExplainRequest::why_so(query(), vec![Value::str("a3")]),

@@ -5,29 +5,32 @@
 //! its own [`SharedIndexCache`], its own responsibility LRU, and its own
 //! `StatsCounters` — so writes to one
 //! tenant's relations can never evict another shard's warm caches or
-//! queue behind another shard's traffic. The layers above are thin:
+//! queue behind another shard's traffic. The one layer above is thin:
+//! [`ShardedService`](crate::ShardedService) routes tenants onto N shards
+//! via the [`dispatch`](crate::dispatch) layer and applies admission
+//! control and deadline budgets at the front end, and
+//! [`CausalityService`](crate::CausalityService) is a one-tenant handle
+//! on a one-shard tier.
 //!
-//! * [`CausalityService`](crate::CausalityService) wraps exactly one
-//!   shard with one tenant (the PR 2 API, unchanged);
-//! * [`ShardedService`](crate::ShardedService) routes tenants onto N
-//!   shards via the [`dispatch`](crate::dispatch) layer and applies
-//!   admission control and deadline budgets at the front end.
+//! A request enters a shard through one function, `Shard::enqueue`. Its
+//! `Enqueue` mode says what a queue without room does to the request:
+//! the tier's bounded admission rejects it, the handle's `submit` blocks,
+//! and its `try_submit` reports [`ServiceError::QueueFull`].
 //!
 //! Within a shard, multiple tenants can coexist soundly because both
 //! cache layers are keyed on per-relation `(RelId, RelVersion)` content
 //! stamps and `RelVersion` stamps are **process-wide unique** (PR 3):
 //! two tenants' relations can never alias a cache entry.
 
-use crate::breaker::{BreakerConfig, BreakerRegistry};
+use crate::breaker::BreakerRegistry;
 use crate::chaos::FaultAction;
-use crate::clock::SystemClock;
 use crate::lru::LruCache;
 use crate::request::{ExplainRequest, ServiceError};
 use crate::stats::StatsCounters;
 use crate::supervisor::HealthCell;
-use crate::worker::{worker_loop, Job, Msg};
+use crate::worker::{worker_loop, Job};
 use causality_core::explain::Explanation;
-use causality_engine::{Database, RelId, RelVersion, SharedIndexCache, Snapshot, SnapshotStore};
+use causality_engine::{RelId, RelVersion, SharedIndexCache, Snapshot, SnapshotStore};
 use causality_telemetry::{MetricsRegistry, Telemetry, TelemetryConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,21 +52,16 @@ pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A chaos-testing predicate marking requests that must panic mid-flight.
-pub(crate) type FaultHook = Box<dyn Fn(&ExplainRequest) -> bool + Send + Sync>;
-
-/// A chaos/load-testing hook stalling matched requests for the returned
-/// duration before they compute (simulates slow computations without
-/// burning CPU).
-pub(crate) type DelayHook = Box<dyn Fn(&ExplainRequest) -> Option<Duration> + Send + Sync>;
-
-/// The PR 9 plan hook: maps a shard-local request ordinal (the position
-/// of the computation in this shard's processing order) to the combined
-/// fault action a seeded [`FaultPlan`](crate::FaultPlan) schedules for
-/// it. One hook sees one ordinal exactly once, so separate fault kinds
-/// scheduled for the same request cannot drift apart the way two
-/// independently counting hooks would.
-pub(crate) type PlanHook = Box<dyn Fn(u64) -> FaultAction + Send + Sync>;
+/// The chaos hook: maps a request and the shard-local ordinal of its
+/// computation (its position in this shard's processing order) to the
+/// fault to inject — a stall, a panic, or a panic that poisons the
+/// responsibility-cache lock. One hook sees one ordinal exactly once, so
+/// the fault kinds a seeded [`FaultPlan`](crate::FaultPlan) schedules for
+/// one request cannot drift apart. Built by
+/// [`ShardedService::inject_fault`](crate::ShardedService::inject_fault),
+/// [`ShardedService::inject_delay`](crate::ShardedService::inject_delay)
+/// and [`ShardedService::install_fault_plan`](crate::ShardedService::install_fault_plan).
+pub(crate) type ChaosHook = Box<dyn Fn(&ExplainRequest, u64) -> FaultAction + Send + Sync>;
 
 /// Identifies one tenant's snapshot store within a shard.
 pub(crate) type TenantKey = u64;
@@ -80,7 +78,11 @@ pub(crate) type RelFingerprint = Vec<(RelId, RelVersion)>;
 pub struct ServiceConfig {
     /// Worker threads evaluating requests.
     pub workers: usize,
-    /// Bound of the request queue; `submit` applies backpressure beyond it.
+    /// Bound of the request queue. Past it,
+    /// [`CausalityService::submit`](crate::CausalityService::submit)
+    /// blocks, [`CausalityService::try_submit`](crate::CausalityService::try_submit)
+    /// returns [`ServiceError::QueueFull`], and a [`ShardedService`](crate::ShardedService)
+    /// submit is rejected with [`ServiceError::Overloaded`].
     pub queue_capacity: usize,
     /// Maximum requests a worker drains into one batch.
     pub batch_max: usize,
@@ -135,9 +137,8 @@ impl ServiceConfig {
 /// State shared between a shard's handle and its workers.
 pub(crate) struct ShardCore {
     pub(crate) cfg: ServiceConfig,
-    /// Queue-depth limit enforced by [`Shard::submit_admitted`];
-    /// `usize::MAX` disables admission control (the single-shard
-    /// [`CausalityService`](crate::CausalityService) compatibility mode).
+    /// Queue-depth limit enforced by [`Shard::enqueue`] in
+    /// [`Enqueue::Admit`] mode.
     pub(crate) admission_limit: usize,
     /// Snapshot stores of the tenants routed to this shard.
     pub(crate) tenants: RwLock<HashMap<TenantKey, Arc<SnapshotStore>>>,
@@ -160,22 +161,15 @@ pub(crate) struct ShardCore {
     /// versions, newest last; the union of their stamps is the index
     /// cache's live set, everything else gets evicted.
     pub(crate) live_snapshots: Mutex<HashMap<TenantKey, Vec<(u64, RelFingerprint)>>>,
-    /// Chaos-testing hook: requests matching the predicate panic inside
-    /// the worker (see [`CausalityService::inject_fault`](crate::CausalityService::inject_fault)).
-    pub(crate) fault: Mutex<Option<FaultHook>>,
-    /// Chaos/load-testing hook: requests matched by the predicate sleep
-    /// for the returned duration before computing.
-    pub(crate) delay: Mutex<Option<DelayHook>>,
-    /// Seeded chaos-plan hook (PR 9): consulted once per computation
-    /// with the shard-local ordinal; supersedes `fault`/`delay` for
-    /// schedule-driven soaks because one lookup yields the *combined*
-    /// action for the request.
-    pub(crate) plan: Mutex<Option<PlanHook>>,
-    /// Shard-local computation ordinal feeding the plan hook.
+    /// The shard's one chaos hook, consulted once per fresh computation.
+    /// Installing a hook replaces the previous one.
+    pub(crate) chaos: Mutex<Option<ChaosHook>>,
+    /// Shard-local computation ordinal feeding the chaos hook; it
+    /// advances once per fresh computation while a hook is armed.
     pub(crate) ordinal: AtomicU64,
-    /// True while any of `fault`/`delay`/`plan` is installed. Workers
-    /// check this one atomic before touching the hook mutexes, so
-    /// chaos-free serving never pays for the injection points.
+    /// True while a chaos hook is installed. Workers check this one
+    /// atomic before touching the hook mutex, so chaos-free serving
+    /// never pays for the injection point.
     pub(crate) chaos_armed: AtomicBool,
     /// Current run of panicking computations without an intervening
     /// completion; the supervisor quarantines past a threshold.
@@ -187,12 +181,9 @@ pub(crate) struct ShardCore {
     /// worker retires after its current batch once its spawn generation
     /// is stale.
     pub(crate) generation: AtomicU64,
-    /// The tier's per-tenant circuit breakers. Shared across every shard
-    /// of a [`ShardedService`](crate::ShardedService) (a tenant's
-    /// failures are a property of the tenant, not of the shard its
-    /// retries land on); the single-shard
-    /// [`CausalityService`](crate::CausalityService) carries a disabled
-    /// registry, keeping PR 2 semantics.
+    /// The tier's per-tenant circuit breakers, shared across every shard
+    /// (a tenant's failures are a property of the tenant, not of the
+    /// shard its retries land on).
     pub(crate) breakers: Arc<BreakerRegistry>,
 }
 
@@ -265,13 +256,24 @@ impl ShardCore {
         Arc::clone(&self.index_cache)
     }
 
-    /// Finalize the trace of a job that never made it into the queue
-    /// (admission reject, full queue, or disconnected shard), so rejected
-    /// requests show up in the trace ring and slow-log too.
-    pub(crate) fn finalize_unqueued(&self, job: Job, outcome: &'static str) {
+    /// Refuse a job that never made it into the queue (admission reject,
+    /// full queue, or disconnected shard): finalize its trace with the
+    /// error's outcome label, so rejected requests show up in the trace
+    /// ring and slow-log too, and return the error.
+    fn refuse(&self, job: Job, err: ServiceError) -> Result<(), ServiceError> {
         if let Some(mut tb) = job.trace {
-            tb.set_outcome(outcome);
+            tb.set_outcome(err.outcome_label());
             self.telemetry.record(tb.finish());
+        }
+        Err(err)
+    }
+
+    /// A counted admission reject ([`ServiceError::Overloaded`]) carrying
+    /// a retry-after hint.
+    fn overloaded(&self) -> ServiceError {
+        self.stats.admission_rejects.inc();
+        ServiceError::Overloaded {
+            retry_after: self.retry_after_hint(),
         }
     }
 
@@ -281,7 +283,7 @@ impl ShardCore {
     /// wait) divided across the worker pool. Clamped to `[1ms, 2s]` so
     /// a cold histogram or a pathological backlog still yields a usable
     /// hint.
-    pub(crate) fn retry_after_hint(&self) -> Duration {
+    fn retry_after_hint(&self) -> Duration {
         let depth = self.stats.queue_depth.get().max(1);
         let samples: u64 = self.stats.latency.counts(false).iter().sum();
         let mean_us = self
@@ -325,6 +327,21 @@ pub(crate) fn validate(request: &ExplainRequest) -> Result<(), ServiceError> {
         .map_err(|e| ServiceError::InvalidRequest(e.to_string()))
 }
 
+/// What [`Shard::enqueue`] does with a request when the queue has no
+/// room for it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Enqueue {
+    /// Bounded admission (the tier's front end): at the shard's
+    /// `admission_limit`, or with the channel full, reject with a
+    /// counted [`ServiceError::Overloaded`] carrying a retry-after hint.
+    /// The depth limit is checked before anything else.
+    Admit,
+    /// Block until the queue has room (the handle's backpressure).
+    Block,
+    /// Fail with [`ServiceError::QueueFull`] instead of waiting.
+    Try,
+}
+
 /// One running shard: the shared core, the job queue, and the worker
 /// pool draining it.
 ///
@@ -343,8 +360,8 @@ pub(crate) struct Shard {
     /// `None` once the shard is shut down. Dropping the sender is the
     /// shutdown signal: workers drain every buffered job, then exit on
     /// disconnect.
-    tx: RwLock<Option<SyncSender<Msg>>>,
-    rx: Arc<Mutex<Receiver<Msg>>>,
+    tx: RwLock<Option<SyncSender<Box<Job>>>>,
+    rx: Arc<Mutex<Receiver<Box<Job>>>>,
     name: String,
     /// Every worker thread ever spawned (all generations); joined at
     /// shutdown.
@@ -353,26 +370,17 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Spawn a shard with `cfg.workers` threads. `admission_limit` is
-    /// the queue-depth bound enforced by [`Shard::submit_admitted`]
-    /// (`usize::MAX` = no admission control). `name` labels the worker
-    /// threads. `breakers` shares the tier's circuit breakers with the
-    /// workers (outcome recording); `None` installs a disabled registry
-    /// (single-shard compatibility mode).
+    /// the queue-depth bound of [`Enqueue::Admit`], `name` labels the
+    /// worker threads, and `breakers` are the tier's circuit breakers,
+    /// which the workers report outcomes to.
     pub(crate) fn spawn(
         cfg: ServiceConfig,
         admission_limit: usize,
         name: &str,
-        breakers: Option<Arc<BreakerRegistry>>,
+        breakers: Arc<BreakerRegistry>,
     ) -> Self {
         let cfg = cfg.sanitized();
         let registry = Arc::new(MetricsRegistry::new());
-        let breakers = breakers.unwrap_or_else(|| {
-            Arc::new(BreakerRegistry::new(
-                BreakerConfig::disabled(),
-                Arc::new(SystemClock),
-                &registry,
-            ))
-        });
         let core = Arc::new(ShardCore {
             cfg,
             admission_limit,
@@ -383,9 +391,7 @@ impl Shard {
             resp_cache: Mutex::new(LruCache::new(cfg.cache_capacity)),
             index_cache: Arc::new(SharedIndexCache::new()),
             live_snapshots: Mutex::new(HashMap::new()),
-            fault: Mutex::new(None),
-            delay: Mutex::new(None),
-            plan: Mutex::new(None),
+            chaos: Mutex::new(None),
             ordinal: AtomicU64::new(0),
             chaos_armed: AtomicBool::new(false),
             consecutive_panics: AtomicU64::new(0),
@@ -393,7 +399,7 @@ impl Shard {
             generation: AtomicU64::new(0),
             breakers,
         });
-        let (tx, rx) = sync_channel::<Msg>(cfg.queue_capacity);
+        let (tx, rx) = sync_channel::<Box<Job>>(cfg.queue_capacity);
         let rx = Arc::new(Mutex::new(rx));
         let shard = Shard {
             core,
@@ -440,17 +446,11 @@ impl Shard {
         self.spawn_workers(generation);
     }
 
-    /// Install (or replace) a tenant's snapshot store.
-    pub(crate) fn add_tenant(&self, tenant: TenantKey, db: Database) -> Arc<SnapshotStore> {
-        let store = Arc::new(SnapshotStore::new(db));
-        self.install_store(tenant, Arc::clone(&store));
-        store
-    }
-
-    /// Install an existing snapshot store under `tenant` — the retry
-    /// fallback path (PR 9) uses this to make a tenant servable on a
-    /// sibling shard. Sound across shards because both cache layers key
-    /// on process-wide-unique relation content stamps.
+    /// Install (or replace) the snapshot store of `tenant`: its home
+    /// store at registration, or — on the retry fallback path (PR 9) — a
+    /// store shared with the tenant's home shard, which makes the tenant
+    /// servable on a sibling. Sound across shards because both cache
+    /// layers key on process-wide-unique relation content stamps.
     pub(crate) fn install_store(&self, tenant: TenantKey, store: Arc<SnapshotStore>) {
         self.core
             .tenants
@@ -460,102 +460,47 @@ impl Shard {
     }
 
     /// A clone of the queue's sender, or `None` after shutdown.
-    fn sender(&self) -> Option<SyncSender<Msg>> {
+    fn sender(&self) -> Option<SyncSender<Box<Job>>> {
         self.tx
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
-    /// Enqueue blocking while the queue is full (backpressure; the PR 2
-    /// `submit` semantics). No admission control.
-    pub(crate) fn submit_blocking(&self, job: Job) -> Result<(), ServiceError> {
+    /// Put `job` on the queue: the one way a request enters a shard.
+    /// `mode` decides what a queue without room does to it; a refused
+    /// job's trace is finalized with the error's outcome label.
+    pub(crate) fn enqueue(&self, job: Job, mode: Enqueue) -> Result<(), ServiceError> {
+        if mode == Enqueue::Admit
+            && self.core.stats.queue_depth.get() as usize >= self.core.admission_limit
+        {
+            return self.core.refuse(job, self.core.overloaded());
+        }
         let Some(tx) = self.sender() else {
-            self.core
-                .finalize_unqueued(job, ServiceError::Disconnected.outcome_label());
-            return Err(ServiceError::Disconnected);
+            return self.core.refuse(job, ServiceError::Disconnected);
         };
         self.core.stats.queue_depth.inc();
-        match tx.send(Msg::Job(Box::new(job))) {
-            Ok(()) => {
-                self.core.stats.requests.inc();
-                Ok(())
-            }
-            Err(returned) => {
-                self.core.stats.queue_depth.dec(1);
-                let Msg::Job(job) = returned.0;
-                self.core
-                    .finalize_unqueued(*job, ServiceError::Disconnected.outcome_label());
-                Err(ServiceError::Disconnected)
-            }
-        }
-    }
-
-    /// Enqueue without blocking. On failure the channel hands the job
-    /// back, so its trace is finalized with the error's outcome label.
-    /// `remap_full` turns a full queue into the admission-control
-    /// rejection ([`ServiceError::Overloaded`], counted).
-    fn try_enqueue(&self, job: Job, remap_full: bool) -> Result<(), ServiceError> {
-        let Some(tx) = self.sender() else {
-            self.core
-                .finalize_unqueued(job, ServiceError::Disconnected.outcome_label());
-            return Err(ServiceError::Disconnected);
+        let job = Box::new(job);
+        let sent = match mode {
+            Enqueue::Block => tx
+                .send(job)
+                .map_err(|returned| TrySendError::Disconnected(returned.0)),
+            Enqueue::Admit | Enqueue::Try => tx.try_send(job),
         };
-        self.core.stats.queue_depth.inc();
-        match tx.try_send(Msg::Job(Box::new(job))) {
-            Ok(()) => {
-                self.core.stats.requests.inc();
-                Ok(())
-            }
-            Err(e) => {
-                self.core.stats.queue_depth.dec(1);
-                let (err, returned) = match e {
-                    TrySendError::Full(msg) => {
-                        // With admission on, the channel filling between
-                        // the depth check and the send is still "past the
-                        // queue-depth limit" to a caller.
-                        let err = if remap_full {
-                            self.core.stats.admission_rejects.inc();
-                            ServiceError::Overloaded {
-                                retry_after: self.core.retry_after_hint(),
-                            }
-                        } else {
-                            ServiceError::QueueFull
-                        };
-                        (err, msg)
-                    }
-                    TrySendError::Disconnected(msg) => (ServiceError::Disconnected, msg),
-                };
-                let Msg::Job(job) = returned;
-                self.core.finalize_unqueued(*job, err.outcome_label());
-                Err(err)
-            }
-        }
-    }
-
-    /// Enqueue without blocking; [`ServiceError::QueueFull`] when the
-    /// bounded queue has no room. No admission control.
-    pub(crate) fn try_submit(&self, job: Job) -> Result<(), ServiceError> {
-        self.try_enqueue(job, false)
-    }
-
-    /// Front-end enqueue with **bounded admission**: when the shard's
-    /// queue depth has reached `admission_limit`, the request is
-    /// rejected with [`ServiceError::Overloaded`] — returned to the
-    /// caller, never dropped, and since PR 9 carrying a retry-after
-    /// hint — and counted in
-    /// [`ServiceStats::admission_rejects`](crate::ServiceStats::admission_rejects).
-    pub(crate) fn submit_admitted(&self, job: Job) -> Result<(), ServiceError> {
-        let depth = self.core.stats.queue_depth.get();
-        if depth as usize >= self.core.admission_limit {
-            self.core.stats.admission_rejects.inc();
-            let err = ServiceError::Overloaded {
-                retry_after: self.core.retry_after_hint(),
-            };
-            self.core.finalize_unqueued(job, err.outcome_label());
-            return Err(err);
-        }
-        self.try_enqueue(job, true)
+        let Err(refused) = sent else {
+            self.core.stats.requests.inc();
+            return Ok(());
+        };
+        self.core.stats.queue_depth.dec(1);
+        let (err, job) = match refused {
+            // With admission on, the channel filling between the depth
+            // check and the send is still "past the queue-depth limit"
+            // to a caller.
+            TrySendError::Full(job) if mode == Enqueue::Admit => (self.core.overloaded(), job),
+            TrySendError::Full(job) => (ServiceError::QueueFull, job),
+            TrySendError::Disconnected(job) => (ServiceError::Disconnected, job),
+        };
+        self.core.refuse(*job, err)
     }
 
     /// Stop accepting work, drain the queue, and join every worker

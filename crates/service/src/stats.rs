@@ -1,10 +1,16 @@
 //! Service observability: the per-shard metric set, snapshotted (and
 //! optionally reset) on demand.
 //!
-//! Since PR 7 the counters live in a [`causality_telemetry`]
-//! [`MetricsRegistry`]: every counter, gauge, and histogram is a named
-//! registry entry, so the same atomics that feed [`ServiceStats`] are
-//! exported — full histogram buckets included — through
+//! Every monotone counter is declared once, in the `counters!` table at
+//! the bottom of this module, as `(field, registry name, reset policy,
+//! doc)`. The table generates the hot-path handles (`StatsCounters`),
+//! their registration in the shard's [`MetricsRegistry`] (in table
+//! order), the matching [`ServiceStats`] fields, and the field-wise
+//! bodies of snapshotting, [`ServiceStats::empty`] and
+//! [`ServiceStats::merge`], so a counter cannot be added to one view and
+//! forgotten in another. Because the registry owns the atomics, the
+//! same counters that feed [`ServiceStats`] are exported — full
+//! histogram buckets included — through
 //! [`ShardedService::export_metrics`](crate::ShardedService::export_metrics)
 //! in Prometheus text or JSONL form. Recording stays lock-free: workers
 //! bump relaxed atomics through shared handles; the registry is only
@@ -20,136 +26,157 @@ use std::sync::Arc;
 
 pub use causality_telemetry::{quantile_us, LATENCY_BUCKETS};
 
-/// The canonical metric names a shard registers, in registration order.
-/// `trace-report` and dashboards key off these.
-const COUNTER_NAMES: [&str; 16] = [
-    "requests_total",
-    "batches_total",
-    "batched_requests_total",
-    "coalesced_total",
-    "cache_hits_total",
-    "cache_misses_total",
-    "index_evictions_total",
-    "rank_tasks_total",
-    "topk_pruned_total",
-    "panics_caught_total",
-    "admission_rejects_total",
-    "deadline_misses_total",
-    "approx_requests_total",
-    "approx_refinements_total",
-    "shard_restarts_total",
-    "shard_quarantines_total",
-];
-
-/// Internal counters bumped by workers and the submit path — shared
-/// handles into the shard's [`MetricsRegistry`].
-///
-/// All entries except `queue_depth` are monotone counters;
-/// `queue_depth` is a live gauge (incremented on admission, decremented
-/// when a worker drains the job) and is therefore never reset.
-#[derive(Debug)]
-pub(crate) struct StatsCounters {
-    pub requests: Arc<Counter>,
-    pub batches: Arc<Counter>,
-    pub batched_requests: Arc<Counter>,
-    pub coalesced: Arc<Counter>,
-    pub cache_hits: Arc<Counter>,
-    pub cache_misses: Arc<Counter>,
-    pub index_evictions: Arc<Counter>,
-    pub rank_tasks: Arc<Counter>,
-    pub topk_pruned: Arc<Counter>,
-    pub panics_caught: Arc<Counter>,
-    pub admission_rejects: Arc<Counter>,
-    pub deadline_misses: Arc<Counter>,
-    pub approx_requests: Arc<Counter>,
-    pub approx_refinements: Arc<Counter>,
-    pub shard_restarts: Arc<Counter>,
-    pub shard_quarantines: Arc<Counter>,
-    pub queue_depth: Arc<Gauge>,
-    pub latency: Arc<Histogram>,
-    /// Width of the certified ρ bracket each anytime answer shipped
-    /// with, in parts-per-million of the full `[0, 1]` range (0 = the
-    /// bounds collapsed to the exact ρ within budget).
-    pub bound_width: Arc<Histogram>,
+/// Whether `snapshot_and_reset` zeroes a counter.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Policy {
+    /// Zeroed at every phase boundary.
+    Reset,
+    /// Never reset: a phase boundary does not undo a restart or a
+    /// quarantine.
+    Lifecycle,
 }
 
-impl StatsCounters {
-    /// Registers the canonical service metrics in `registry` and keeps
-    /// shared handles for the hot path.
-    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
-        let c = |i: usize| registry.counter(COUNTER_NAMES[i]);
-        StatsCounters {
-            requests: c(0),
-            batches: c(1),
-            batched_requests: c(2),
-            coalesced: c(3),
-            cache_hits: c(4),
-            cache_misses: c(5),
-            index_evictions: c(6),
-            rank_tasks: c(7),
-            topk_pruned: c(8),
-            panics_caught: c(9),
-            admission_rejects: c(10),
-            deadline_misses: c(11),
-            approx_requests: c(12),
-            approx_refinements: c(13),
-            shard_restarts: c(14),
-            shard_quarantines: c(15),
-            queue_depth: registry.gauge("queue_depth"),
-            latency: registry.histogram("latency_us"),
-            bound_width: registry.histogram("bound_width_ppm"),
-        }
-    }
-
-    fn read(counter: &Counter, reset: bool) -> u64 {
-        if reset {
+impl Policy {
+    fn read(self, counter: &Counter, reset: bool) -> u64 {
+        if reset && self == Policy::Reset {
             counter.take()
         } else {
             counter.get()
         }
     }
+}
 
-    fn assemble(
-        &self,
-        workers: usize,
-        snapshot_version: u64,
-        index_entries: u64,
-        reset: bool,
-    ) -> ServiceStats {
-        if reset {
-            // Not surfaced in `ServiceStats` (it is exported through the
-            // registry), but phase-isolated like every other histogram.
-            let _ = self.bound_width.counts(true);
+/// Expands the counter table into `StatsCounters`, `ServiceStats` and
+/// the field-wise bodies that must list every counter.
+macro_rules! counters {
+    ($($(#[$doc:meta])+ $field:ident: $name:literal, $policy:ident;)+) => {
+        /// Internal counters bumped by workers and the submit path —
+        /// shared handles into the shard's [`MetricsRegistry`].
+        ///
+        /// Besides the table's monotone counters, `queue_depth` is a live
+        /// gauge (incremented on admission, decremented when a worker
+        /// drains the job) and is therefore never reset.
+        #[derive(Debug)]
+        pub(crate) struct StatsCounters {
+            $(pub $field: Arc<Counter>,)+
+            pub queue_depth: Arc<Gauge>,
+            pub latency: Arc<Histogram>,
+            /// Width of the certified ρ bracket each anytime answer
+            /// shipped with, in parts-per-million of the full `[0, 1]`
+            /// range (0 = the bounds collapsed to the exact ρ within
+            /// budget).
+            pub bound_width: Arc<Histogram>,
         }
-        ServiceStats {
-            workers,
-            snapshot_version,
-            requests: Self::read(&self.requests, reset),
-            batches: Self::read(&self.batches, reset),
-            batched_requests: Self::read(&self.batched_requests, reset),
-            coalesced: Self::read(&self.coalesced, reset),
-            cache_hits: Self::read(&self.cache_hits, reset),
-            cache_misses: Self::read(&self.cache_misses, reset),
-            index_entries,
-            index_evictions: Self::read(&self.index_evictions, reset),
-            rank_tasks: Self::read(&self.rank_tasks, reset),
-            topk_pruned: Self::read(&self.topk_pruned, reset),
-            panics_caught: Self::read(&self.panics_caught, reset),
-            admission_rejects: Self::read(&self.admission_rejects, reset),
-            deadline_misses: Self::read(&self.deadline_misses, reset),
-            approx_requests: Self::read(&self.approx_requests, reset),
-            approx_refinements: Self::read(&self.approx_refinements, reset),
-            // Lifecycle counters, never reset: a phase boundary does not
-            // undo a restart or a quarantine.
-            shard_restarts: self.shard_restarts.get(),
-            shard_quarantines: self.shard_quarantines.get(),
-            // A gauge, not a counter: resetting it would lie about the
-            // jobs still sitting in the queue.
-            queue_depth: self.queue_depth.get(),
-            latency_buckets: self.latency.counts(reset),
-        }
-    }
 
+        impl StatsCounters {
+            /// Registers the canonical service metrics in `registry` —
+            /// the table's counters in table order, then the gauge and
+            /// the histograms — and keeps shared handles for the hot
+            /// path.
+            pub(crate) fn new(registry: &MetricsRegistry) -> Self {
+                StatsCounters {
+                    $($field: registry.counter($name),)+
+                    queue_depth: registry.gauge("queue_depth"),
+                    latency: registry.histogram("latency_us"),
+                    bound_width: registry.histogram("bound_width_ppm"),
+                }
+            }
+
+            fn assemble(
+                &self,
+                workers: usize,
+                snapshot_version: u64,
+                index_entries: u64,
+                reset: bool,
+            ) -> ServiceStats {
+                if reset {
+                    // Not surfaced in `ServiceStats` (it is exported
+                    // through the registry), but phase-isolated like every
+                    // other histogram.
+                    let _ = self.bound_width.counts(true);
+                }
+                ServiceStats {
+                    workers,
+                    snapshot_version,
+                    $($field: Policy::$policy.read(&self.$field, reset),)+
+                    index_entries,
+                    // A gauge, not a counter: resetting it would lie about
+                    // the jobs still sitting in the queue.
+                    queue_depth: self.queue_depth.get(),
+                    latency_buckets: self.latency.counts(reset),
+                }
+            }
+
+            /// Every counter of the table: registry name, reset policy,
+            /// and handle.
+            #[cfg(test)]
+            fn table(&self) -> Vec<(&'static str, Policy, &Counter)> {
+                vec![$(($name, Policy::$policy, &*self.$field),)+]
+            }
+        }
+
+        /// A point-in-time view of a service's (or one shard's) counters.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub struct ServiceStats {
+            /// Number of worker threads.
+            pub workers: usize,
+            /// Version of the currently published snapshot (highest
+            /// tenant version on a multi-tenant shard).
+            pub snapshot_version: u64,
+            $($(#[$doc])+ pub $field: u64,)+
+            /// Join indexes currently held by the shared index cache —
+            /// one per (relation, content version, binding pattern)
+            /// served so far.
+            pub index_entries: u64,
+            /// Jobs currently admitted but not yet drained by a worker (a
+            /// live gauge — not reset by `snapshot_and_reset`).
+            pub queue_depth: u64,
+            /// Response-latency histogram counts (submit → response),
+            /// bucket `i` covering `[2^i, 2^(i+1))` µs. Query with
+            /// [`ServiceStats::p50_us`] / [`ServiceStats::p99_us`] /
+            /// [`ServiceStats::latency_quantile_us`].
+            pub latency_buckets: [u64; LATENCY_BUCKETS],
+        }
+
+        impl ServiceStats {
+            /// The all-zero stats view (0 workers, no samples) — the
+            /// identity element of [`ServiceStats::merge`].
+            pub fn empty() -> Self {
+                ServiceStats {
+                    workers: 0,
+                    snapshot_version: 0,
+                    $($field: 0,)+
+                    index_entries: 0,
+                    queue_depth: 0,
+                    latency_buckets: [0; LATENCY_BUCKETS],
+                }
+            }
+
+            /// Fold another stats view into this one (used to aggregate
+            /// shards): counters, gauges, and histograms add; `workers`
+            /// adds; `snapshot_version` and `index_entries` take the max
+            /// / sum respectively.
+            pub fn merge(&mut self, other: &ServiceStats) {
+                self.workers += other.workers;
+                self.snapshot_version = self.snapshot_version.max(other.snapshot_version);
+                $(self.$field += other.$field;)+
+                self.index_entries += other.index_entries;
+                self.queue_depth += other.queue_depth;
+                for (mine, theirs) in self.latency_buckets.iter_mut().zip(&other.latency_buckets) {
+                    *mine += theirs;
+                }
+            }
+
+            /// The table's counters, in table order.
+            #[cfg(test)]
+            fn counter_values(&self) -> Vec<u64> {
+                vec![$(self.$field,)+]
+            }
+        }
+    };
+}
+
+impl StatsCounters {
     /// A point-in-time view; counters keep accumulating.
     pub(crate) fn snapshot(
         &self,
@@ -160,10 +187,11 @@ impl StatsCounters {
         self.assemble(workers, snapshot_version, index_entries, false)
     }
 
-    /// A point-in-time view that also zeroes every monotone counter and
-    /// the latency histogram (the `queue_depth` gauge is left live), so
-    /// successive measurement phases — e.g. the load harness's warmup vs
-    /// timed window — never bleed into each other.
+    /// A point-in-time view that also zeroes every `Reset` counter and
+    /// the latency histogram (the `queue_depth` gauge and the
+    /// `Lifecycle` counters are left live), so successive measurement
+    /// phases — e.g. the load harness's warmup vs timed window — never
+    /// bleed into each other.
     ///
     /// Each counter is reset with one atomic `swap(0)`, so per counter a
     /// concurrent increment is either observed in this snapshot or
@@ -182,110 +210,7 @@ impl StatsCounters {
     }
 }
 
-/// A point-in-time view of a service's (or one shard's) counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Number of worker threads.
-    pub workers: usize,
-    /// Version of the currently published snapshot (highest tenant
-    /// version on a multi-tenant shard).
-    pub snapshot_version: u64,
-    /// Requests accepted by `submit`/`try_submit`.
-    pub requests: u64,
-    /// Batches pulled off the queue by workers.
-    pub batches: u64,
-    /// Requests processed inside those batches.
-    pub batched_requests: u64,
-    /// Requests answered by riding on a batch-mate's identical fresh
-    /// computation (neither a cache hit nor a separate miss).
-    pub coalesced: u64,
-    /// Responsibility-cache hits.
-    pub cache_hits: u64,
-    /// Responsibility-cache misses (fresh computations).
-    pub cache_misses: u64,
-    /// Join indexes currently held by the shared index cache — one per
-    /// (relation, content version, binding pattern) served so far.
-    pub index_entries: u64,
-    /// Join indexes evicted because their relation's content version fell
-    /// out of the retained snapshot window. With per-relation keying this
-    /// counts only indexes of *touched* relations; untouched relations
-    /// keep their stamps and are never evicted by a write elsewhere.
-    pub index_evictions: u64,
-    /// Freshly computed [`RankTopK`](crate::ExplainKind::RankTopK)
-    /// rankings (cache hits and coalesced riders are not re-ranked).
-    pub rank_tasks: u64,
-    /// Candidate causes the top-k screen skipped across all rank tasks:
-    /// their cheap responsibility upper bound proved they could no
-    /// longer enter the top k, so no full Algorithm-1 / branch-and-bound
-    /// solve was spent on them.
-    pub topk_pruned: u64,
-    /// Worker panics caught and converted into
-    /// [`ServiceError::Panicked`](crate::ServiceError::Panicked)
-    /// responses. Nonzero means a job blew up but the pool survived it.
-    pub panics_caught: u64,
-    /// Requests rejected at admission
-    /// ([`ServiceError::Overloaded`](crate::ServiceError::Overloaded))
-    /// because the shard's queue depth had reached its limit. Rejected
-    /// requests are returned to the caller, never silently dropped.
-    pub admission_rejects: u64,
-    /// Requests whose deadline budget had already expired when a worker
-    /// drained them; each resolved to
-    /// [`ServiceError::DeadlineExceeded`](crate::ServiceError::DeadlineExceeded)
-    /// without occupying the worker.
-    pub deadline_misses: u64,
-    /// Fresh computations the hardness router sent down the anytime
-    /// approximation path (NP-hard Why-So under a deadline); their
-    /// responses carry [`ExplainMode::Approximate`](crate::ExplainMode)
-    /// with certified `[lower, upper]` ρ bounds.
-    pub approx_requests: u64,
-    /// Completed anytime refinement levels across all approx requests —
-    /// each one provably tightened a ρ bracket before the budget ran
-    /// out.
-    pub approx_refinements: u64,
-    /// Worker-pool restarts performed by the supervisor (PR 9). A
-    /// lifecycle counter: never reset by `snapshot_and_reset`.
-    pub shard_restarts: u64,
-    /// Healthy/Degraded → Quarantined transitions the supervisor took
-    /// (PR 9). A lifecycle counter: never reset by `snapshot_and_reset`.
-    pub shard_quarantines: u64,
-    /// Jobs currently admitted but not yet drained by a worker (a live
-    /// gauge — not reset by `snapshot_and_reset`).
-    pub queue_depth: u64,
-    /// Response-latency histogram counts (submit → response), bucket `i`
-    /// covering `[2^i, 2^(i+1))` µs. Query with [`ServiceStats::p50_us`]
-    /// / [`ServiceStats::p99_us`] / [`ServiceStats::latency_quantile_us`].
-    pub latency_buckets: [u64; LATENCY_BUCKETS],
-}
-
 impl ServiceStats {
-    /// The all-zero stats view (0 workers, no samples) — the identity
-    /// element of [`ServiceStats::merge`].
-    pub fn empty() -> Self {
-        ServiceStats {
-            workers: 0,
-            snapshot_version: 0,
-            requests: 0,
-            batches: 0,
-            batched_requests: 0,
-            coalesced: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            index_entries: 0,
-            index_evictions: 0,
-            rank_tasks: 0,
-            topk_pruned: 0,
-            panics_caught: 0,
-            admission_rejects: 0,
-            deadline_misses: 0,
-            approx_requests: 0,
-            approx_refinements: 0,
-            shard_restarts: 0,
-            shard_quarantines: 0,
-            queue_depth: 0,
-            latency_buckets: [0; LATENCY_BUCKETS],
-        }
-    }
-
     /// Responsibility-cache hit rate in `[0, 1]` (0 when nothing was looked
     /// up yet).
     pub fn hit_rate(&self) -> f64 {
@@ -326,40 +251,6 @@ impl ServiceStats {
     pub fn p99_us(&self) -> u64 {
         self.latency_quantile_us(0.99)
     }
-
-    /// Fold another stats view into this one (used to aggregate shards):
-    /// counters, gauges, and histograms add; `workers` adds;
-    /// `snapshot_version` and `index_entries` take the max / sum
-    /// respectively.
-    pub fn merge(&mut self, other: &ServiceStats) {
-        self.workers += other.workers;
-        self.snapshot_version = self.snapshot_version.max(other.snapshot_version);
-        self.requests += other.requests;
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
-        self.coalesced += other.coalesced;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.index_entries += other.index_entries;
-        self.index_evictions += other.index_evictions;
-        self.rank_tasks += other.rank_tasks;
-        self.topk_pruned += other.topk_pruned;
-        self.panics_caught += other.panics_caught;
-        self.admission_rejects += other.admission_rejects;
-        self.deadline_misses += other.deadline_misses;
-        self.approx_requests += other.approx_requests;
-        self.approx_refinements += other.approx_refinements;
-        self.shard_restarts += other.shard_restarts;
-        self.shard_quarantines += other.shard_quarantines;
-        self.queue_depth += other.queue_depth;
-        for (mine, theirs) in self
-            .latency_buckets
-            .iter_mut()
-            .zip(other.latency_buckets.iter())
-        {
-            *mine += theirs;
-        }
-    }
 }
 
 /// Tier-level (front-end) resilience counters (PR 9): everything the
@@ -387,9 +278,68 @@ pub struct FrontendStats {
     pub reroutes: u64,
 }
 
+counters! {
+    /// Requests accepted by `submit`/`try_submit`.
+    requests: "requests_total", Reset;
+    /// Batches pulled off the queue by workers.
+    batches: "batches_total", Reset;
+    /// Requests processed inside those batches.
+    batched_requests: "batched_requests_total", Reset;
+    /// Requests answered by riding on a batch-mate's identical fresh
+    /// computation (neither a cache hit nor a separate miss).
+    coalesced: "coalesced_total", Reset;
+    /// Responsibility-cache hits.
+    cache_hits: "cache_hits_total", Reset;
+    /// Responsibility-cache misses (fresh computations).
+    cache_misses: "cache_misses_total", Reset;
+    /// Join indexes evicted because their relation's content version fell
+    /// out of the retained snapshot window. With per-relation keying this
+    /// counts only indexes of *touched* relations; untouched relations
+    /// keep their stamps and are never evicted by a write elsewhere.
+    index_evictions: "index_evictions_total", Reset;
+    /// Freshly computed [`RankTopK`](crate::ExplainKind::RankTopK)
+    /// rankings (cache hits and coalesced riders are not re-ranked).
+    rank_tasks: "rank_tasks_total", Reset;
+    /// Candidate causes the top-k screen skipped across all rank tasks:
+    /// their cheap responsibility upper bound proved they could no
+    /// longer enter the top k, so no full Algorithm-1 / branch-and-bound
+    /// solve was spent on them.
+    topk_pruned: "topk_pruned_total", Reset;
+    /// Worker panics caught and converted into
+    /// [`ServiceError::Panicked`](crate::ServiceError::Panicked)
+    /// responses. Nonzero means a job blew up but the pool survived it.
+    panics_caught: "panics_caught_total", Reset;
+    /// Requests rejected at admission
+    /// ([`ServiceError::Overloaded`](crate::ServiceError::Overloaded))
+    /// because the shard's queue depth had reached its limit. Rejected
+    /// requests are returned to the caller, never silently dropped.
+    admission_rejects: "admission_rejects_total", Reset;
+    /// Requests whose deadline budget had already expired when a worker
+    /// drained them; each resolved to
+    /// [`ServiceError::DeadlineExceeded`](crate::ServiceError::DeadlineExceeded)
+    /// without occupying the worker.
+    deadline_misses: "deadline_misses_total", Reset;
+    /// Fresh computations the hardness router sent down the anytime
+    /// approximation path (NP-hard Why-So under a deadline); their
+    /// responses carry [`ExplainMode::Approximate`](crate::ExplainMode)
+    /// with certified `[lower, upper]` ρ bounds.
+    approx_requests: "approx_requests_total", Reset;
+    /// Completed anytime refinement levels across all approx requests —
+    /// each one provably tightened a ρ bracket before the budget ran
+    /// out.
+    approx_refinements: "approx_refinements_total", Reset;
+    /// Worker-pool restarts performed by the supervisor (PR 9). A
+    /// lifecycle counter: never reset by `snapshot_and_reset`.
+    shard_restarts: "shard_restarts_total", Lifecycle;
+    /// Healthy/Degraded → Quarantined transitions the supervisor took
+    /// (PR 9). A lifecycle counter: never reset by `snapshot_and_reset`.
+    shard_quarantines: "shard_quarantines_total", Lifecycle;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causality_telemetry::prometheus_text;
     use std::time::Duration;
 
     fn counters() -> StatsCounters {
@@ -425,6 +375,48 @@ mod tests {
         assert_eq!(s.approx_requests, 2);
         assert_eq!(s.approx_refinements, 6);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_counter_of_the_table_snapshots_exports_merges_and_resets() {
+        let registry = MetricsRegistry::new();
+        let c = StatsCounters::new(&registry);
+        let table = c.table();
+        // A distinct value per counter: a field wired to the wrong
+        // handle, or left out of a generated body, cannot pass.
+        let values: Vec<u64> = (1..=table.len() as u64).map(|i| 10 * i).collect();
+        for ((_, _, counter), v) in table.iter().zip(&values) {
+            counter.add(*v);
+        }
+        assert_eq!(c.snapshot(1, 1, 0).counter_values(), values);
+
+        let prom = prometheus_text(&[&registry], "causality_");
+        for ((name, _, _), v) in table.iter().zip(&values) {
+            let series = format!("causality_{name}{{shard=\"0\"}} {v}");
+            assert!(prom.contains(&series), "missing {series}:\n{prom}");
+        }
+
+        let mut merged = c.snapshot(1, 1, 0);
+        merged.merge(&c.snapshot(1, 1, 0));
+        let doubled: Vec<u64> = values.iter().map(|v| 2 * v).collect();
+        assert_eq!(merged.counter_values(), doubled, "merge adds every counter");
+
+        assert_eq!(c.snapshot_and_reset(1, 1, 0).counter_values(), values);
+        let after = c.snapshot(1, 1, 0).counter_values();
+        let mut survivors = Vec::new();
+        for ((name, policy, _), (before, now)) in table.iter().zip(values.iter().zip(&after)) {
+            match policy {
+                Policy::Reset => assert_eq!(*now, 0, "{name} is reset"),
+                Policy::Lifecycle => {
+                    assert_eq!(now, before, "{name} survives the reset");
+                    survivors.push(*name);
+                }
+            }
+        }
+        assert_eq!(
+            survivors,
+            ["shard_restarts_total", "shard_quarantines_total"]
+        );
     }
 
     #[test]

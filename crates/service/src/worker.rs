@@ -2,15 +2,22 @@
 //! deadline enforcement, cache lookup, panic isolation, and latency
 //! accounting.
 //!
-//! Workers pull [`Job`]s off their shard's one bounded channel. Each
-//! pull drains up to `batch_max` queued jobs into a **batch**; within a
-//! batch, jobs are grouped by `(tenant, request)` and each distinct
-//! group is evaluated exactly once against a single pinned snapshot of
-//! that tenant's store. Every response — success, error, deadline miss —
-//! is recorded in the shard's submit→response latency histogram, and a
-//! sampled job's [`TraceBuilder`] is carried through the batch so the
-//! worker-side stages (dequeue, snapshot pin, lineage, kernel solve,
-//! respond) land in the same trace the frontend started.
+//! Workers pull boxed [`Job`]s off their shard's one bounded channel.
+//! The channel carries nothing else: shutdown is signalled by dropping
+//! the sender, which still drains the buffer, not by an in-band message
+//! (a restartable pool cannot know how many sentinels it would need).
+//! Each pull drains up to `batch_max` queued jobs into a **batch**;
+//! within a batch, jobs are grouped by `(tenant, request)` and each
+//! distinct group is evaluated exactly once against a single pinned
+//! snapshot of that tenant's store. Every response — success, error,
+//! deadline miss — is recorded in the shard's submit→response latency
+//! histogram, and a sampled job's [`TraceBuilder`] is carried through the
+//! batch so the worker-side stages (dequeue, snapshot pin, lineage,
+//! kernel solve, respond) land in the same trace the frontend started.
+//!
+//! Each fresh computation runs behind a panic boundary, and inside it
+//! the shard's one chaos hook, when armed, picks the stall, panic or
+//! lock poisoning to inject.
 
 use crate::request::{ExplainKind, ExplainRequest, ExplainResponse, ServiceError};
 use crate::shard::{lock_unpoisoned, resp_fingerprint, ShardCore, TenantKey};
@@ -77,15 +84,6 @@ pub(crate) fn anytime_routable(request: &ExplainRequest) -> bool {
         )
 }
 
-/// What travels on a shard's queue. A single-variant enum rather than a
-/// bare `Box<Job>`: shutdown is signalled by dropping the sender (which
-/// still drains the buffer), not by an in-band message — a restartable
-/// pool (PR 9) cannot know how many in-band sentinels would be needed.
-pub(crate) enum Msg {
-    /// A unit of work.
-    Job(Box<Job>),
-}
-
 /// Send `response` for a job accepted at `enqueued`, recording the
 /// submit→response latency, reporting the outcome to the tenant's
 /// circuit breaker, and finishing the job's trace (outcome label,
@@ -125,7 +123,7 @@ fn respond(core: &ShardCore, tail: JobTail, response: ExplainResponse) {
 /// One worker thread's life: drain batches off the shared queue until
 /// the channel disconnects (shutdown) or this worker's `generation`
 /// goes stale (a pool restart replaced it).
-pub(crate) fn worker_loop(rx: &Mutex<Receiver<Msg>>, core: &ShardCore, generation: u64) {
+pub(crate) fn worker_loop(rx: &Mutex<Receiver<Box<Job>>>, core: &ShardCore, generation: u64) {
     loop {
         if core.generation.load(Ordering::Relaxed) != generation {
             return; // retired by a pool restart
@@ -134,12 +132,12 @@ pub(crate) fn worker_loop(rx: &Mutex<Receiver<Msg>>, core: &ShardCore, generatio
         {
             let rx = lock_unpoisoned(rx);
             match rx.recv() {
-                Ok(Msg::Job(job)) => batch.push(*job),
+                Ok(job) => batch.push(*job),
                 Err(_) => return,
             }
             while batch.len() < core.cfg.batch_max {
                 match rx.try_recv() {
-                    Ok(Msg::Job(job)) => batch.push(*job),
+                    Ok(job) => batch.push(*job),
                     Err(_) => break,
                 }
             }
@@ -357,29 +355,18 @@ fn compute_isolated(
     request: &ExplainRequest,
     deadline: Option<Instant>,
 ) -> Result<(Explanation, ExplainTiming), ServiceError> {
-    // Production fast path: with no chaos hooks armed, serving skips the
-    // three hook mutexes entirely — one relaxed atomic load per
-    // computation instead of three lock round-trips on a single core.
-    let armed = core.chaos_armed.load(Ordering::Acquire);
-    // The plan hook (PR 9) is consulted exactly once per computation,
-    // with a single ordinal draw, so every fault kind a seeded plan
-    // schedules for this request fires on this request.
-    let action = if armed {
-        let plan = lock_unpoisoned(&core.plan);
-        plan.as_ref()
-            .map(|hook| hook(core.ordinal.fetch_add(1, Ordering::Relaxed)))
-            .unwrap_or_default()
-    } else {
-        Default::default()
-    };
     let guarded = catch_unwind(AssertUnwindSafe(|| {
-        if armed {
-            // Evaluate the chaos hooks before panicking so their locks
-            // are released by the time an unwind starts.
-            let stall = lock_unpoisoned(&core.delay)
+        // Production fast path: with no chaos hook armed, serving skips
+        // the hook mutex entirely — one atomic load per computation.
+        if core.chaos_armed.load(Ordering::Acquire) {
+            // One hook call with one ordinal draw, so every fault kind a
+            // seeded plan schedules for this request fires on it. The
+            // lock is released before the stall or the panic.
+            let action = lock_unpoisoned(&core.chaos)
                 .as_ref()
-                .and_then(|hook| hook(request));
-            if let Some(stall) = stall.into_iter().chain(action.stall).max() {
+                .map(|hook| hook(request, core.ordinal.fetch_add(1, Ordering::Relaxed)))
+                .unwrap_or_default();
+            if let Some(stall) = action.stall {
                 std::thread::sleep(stall);
             }
             if action.poison {
@@ -389,10 +376,7 @@ fn compute_isolated(
                 let _guard = lock_unpoisoned(&core.resp_cache);
                 panic!("cache lock poisoned by fault plan");
             }
-            let inject = lock_unpoisoned(&core.fault)
-                .as_ref()
-                .is_some_and(|hook| hook(request));
-            if inject || action.panic {
+            if action.panic {
                 panic!("fault injected by chaos hook");
             }
         }

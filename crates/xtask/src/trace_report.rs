@@ -14,24 +14,13 @@
 //! total row.
 
 use crate::json::{parse, Json};
+use causality_telemetry::Stage;
 
-/// The serving-path stages, in pipeline order.
-///
-/// Keep in sync with `Stage::ALL` in `crates/telemetry/src/trace.rs`
-/// (xtask stays dependency-free on purpose, so the names are duplicated
-/// here; `tests/telemetry_tracing.rs` pins the same list end-to-end).
-pub const STAGES: [&str; 10] = [
-    "admission",
-    "retry",
-    "dispatch",
-    "shard_queue",
-    "worker_dequeue",
-    "snapshot_pin",
-    "lineage_intern",
-    "kernel_solve",
-    "approx_refine",
-    "respond",
-];
+/// The position of the stage named `name` in [`Stage::ALL`] (serving-path
+/// order), or `None` for an unknown stage.
+fn stage_slot(name: &str) -> Option<usize> {
+    Stage::ALL.iter().position(|stage| stage.as_str() == name)
+}
 
 const KINDS: [&str; 3] = ["why_so", "why_no", "rank_top_k"];
 
@@ -51,7 +40,7 @@ const OUTCOMES: [&str; 10] = [
 /// Per-stage duration samples plus the end-to-end totals.
 #[derive(Debug, Default)]
 struct Aggregate {
-    /// `durations[i]` collects `dur_us` for `STAGES[i]`.
+    /// `durations[i]` collects `dur_us` for `Stage::ALL[i]`.
     durations: Vec<Vec<u64>>,
     totals: Vec<u64>,
     records: usize,
@@ -63,7 +52,7 @@ struct Aggregate {
 /// every violation found, each prefixed with its 1-based line number.
 fn validate(text: &str) -> Result<Aggregate, Vec<String>> {
     let mut agg = Aggregate {
-        durations: vec![Vec::new(); STAGES.len()],
+        durations: vec![Vec::new(); Stage::ALL.len()],
         outcomes: vec![0; OUTCOMES.len()],
         ..Aggregate::default()
     };
@@ -165,7 +154,7 @@ fn check_record(doc: &Json, n: usize, out: &mut Vec<String>) {
     let mut prev_start: Option<u64> = None;
     for (i, span) in stages.iter().enumerate() {
         match span.get("stage").and_then(Json::as_str) {
-            Some(name) if STAGES.contains(&name) => {}
+            Some(name) if stage_slot(name).is_some() => {}
             Some(name) => fail(format!("stages[{i}]: unknown stage {name:?}")),
             None => fail(format!("stages[{i}]: missing stage name")),
         }
@@ -214,7 +203,7 @@ fn aggregate_record(doc: &Json, agg: &mut Aggregate) {
         ) else {
             continue;
         };
-        if let Some(slot) = STAGES.iter().position(|s| *s == name) {
+        if let Some(slot) = stage_slot(name) {
             agg.durations[slot].push(dur);
         }
     }
@@ -239,12 +228,12 @@ fn render(path: &str, agg: &Aggregate) -> String {
         "{:<16} {:>7} {:>10} {:>10} {:>10}\n",
         "stage", "count", "p50_us", "p99_us", "max_us"
     ));
-    for (i, name) in STAGES.iter().enumerate() {
+    for (i, stage) in Stage::ALL.iter().enumerate() {
         let mut durs = agg.durations[i].clone();
         durs.sort_unstable();
         out.push_str(&format!(
             "{:<16} {:>7} {:>10} {:>10} {:>10}\n",
-            name,
+            stage.as_str(),
             durs.len(),
             quantile(&durs, 0.50),
             quantile(&durs, 0.99),
@@ -265,10 +254,7 @@ fn render(path: &str, agg: &Aggregate) -> String {
     // retried submissions (their `retry` span is the backoff wait, so
     // the stage row above gives the wait distribution) and every
     // non-`ok` outcome the tier answered with.
-    let retry_slot = STAGES
-        .iter()
-        .position(|s| *s == "retry")
-        .expect("retry is a known stage");
+    let retry_slot = stage_slot("retry").expect("retry is a known stage");
     out.push_str(&format!(
         "\nrecovery: {} of {} records were backed-off retries\n",
         agg.durations[retry_slot].len(),
@@ -307,7 +293,7 @@ mod tests {
         assert_eq!(agg.records, 1);
         assert_eq!(agg.totals, vec![42]);
         assert_eq!(agg.durations[0], vec![1]);
-        let respond = STAGES.iter().position(|s| *s == "respond").unwrap();
+        let respond = stage_slot("respond").unwrap();
         assert_eq!(agg.durations[respond], vec![2]);
         assert_eq!(agg.outcomes[0], 1, "outcome \"ok\" counted");
     }
@@ -319,7 +305,7 @@ mod tests {
             r#"{"stage":"admission","start_us":0,"dur_us":0},{"stage":"retry","start_us":0,"dur_us":7}"#,
         );
         let agg = validate(&retried).expect("retry is schema-valid");
-        let slot = STAGES.iter().position(|s| *s == "retry").unwrap();
+        let slot = stage_slot("retry").unwrap();
         assert_eq!(agg.durations[slot], vec![7]);
         let table = render("x.jsonl", &agg);
         assert!(
@@ -341,7 +327,7 @@ mod tests {
             r#"{"stage":"approx_refine","start_us":30,"dur_us":9},{"stage":"respond","start_us":40,"dur_us":2}"#,
         );
         let agg = validate(&with_refine).expect("approx_refine is schema-valid");
-        let slot = STAGES.iter().position(|s| *s == "approx_refine").unwrap();
+        let slot = stage_slot("approx_refine").unwrap();
         assert_eq!(agg.durations[slot], vec![9]);
     }
 
@@ -402,7 +388,7 @@ mod tests {
     fn report_renders_every_stage_row() {
         let agg = validate(&record("")).unwrap();
         let table = render("x.jsonl", &agg);
-        for stage in STAGES {
+        for stage in Stage::ALL.map(Stage::as_str) {
             assert!(table.contains(stage), "missing {stage} in:\n{table}");
         }
         assert!(table.contains("total (e2e)"));

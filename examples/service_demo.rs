@@ -82,7 +82,8 @@ fn main() {
     // --- 2b. Failure isolation: a panicking job costs one response. ----
     // Chaos hook: the next Why-No request panics inside its worker; the
     // pool catches it, answers with an error, and keeps serving.
-    svc.inject_fault(|req| matches!(req.kind, ExplainKind::WhyNo));
+    svc.tier()
+        .inject_fault(|req| matches!(req.kind, ExplainKind::WhyNo));
     let blast = svc
         .explain(ExplainRequest::why_no(query.clone(), musical.clone()))
         .unwrap();
@@ -92,7 +93,7 @@ fn main() {
             .result
             .expect_err("the chaos hook panicked this request")
     );
-    svc.clear_faults();
+    svc.tier().clear_faults();
 
     // --- 3. Publish a new snapshot: Sweeney Todd becomes exogenous -----
     // (context rather than suspect), so it can no longer be a cause.
@@ -163,13 +164,13 @@ fn main() {
         .expect("single-atom query explains");
 
     let hard = ConjunctiveQuery::parse("h2 :- R(x, y), S(y, z), T(z, x)").unwrap();
-    obs.inject_delay(|_| Some(Duration::from_millis(20)));
+    obs.tier().inject_delay(|_| Some(Duration::from_millis(20)));
     obs.explain(ExplainRequest::why_so(hard, vec![]))
         .unwrap()
         .result
         .expect("the triangle has a satisfying valuation");
 
-    for trace in obs.recent_traces() {
+    for trace in obs.tier().recent_traces() {
         println!(
             "{} · dichotomy {} · {} relations · ρ_max {:.2} · total {} µs",
             trace.kind, trace.dichotomy, trace.relations, trace.rho_max, trace.total_us
@@ -185,7 +186,7 @@ fn main() {
         println!();
     }
 
-    let slow = obs.slow_log_records();
+    let slow = obs.tier().slow_log_records();
     println!(
         "slow-log: {} record(s) over the 5 ms threshold (the stalled \
          NP-hard request; the PTIME request stayed under it)",

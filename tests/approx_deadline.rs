@@ -107,7 +107,7 @@ fn expired_deadline_still_yields_sound_greedy_bounds() {
         // budget expires before it is even dequeued.
         let blocker_query = ConjunctiveQuery::parse("blocker :- R(x, y)").unwrap();
         let blocker_req = ExplainRequest::why_so(blocker_query, vec![]);
-        svc.inject_delay({
+        svc.tier().inject_delay({
             let marker = blocker_req.clone();
             move |req| (*req == marker).then_some(Duration::from_millis(120))
         });
@@ -218,7 +218,7 @@ fn approx_route_is_visible_in_telemetry() {
             .expect_explanation();
         assert!(matches!(explanation.mode, ExplainMode::Approximate { .. }));
 
-        let traces = svc.recent_traces();
+        let traces = svc.tier().recent_traces();
         assert_eq!(traces.len(), 1);
         let chain: Vec<&str> = traces[0].stages.iter().map(|s| s.stage.as_str()).collect();
         assert_eq!(
@@ -237,7 +237,7 @@ fn approx_route_is_visible_in_telemetry() {
             "the anytime route records its refinement stage in order"
         );
         assert_eq!(svc.stats().approx_requests, 1);
-        let prom = svc.export_metrics();
+        let prom = svc.tier().export_metrics();
         assert!(
             prom.contains("approx_requests_total"),
             "approx counters exported:\n{prom}"

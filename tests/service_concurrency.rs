@@ -146,6 +146,60 @@ fn writers_and_readers_make_progress_without_deadlock() {
     });
 }
 
+/// The handle's two queueing modes on a one-slot queue: `try_submit`
+/// refuses with `QueueFull`, `submit` blocks until the slot frees.
+#[test]
+fn full_queue_refuses_try_submit_and_blocks_submit() {
+    with_deadline(|| {
+        const STALL: Duration = Duration::from_millis(300);
+        let svc = CausalityService::with_config(
+            seed_database(),
+            ServiceConfig {
+                workers: 1,
+                queue_capacity: 1,
+                batch_max: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        svc.tier()
+            .inject_delay(|req| (req.answer == vec![Value::str("a2")]).then_some(STALL));
+        let query = ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap();
+        let req = |a: &str| ExplainRequest::why_so(query.clone(), vec![Value::str(a)]);
+
+        let stalled = svc.submit(req("a2")).unwrap();
+        // The slot holds a2 until the worker takes it, so this returns
+        // once the worker is stalled on a2 — and a3 fills the slot.
+        let queued = svc.submit(req("a3")).unwrap();
+        assert!(matches!(
+            svc.try_submit(req("a4")),
+            Err(ServiceError::QueueFull)
+        ));
+        let started = std::time::Instant::now();
+        let blocked = svc.submit(req("a4")).unwrap();
+        assert!(
+            started.elapsed() >= STALL / 2,
+            "submit waited for the slot, took {:?}",
+            started.elapsed()
+        );
+        for pending in [stalled, queued, blocked] {
+            assert!(pending.wait().unwrap().result.is_ok());
+        }
+
+        let stats = svc.stats();
+        assert_eq!(stats.requests, 3, "the refused request was not accepted");
+        assert_eq!(stats.admission_rejects, 0, "no admission control");
+        assert_eq!(stats.queue_depth, 0);
+        assert!(
+            svc.tier()
+                .recent_traces()
+                .iter()
+                .any(|trace| trace.outcome == "queue_full"),
+            "the refused request left a trace"
+        );
+        svc.shutdown();
+    });
+}
+
 #[test]
 fn pinned_snapshots_survive_heavy_publishing() {
     with_deadline(|| {

@@ -68,7 +68,8 @@ fn pool_survives_panicking_requests() {
         ));
         // Chaos hook: every request for the marker answer panics inside
         // the worker that computes it.
-        svc.inject_fault(|req| req.answer == vec![Value::str("a3")]);
+        svc.tier()
+            .inject_fault(|req| req.answer == vec![Value::str("a3")]);
 
         // Twice as many panicking jobs as workers: without isolation the
         // whole pool would be dead after the first wave. Distinct `k`s
@@ -98,7 +99,7 @@ fn pool_survives_panicking_requests() {
         // more concurrent healthy requests than workers, from multiple
         // submitter threads (panics must not have poisoned the queue
         // mutex either).
-        svc.clear_faults();
+        svc.tier().clear_faults();
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 let svc = Arc::clone(&svc);
@@ -129,7 +130,8 @@ fn pool_survives_panicking_requests() {
 
         // A panicking job mixed into a batch with healthy ones only
         // takes down its own response.
-        svc.inject_fault(|req| req.answer == vec![Value::str("a3")]);
+        svc.tier()
+            .inject_fault(|req| req.answer == vec![Value::str("a3")]);
         let mixed: Vec<_> = ["a2", "a3", "a4", "a2"]
             .iter()
             .map(|a| {

@@ -43,8 +43,12 @@ fn run_requests(sample_rate: f64) -> (Duration, u64) {
         assert!(resp.result.is_ok());
     }
     let elapsed = started.elapsed();
-    let sampled = svc.recent_traces().len().max(svc.slow_log_records().len()) as u64;
-    let prom = svc.export_metrics();
+    let sampled = svc
+        .tier()
+        .recent_traces()
+        .len()
+        .max(svc.tier().slow_log_records().len()) as u64;
+    let prom = svc.tier().export_metrics();
     let traced_total: u64 = prom
         .lines()
         .find(|l| l.starts_with("causality_traces_sampled_total"))

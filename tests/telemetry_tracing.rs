@@ -36,9 +36,9 @@ fn rate_zero_samples_nothing_and_allocates_nothing() {
             .unwrap();
         assert!(resp.result.is_ok());
     }
-    assert!(svc.recent_traces().is_empty(), "no traces retained");
-    assert!(svc.slow_log_records().is_empty());
-    let prom = svc.export_metrics();
+    assert!(svc.tier().recent_traces().is_empty(), "no traces retained");
+    assert!(svc.tier().slow_log_records().is_empty());
+    let prom = svc.tier().export_metrics();
     assert!(
         prom.contains("causality_traces_sampled_total{shard=\"0\"} 0"),
         "sampled counter must be zero:\n{prom}"
@@ -57,7 +57,7 @@ fn full_sampling_records_the_complete_stage_chain() {
     assert!(!svc.explain(req.clone()).unwrap().cache_hit);
     assert!(svc.explain(req).unwrap().cache_hit);
 
-    let traces = svc.recent_traces();
+    let traces = svc.tier().recent_traces();
     assert_eq!(traces.len(), 2, "both requests sampled");
     let cold = &traces[0];
     let warm = &traces[1];
@@ -123,12 +123,12 @@ fn trace_ring_overwrites_oldest_at_capacity() {
         svc.explain(ExplainRequest::why_so(query(), vec![Value::str("a2")]))
             .unwrap();
     }
-    let traces = svc.recent_traces();
+    let traces = svc.tier().recent_traces();
     assert_eq!(traces.len(), 4, "ring holds exactly its capacity");
     let seqs: Vec<u64> = traces.iter().map(|t| t.seq).collect();
     let newest: Vec<u64> = (6..10).collect();
     assert_eq!(seqs, newest, "the oldest six traces were overwritten");
-    let prom = svc.export_metrics();
+    let prom = svc.tier().export_metrics();
     assert!(
         prom.contains("causality_traces_overwritten_total{shard=\"0\"} 6"),
         "evictions counted:\n{prom}"
@@ -151,7 +151,7 @@ fn deadline_slack_is_positive_under_a_generous_budget() {
         .wait()
         .unwrap();
     assert!(resp.result.is_ok());
-    let traces = svc.recent_traces();
+    let traces = svc.tier().recent_traces();
     assert_eq!(traces.len(), 1);
     let slack = traces[0].deadline_slack_us.expect("deadline was stamped");
     assert!(slack > 0, "30s budget leaves positive slack, got {slack}");
@@ -171,13 +171,13 @@ fn slow_log_captures_requests_over_the_latency_threshold() {
     );
     svc.explain(ExplainRequest::why_so(query(), vec![Value::str("a2")]))
         .unwrap();
-    let slow = svc.slow_log_records();
+    let slow = svc.tier().slow_log_records();
     assert_eq!(slow.len(), 1, "zero threshold catches everything");
     assert!(
         !slow[0].stages.is_empty(),
         "slow record keeps the breakdown"
     );
-    let jsonl = svc.export_slow_log();
+    let jsonl = svc.tier().export_slow_log();
     assert!(jsonl.contains("\"outcome\":\"ok\""));
     svc.shutdown();
 }
