@@ -1,15 +1,14 @@
 //! Parallel top-k ranking throughput on the Fig. 2 IMDB workload: the
-//! sequential per-cause responsibility loop vs the scoped-thread fan-out
-//! (`causality_core::ranking::parallel`) at 1/2/4/8 threads, and the
-//! top-k screen's pruning win.
+//! scoped-thread fan-out (`causality_core::ranking::parallel`) at
+//! 1/2/4/8 threads, and the top-k screen's pruning win.
 //!
 //! Besides the Criterion timings, the bench prints a self-measured
-//! scaling note (sequential vs N threads, with the bit-identity of the
+//! scaling note (one thread vs N threads, with the bit-identity of the
 //! output checked on the spot), so the "compute scales with cores"
 //! claim is visible in plain bench output.
 
 use causality_bench::bench_group;
-use causality_core::ranking::{rank_why_so_cached, rank_why_so_parallel, Method, RankConfig};
+use causality_core::ranking::{rank_why_so_parallel, RankConfig};
 use causality_datagen::imdb::{burton_genre_query, generate, ImdbConfig};
 use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, Value};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -35,22 +34,25 @@ fn mean_micros(iters: u32, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / f64::from(iters)
 }
 
-/// The thread-scaling note: sequential per-cause loop vs the fan-out,
+/// The thread-scaling note: the one-thread ranker vs the fan-out,
 /// output equality checked, printed once before the Criterion timings.
 ///
-/// The fan-out can only beat the sequential loop when the host has
-/// cores to fan out over: a `std::thread::scope` of 4 workers costs
-/// ~50–100 µs to spawn and join, i.e. well under 10 % of one ranking
-/// pass on this workload, so on ≥ 4 cores the 4-thread pass lands at
-/// ~3× the sequential throughput. On a 1-core host (some CI sandboxes)
-/// the same numbers show the overhead instead — which is why the note
-/// prints the host's available parallelism next to the measurements.
+/// The fan-out can only beat one thread when the host has cores to fan
+/// out over: a `std::thread::scope` of 4 workers costs ~50–100 µs to
+/// spawn and join, i.e. well under 10 % of one ranking pass on this
+/// workload, so on ≥ 4 cores the 4-thread pass lands at ~3× the
+/// one-thread throughput. On a 1-core host (some CI sandboxes) the same
+/// numbers show the overhead instead — which is why the note prints the
+/// host's available parallelism next to the measurements.
 fn print_scaling_note() {
     let (db, q) = workload(4000);
     let cache = SharedIndexCache::new();
+    let one_thread = RankConfig::default();
     // Prime the join indexes so every variant measures compute, not
     // index builds.
-    let sequential = rank_why_so_cached(&db, &q, Method::Auto, Some(&cache)).expect("ranks");
+    let full = rank_why_so_parallel(&db, &q, &one_thread, Some(&cache))
+        .expect("ranks")
+        .causes;
     let iters = 5;
 
     println!("--- rank_throughput scaling (Fig. 2 IMDB, 4000 movies) ---");
@@ -60,23 +62,23 @@ fn print_scaling_note() {
     );
     println!(
         "candidate causes ranked per call: {} (all weakly linear: Algorithm 1 per cause)",
-        sequential.len()
+        full.len()
     );
     let baseline = mean_micros(iters, || {
-        let ranked = rank_why_so_cached(&db, &q, Method::Auto, Some(&cache)).expect("ranks");
-        black_box(ranked.len());
+        let out = rank_why_so_parallel(&db, &q, &one_thread, Some(&cache)).expect("ranks");
+        black_box(out.causes.len());
     });
-    println!("sequential loop:        {baseline:>10.1} µs/rank");
-    for threads in [1usize, 2, 4, 8] {
+    println!("one thread (baseline):  {baseline:>10.1} µs/rank");
+    for threads in [2usize, 4, 8] {
         let cfg = RankConfig::with_parallelism(threads);
         let out = rank_why_so_parallel(&db, &q, &cfg, Some(&cache)).expect("ranks");
-        assert_eq!(out.causes, sequential, "fan-out output differs");
+        assert_eq!(out.causes, full, "fan-out output differs");
         let t = mean_micros(iters, || {
             let out = rank_why_so_parallel(&db, &q, &cfg, Some(&cache)).expect("ranks");
             black_box(out.causes.len());
         });
         println!(
-            "fan-out, {threads} thread(s):   {t:>10.1} µs/rank ({:.2}x vs sequential)",
+            "fan-out, {threads} threads:     {t:>10.1} µs/rank ({:.2}x vs one thread)",
             baseline / t
         );
     }
@@ -84,7 +86,7 @@ fn print_scaling_note() {
     let out = rank_why_so_parallel(&db, &q, &top5, Some(&cache)).expect("ranks");
     assert_eq!(
         out.causes,
-        sequential[..5.min(sequential.len())],
+        full[..5.min(full.len())],
         "top-5 output differs"
     );
     let t = mean_micros(iters, || {
@@ -92,7 +94,7 @@ fn print_scaling_note() {
         black_box(out.causes.len());
     });
     println!(
-        "top-5, 4 threads:       {t:>10.1} µs/rank ({:.2}x vs sequential; {} of {} candidates pruned)",
+        "top-5, 4 threads:       {t:>10.1} µs/rank ({:.2}x vs one thread; {} of {} candidates pruned)",
         baseline / t,
         out.stats.pruned,
         out.stats.candidates
@@ -105,17 +107,9 @@ fn rank_throughput(c: &mut Criterion) {
 
     let (db, q) = workload(4000);
     let cache = SharedIndexCache::new();
-    rank_why_so_cached(&db, &q, Method::Auto, Some(&cache)).expect("prime");
+    rank_why_so_parallel(&db, &q, &RankConfig::default(), Some(&cache)).expect("prime");
 
     let mut group = bench_group(c, "rank_throughput");
-
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            rank_why_so_cached(&db, &q, Method::Auto, Some(&cache))
-                .expect("ranks")
-                .len()
-        });
-    });
 
     for threads in [1usize, 2, 4, 8] {
         let cfg = RankConfig::with_parallelism(threads);

@@ -16,10 +16,8 @@
 //! the cross-validation oracle in the test suite.
 
 use crate::error::CoreError;
-use causality_engine::{
-    holds_masked, ConjunctiveQuery, Database, EndoMask, SharedIndexCache, TupleRef,
-};
-use causality_lineage::{n_lineage_cached, non_answer_lineage_cached, BitDnf, LineageArena};
+use causality_engine::{holds_masked, ConjunctiveQuery, Database, EndoMask, TupleRef};
+use causality_lineage::{minimized_n_lineage, BitDnf, LineageArena};
 use std::collections::{BTreeSet, HashSet};
 
 /// The causes of one (non-)answer.
@@ -52,21 +50,8 @@ impl CauseSet {
 /// actual causes are exactly the variables of the minimized n-lineage; the
 /// counterfactual causes are those appearing in *every* conjunct.
 pub fn why_so_causes(db: &Database, q: &ConjunctiveQuery) -> Result<CauseSet, CoreError> {
-    why_so_causes_cached(db, q, None)
-}
-
-/// [`why_so_causes`] with an optional [`SharedIndexCache`]: join indexes
-/// are reused whenever the query's relations are untouched — the cache
-/// keys on per-relation content stamps, so sharing it across snapshot
-/// versions is sound.
-pub fn why_so_causes_cached(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    cache: Option<&SharedIndexCache>,
-) -> Result<CauseSet, CoreError> {
-    let phi = n_lineage_cached(db, q, cache)?;
-    let (arena, bits) = LineageArena::from_dnf(&phi);
-    Ok(causes_from_minimized_whyso(&arena, &bits.minimized()))
+    let (arena, phin) = minimized_n_lineage(db, q, None)?;
+    Ok(causes_from_minimized_whyso(&arena, &phin))
 }
 
 /// Causes of a specific answer `ā` of a non-Boolean query: grounds
@@ -101,18 +86,7 @@ pub(crate) fn causes_from_minimized_whyso(arena: &LineageArena, phin: &BitDnf) -
 /// non-answer lineage; counterfactual causes are tuples whose insertion
 /// alone makes the query true — the singleton conjuncts.
 pub fn why_no_causes(db: &Database, q: &ConjunctiveQuery) -> Result<CauseSet, CoreError> {
-    why_no_causes_cached(db, q, None)
-}
-
-/// [`why_no_causes`] with an optional [`SharedIndexCache`].
-pub fn why_no_causes_cached(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    cache: Option<&SharedIndexCache>,
-) -> Result<CauseSet, CoreError> {
-    let phi = non_answer_lineage_cached(db, q, cache)?;
-    let (arena, bits) = LineageArena::from_dnf(&phi);
-    let phin = bits.minimized();
+    let (arena, phin) = minimized_n_lineage(db, q, None)?;
     if phin.is_tautology() {
         // q is already true on Dx: not a non-answer, no causes.
         return Ok(CauseSet::default());

@@ -10,12 +10,11 @@ use crate::causes::causes_from_minimized_whyso;
 use crate::dichotomy::classify::DichotomyTag;
 use crate::error::CoreError;
 use crate::ranking::{
-    rank_why_no_metered, rank_why_so_metered, rank_why_so_parallel, Method, RankConfig, RankMeta,
-    RankStats, RankedCause,
+    rank_why_no, rank_why_so_parallel, Method, RankConfig, RankStats, RankedCause,
 };
 use crate::resp::approx::{AnytimeKernel, ApproxBudget, RhoBounds};
 use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, Tuple, TupleRef, Value};
-use causality_lineage::{n_lineage_cached, LineageArena};
+use causality_lineage::minimized_n_lineage;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -112,15 +111,8 @@ pub struct ExplainTiming {
     pub solve_us: u64,
 }
 
-impl ExplainTiming {
-    fn of(meta: &RankMeta) -> Self {
-        Self {
-            lineage_us: meta.lineage_us,
-            solve_us: meta.solve_us,
-        }
-    }
-
-    fn of_stats(stats: &RankStats) -> Self {
+impl From<&RankStats> for ExplainTiming {
+    fn from(stats: &RankStats) -> Self {
         Self {
             lineage_us: stats.lineage_us,
             solve_us: stats.solve_us,
@@ -204,26 +196,8 @@ impl<'a> Explainer<'a> {
     /// (timings never live on [`Explanation`], which stays comparable
     /// across runs).
     pub fn why_timed(&self, answer: &[Value]) -> Result<(Explanation, ExplainTiming), CoreError> {
-        let grounded = self.query.try_ground(answer)?;
-        let tag = DichotomyTag::of_why_so(&grounded);
-        let (ranked, conjuncts, timing) = if self.parallelism > 1 {
-            let cfg = RankConfig {
-                method: self.method,
-                parallelism: self.parallelism,
-                top_k: None,
-            };
-            let out = rank_why_so_parallel(self.db, &grounded, &cfg, Some(&self.cache))?;
-            let timing = ExplainTiming::of_stats(&out.stats);
-            (out.causes, out.stats.lineage_conjuncts, timing)
-        } else {
-            let (ranked, meta) =
-                rank_why_so_metered(self.db, &grounded, self.method, Some(&self.cache))?;
-            (ranked, meta.lineage_conjuncts, ExplainTiming::of(&meta))
-        };
-        Ok((
-            self.build(ExplanationKind::WhySo, answer, ranked, tag, conjuncts),
-            timing,
-        ))
+        let (explanation, stats) = self.why_ranked(answer, None)?;
+        Ok((explanation, ExplainTiming::from(&stats)))
     }
 
     /// [`Explainer::why`] with certified anytime bounds instead of exact
@@ -255,9 +229,7 @@ impl<'a> Explainer<'a> {
         let grounded = self.query.try_ground(answer)?;
         let tag = DichotomyTag::of_why_so(&grounded);
         let lineage_started = Instant::now();
-        let phi = n_lineage_cached(self.db, &grounded, Some(&self.cache))?;
-        let (arena, bits) = LineageArena::from_dnf(&phi);
-        let phin = bits.minimized();
+        let (arena, phin) = minimized_n_lineage(self.db, &grounded, Some(&self.cache))?;
         let causes = causes_from_minimized_whyso(&arena, &phin);
         let lineage_us = lineage_started.elapsed().as_micros() as u64;
 
@@ -359,12 +331,22 @@ impl<'a> Explainer<'a> {
         answer: &[Value],
         k: usize,
     ) -> Result<(Explanation, RankStats), CoreError> {
+        self.why_ranked(answer, Some(k))
+    }
+
+    /// The one Why-So ranking behind [`Explainer::why_timed`] (all
+    /// causes) and [`Explainer::why_top_k`] (the top `k`).
+    fn why_ranked(
+        &self,
+        answer: &[Value],
+        top_k: Option<usize>,
+    ) -> Result<(Explanation, RankStats), CoreError> {
         let grounded = self.query.try_ground(answer)?;
         let tag = DichotomyTag::of_why_so(&grounded);
         let cfg = RankConfig {
             method: self.method,
             parallelism: self.parallelism,
-            top_k: Some(k),
+            top_k,
         };
         let out = rank_why_so_parallel(self.db, &grounded, &cfg, Some(&self.cache))?;
         let conjuncts = out.stats.lineage_conjuncts;
@@ -389,16 +371,16 @@ impl<'a> Explainer<'a> {
         answer: &[Value],
     ) -> Result<(Explanation, ExplainTiming), CoreError> {
         let grounded = self.query.try_ground(answer)?;
-        let (ranked, meta) = rank_why_no_metered(self.db, &grounded, Some(&self.cache))?;
+        let out = rank_why_no(self.db, &grounded, Some(&self.cache))?;
         Ok((
             self.build(
                 ExplanationKind::WhyNo,
                 answer,
-                ranked,
+                out.causes,
                 DichotomyTag::PTime,
-                meta.lineage_conjuncts,
+                out.stats.lineage_conjuncts,
             ),
-            ExplainTiming::of(&meta),
+            ExplainTiming::from(&out.stats),
         ))
     }
 

@@ -54,7 +54,7 @@ pub use causes::{why_no_causes, why_so_causes, CauseSet};
 pub use dichotomy::classify::{classify_why_so, Complexity, DichotomyTag};
 pub use error::CoreError;
 pub use explain::{ExplainMode, ExplainTiming, Explainer};
-pub use ranking::{rank_why_so_parallel, RankConfig, RankMeta, RankStats, RankedTopK};
+pub use ranking::{rank_why_so_parallel, RankConfig, RankStats, RankedTopK};
 pub use resp::approx::{anytime_min_contingency, AnytimeOutcome, ApproxBudget, RhoBounds};
 pub use resp::{why_no_responsibility, why_so_responsibility, Responsibility};
 pub use whyno_candidates::{

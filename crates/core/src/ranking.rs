@@ -5,32 +5,22 @@
 //! combines the cause computation (Theorem 3.2) with per-cause
 //! responsibility (Algorithm 1 or the exact solver) and sorts descending —
 //! counterfactual causes (ρ = 1) first.
+//!
+//! Each question has one ranker: [`rank_why_so_parallel`] ranks Why-So
+//! causes (all of them or the top k, on one thread or many), and
+//! [`rank_why_no`] ranks Why-No causes. Both report [`RankStats`].
 
 pub mod parallel;
 
-use crate::causes::causes_from_minimized_whyso;
 use crate::error::CoreError;
-use crate::resp::exact::responsibility_from_bits;
-use crate::resp::{self, Responsibility};
+use crate::resp::whyno::why_no_responsibility_from_bits;
+use crate::resp::Responsibility;
 use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, TupleRef};
-use causality_lineage::{n_lineage_cached, non_answer_lineage_cached, LineageArena};
+use causality_lineage::minimized_n_lineage;
 
 pub use parallel::{rank_why_so_parallel, RankConfig, RankStats, RankedTopK};
 
 use std::time::Instant;
-
-/// Per-ranking cost attributes surfaced to the observability layer:
-/// how big the minimized lineage was and where the time went.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RankMeta {
-    /// Conjunct count of the minimized lineage (`Φ^n` for Why-So, the
-    /// non-answer lineage for Why-No).
-    pub lineage_conjuncts: usize,
-    /// µs spent computing, interning, and minimizing the lineage.
-    pub lineage_us: u64,
-    /// µs spent in the per-cause responsibility solves (incl. ranking).
-    pub solve_us: u64,
-}
 
 fn elapsed_us(since: Instant) -> u64 {
     since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
@@ -57,128 +47,48 @@ pub struct RankedCause {
     pub responsibility: Responsibility,
 }
 
-/// Rank the Why-So causes of a Boolean query by responsibility,
-/// descending (ties broken by tuple identity for determinism).
-pub fn rank_why_so(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    method: Method,
-) -> Result<Vec<RankedCause>, CoreError> {
-    rank_why_so_cached(db, q, method, None)
-}
-
-/// [`rank_why_so`] with an optional [`SharedIndexCache`]: the join indexes
-/// built for the cause computation are reused by every per-cause
-/// responsibility run, and by later rankings for as long as the query's
-/// relations keep their content stamps (writes to other relations do not
-/// invalidate them).
+/// Rank the Why-No causes of a Boolean non-answer by responsibility,
+/// descending (always PTIME, Theorem 4.17). The optional
+/// [`SharedIndexCache`] lets the lineage evaluation reuse join indexes.
 ///
-/// The n-lineage is computed, interned, and minimized **once** in arena
-/// form; the candidate screen (Theorem 3.2) and every exact per-cause
-/// solve read that one `BitDnf` instead of re-deriving the lineage per
-/// cause. The flow method still evaluates per cause (Algorithm 1 reads
-/// the database, not the lineage).
-pub fn rank_why_so_cached(
+/// One non-answer lineage is interned and minimized in arena form, and
+/// every candidate's responsibility (the cheapest conjunct containing
+/// it) is read off that shared `BitDnf`. Every candidate is solved, so
+/// the stats report `candidates = computed = causes`, nothing pruned, on
+/// one thread.
+pub fn rank_why_no(
     db: &Database,
     q: &ConjunctiveQuery,
-    method: Method,
     cache: Option<&SharedIndexCache>,
-) -> Result<Vec<RankedCause>, CoreError> {
-    rank_why_so_metered(db, q, method, cache).map(|(ranked, _)| ranked)
-}
-
-/// [`rank_why_so_cached`] that also reports lineage size and stage
-/// timings ([`RankMeta`]) for tracing and the slow-log.
-pub fn rank_why_so_metered(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    method: Method,
-    cache: Option<&SharedIndexCache>,
-) -> Result<(Vec<RankedCause>, RankMeta), CoreError> {
+) -> Result<RankedTopK, CoreError> {
     let lineage_started = Instant::now();
-    let phi = n_lineage_cached(db, q, cache)?;
-    let (arena, bits) = LineageArena::from_dnf(&phi);
-    let phin = bits.minimized();
-    let causes = causes_from_minimized_whyso(&arena, &phin);
+    let (arena, phin) = minimized_n_lineage(db, q, cache)?;
     let lineage_us = elapsed_us(lineage_started);
-    let solve_started = Instant::now();
-    let mut ranked = Vec::with_capacity(causes.actual.len());
-    for &t in &causes.actual {
-        let responsibility = match method {
-            Method::Auto => match resp::flow::why_so_responsibility_flow_cached(db, q, t, cache) {
-                Ok(r) => r,
-                Err(e) if resp::flow_inapplicable(&e) => responsibility_from_bits(&arena, &phin, t),
-                Err(e) => return Err(e),
-            },
-            Method::Exact => responsibility_from_bits(&arena, &phin, t),
-            Method::Flow => resp::flow::why_so_responsibility_flow_cached(db, q, t, cache)?,
-        };
-        ranked.push(RankedCause {
-            tuple: t,
-            responsibility,
-        });
-    }
-    sort_ranked(&mut ranked);
-    let meta = RankMeta {
-        lineage_conjuncts: phin.conjuncts().len(),
-        lineage_us,
-        solve_us: elapsed_us(solve_started),
-    };
-    Ok((ranked, meta))
-}
-
-/// Rank the Why-No causes of a Boolean non-answer (always PTIME,
-/// Theorem 4.17).
-pub fn rank_why_no(db: &Database, q: &ConjunctiveQuery) -> Result<Vec<RankedCause>, CoreError> {
-    rank_why_no_cached(db, q, None)
-}
-
-/// [`rank_why_no`] with an optional [`SharedIndexCache`]. One non-answer
-/// lineage is interned and minimized in arena form; every candidate's
-/// Theorem 4.17 responsibility (cheapest conjunct containing it) is read
-/// off that shared `BitDnf` — the seed recomputed the whole lineage per
-/// candidate.
-pub fn rank_why_no_cached(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    cache: Option<&SharedIndexCache>,
-) -> Result<Vec<RankedCause>, CoreError> {
-    rank_why_no_metered(db, q, cache).map(|(ranked, _)| ranked)
-}
-
-/// [`rank_why_no_cached`] that also reports lineage size and stage
-/// timings ([`RankMeta`]) for tracing and the slow-log.
-pub fn rank_why_no_metered(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    cache: Option<&SharedIndexCache>,
-) -> Result<(Vec<RankedCause>, RankMeta), CoreError> {
-    let lineage_started = Instant::now();
-    let phi = non_answer_lineage_cached(db, q, cache)?;
-    let (arena, bits) = LineageArena::from_dnf(&phi);
-    let phin = bits.minimized();
-    let lineage_us = elapsed_us(lineage_started);
-    let mut meta = RankMeta {
-        lineage_conjuncts: phin.conjuncts().len(),
-        lineage_us,
-        solve_us: 0,
-    };
-    if phin.is_tautology() {
-        // Already an answer on Dx: no Why-No causes to rank.
-        return Ok((Vec::new(), meta));
-    }
     let solve_started = Instant::now();
     let mut ranked = Vec::new();
-    for t in arena.tuples_of(&phin.variables()) {
-        let responsibility = resp::whyno::why_no_responsibility_from_bits(&arena, &phin, t);
-        ranked.push(RankedCause {
-            tuple: t,
-            responsibility,
-        });
+    // A tautology means the query is already an answer on Dx: no Why-No
+    // causes to rank.
+    if !phin.is_tautology() {
+        for t in arena.tuples_of(&phin.variables()) {
+            ranked.push(RankedCause {
+                tuple: t,
+                responsibility: why_no_responsibility_from_bits(&arena, &phin, t),
+            });
+        }
+        sort_ranked(&mut ranked);
     }
-    sort_ranked(&mut ranked);
-    meta.solve_us = elapsed_us(solve_started);
-    Ok((ranked, meta))
+    Ok(RankedTopK {
+        stats: RankStats {
+            candidates: ranked.len(),
+            computed: ranked.len(),
+            pruned: 0,
+            threads: 1,
+            lineage_conjuncts: phin.conjuncts().len(),
+            lineage_us,
+            solve_us: elapsed_us(solve_started),
+        },
+        causes: ranked,
+    })
 }
 
 /// Descending by ρ, ties broken by tuple identity. `f64::total_cmp`
@@ -197,6 +107,7 @@ fn sort_ranked(ranked: &mut [RankedCause]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::Explainer;
     use causality_engine::database::example_2_2;
     use causality_engine::{tup, Schema, Value};
 
@@ -204,11 +115,24 @@ mod tests {
         ConjunctiveQuery::parse(text).unwrap()
     }
 
+    /// Every Why-So cause ranked with `method` on one thread.
+    fn full_ranking(
+        db: &Database,
+        q: &ConjunctiveQuery,
+        method: Method,
+    ) -> Result<Vec<RankedCause>, CoreError> {
+        let cfg = RankConfig {
+            method,
+            ..RankConfig::default()
+        };
+        rank_why_so_parallel(db, q, &cfg, None).map(|out| out.causes)
+    }
+
     #[test]
     fn ranking_orders_by_responsibility() {
         let db = example_2_2();
         let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a4")]);
-        let ranked = rank_why_so(&db, &query, Method::Auto).unwrap();
+        let ranked = full_ranking(&db, &query, Method::Auto).unwrap();
         assert_eq!(ranked.len(), 4, "R(a4,a3), R(a4,a2), S(a3), S(a2)");
         // All have ρ = 1/2 here (each needs one removal).
         for rc in &ranked {
@@ -224,7 +148,7 @@ mod tests {
     fn counterfactual_ranks_first() {
         let db = example_2_2();
         let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a3")]);
-        let ranked = rank_why_so(&db, &query, Method::Auto).unwrap();
+        let ranked = full_ranking(&db, &query, Method::Auto).unwrap();
         assert_eq!(ranked[0].responsibility.rho, 1.0);
         assert!(ranked[0].responsibility.is_counterfactual());
     }
@@ -233,9 +157,9 @@ mod tests {
     fn methods_agree_on_linear_queries() {
         let db = example_2_2();
         let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a4")]);
-        let auto = rank_why_so(&db, &query, Method::Auto).unwrap();
-        let exact = rank_why_so(&db, &query, Method::Exact).unwrap();
-        let flow = rank_why_so(&db, &query, Method::Flow).unwrap();
+        let auto = full_ranking(&db, &query, Method::Auto).unwrap();
+        let exact = full_ranking(&db, &query, Method::Exact).unwrap();
+        let flow = full_ranking(&db, &query, Method::Flow).unwrap();
         let rhos = |v: &[RankedCause]| {
             v.iter()
                 .map(|rc| (rc.tuple, rc.responsibility.rho))
@@ -256,8 +180,8 @@ mod tests {
         db.insert_endo(s, tup![2, 3]);
         db.insert_endo(t, tup![3, 1]);
         let query = q("h2 :- R(x, y), S(y, z), T(z, x)");
-        assert!(rank_why_so(&db, &query, Method::Flow).is_err());
-        let ranked = rank_why_so(&db, &query, Method::Auto).unwrap();
+        assert!(full_ranking(&db, &query, Method::Flow).is_err());
+        let ranked = full_ranking(&db, &query, Method::Auto).unwrap();
         assert_eq!(ranked.len(), 3);
         assert!(ranked.iter().all(|rc| rc.responsibility.rho == 1.0));
     }
@@ -271,17 +195,41 @@ mod tests {
         let s2 = db.insert_endo(s, tup![2]);
         db.insert_endo(r, tup![5, 3]);
         db.insert_endo(s, tup![3]);
-        let ranked = rank_why_no(&db, &q("q :- R(x, y), S(y)")).unwrap();
+        let query = q("q :- R(x, y), S(y)");
+        let out = rank_why_no(&db, &query, None).unwrap();
+        let ranked = &out.causes;
         assert_eq!(ranked.len(), 3);
         assert_eq!(ranked[0].tuple, s2, "single-insertion repair first");
         assert_eq!(ranked[0].responsibility.rho, 1.0);
         assert!((ranked[1].responsibility.rho - 0.5).abs() < 1e-12);
+
+        // Every candidate is solved, on one thread; none is pruned.
+        assert_eq!(out.stats.candidates, 3);
+        assert_eq!(out.stats.computed, 3);
+        assert_eq!(out.stats.pruned, 0);
+        assert_eq!(out.stats.threads, 1);
+        // The stats describe the lineage the explainer reports.
+        let explained = Explainer::new(&db, &query).why_not(&[]).unwrap();
+        assert_eq!(out.stats.lineage_conjuncts, explained.lineage_conjuncts);
+    }
+
+    #[test]
+    fn why_no_ranking_of_an_answer_is_empty() {
+        // R(1) is real (exogenous): the query already holds on Dx.
+        let mut db = Database::new();
+        let r = db.add_relation(Schema::new("R", &["x"]));
+        db.insert_exo(r, tup![1]);
+        db.insert_endo(r, tup![2]);
+        let out = rank_why_no(&db, &q("q :- R(x)"), None).unwrap();
+        assert!(out.causes.is_empty());
+        assert_eq!(out.stats.candidates, 0);
+        assert_eq!(out.stats.computed, 0);
     }
 
     #[test]
     fn empty_ranking_for_false_query() {
         let db = example_2_2();
-        let ranked = rank_why_so(&db, &q("q :- R(x, 'a6'), S('a6')"), Method::Auto).unwrap();
+        let ranked = full_ranking(&db, &q("q :- R(x, 'a6'), S('a6')"), Method::Auto).unwrap();
         assert!(ranked.is_empty());
     }
 

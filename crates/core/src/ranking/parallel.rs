@@ -37,17 +37,20 @@
 //! the same Def. 2.3 optimum), so pruning never changes the result: a
 //! candidate is skipped only when `k` already-computed causes are
 //! **strictly** more responsible than its bound allows, which keeps the
-//! returned prefix bit-identical to the sequential full ranking — ties
-//! included, since tie-breaking is by tuple identity and strict pruning
-//! never discards a potential tie.
+//! returned prefix bit-identical to the full ranking — ties included,
+//! since tie-breaking is by tuple identity and strict pruning never
+//! discards a potential tie. A full ranking (`top_k: None`) never prunes,
+//! so it computes no bound at all: every candidate gets bound 1 and the
+//! screen keeps tuple order. With `k = 0` every candidate is provably
+//! out.
 
 use crate::causes::causes_from_minimized_whyso;
 use crate::error::CoreError;
-use crate::ranking::{sort_ranked, Method, RankedCause};
+use crate::ranking::{elapsed_us, sort_ranked, Method, RankedCause};
 use crate::resp::exact::responsibility_from_bits;
 use crate::resp::{self, Responsibility};
 use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, TupleRef};
-use causality_lineage::{n_lineage_cached, BitDnf, LineageArena, VarSet};
+use causality_lineage::{minimized_n_lineage, BitDnf, LineageArena, VarSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -129,11 +132,16 @@ struct Candidate {
     upper_bound: f64,
 }
 
-/// Rank the Why-So causes of a Boolean query by responsibility on
-/// `cfg.parallelism` threads, optionally truncated (and pruned) to the
-/// top `k`. The output is bit-identical to the sequential
-/// [`rank_why_so_cached`](crate::ranking::rank_why_so_cached) ranking
-/// (truncated to `k` when `top_k` is set) for every parallelism level.
+/// Rank the Why-So causes of a Boolean query by responsibility,
+/// descending (ties broken by tuple identity), on `cfg.parallelism`
+/// threads, optionally truncated (and pruned) to the top `k`. The
+/// optional [`SharedIndexCache`] lets the lineage evaluation and every
+/// per-cause flow run reuse one set of join indexes.
+///
+/// This is the one Why-So ranker. The output is bit-identical at every
+/// parallelism level, and with `top_k: Some(k)` it is the first `k`
+/// causes of the full ranking. A full ranking on one thread solves
+/// every cause in tuple order on the calling thread.
 pub fn rank_why_so_parallel(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -145,14 +153,9 @@ pub fn rank_why_so_parallel(
     // exact method) every per-cause solve. Workers borrow the same
     // `BitDnf` conjunct slice — zero per-candidate cloning.
     let lineage_started = std::time::Instant::now();
-    let phi = n_lineage_cached(db, q, cache)?;
-    let (arena, bits) = LineageArena::from_dnf(&phi);
-    let phin = bits.minimized();
+    let (arena, phin) = minimized_n_lineage(db, q, cache)?;
     let causes = causes_from_minimized_whyso(&arena, &phin);
-    let lineage_us = lineage_started
-        .elapsed()
-        .as_micros()
-        .min(u128::from(u64::MAX)) as u64;
+    let lineage_us = elapsed_us(lineage_started);
     let solve_started = std::time::Instant::now();
 
     let mut packing_scratch = VarSet::new();
@@ -161,7 +164,9 @@ pub fn rank_why_so_parallel(
         .iter()
         .map(|&tuple| Candidate {
             tuple,
-            upper_bound: if causes.counterfactual.contains(&tuple) {
+            // Only pruning reads the bound, and a full ranking never
+            // prunes.
+            upper_bound: if cfg.top_k.is_none() || causes.counterfactual.contains(&tuple) {
                 1.0
             } else {
                 let v = arena.id(tuple).expect("causes come from the lineage");
@@ -246,10 +251,7 @@ pub fn rank_why_so_parallel(
             threads,
             lineage_conjuncts: phin.conjuncts().len(),
             lineage_us,
-            solve_us: solve_started
-                .elapsed()
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64,
+            solve_us: elapsed_us(solve_started),
         },
     })
 }
@@ -315,9 +317,10 @@ fn rank_worker(shared: &RankShared<'_>, slots: &mut [Option<Result<Responsibilit
     }
 }
 
-/// One per-cause responsibility solve, dispatching exactly like the
-/// sequential path — except that the exact branch reuses the already
-/// computed minimized lineage instead of re-deriving it per cause.
+/// One per-cause responsibility solve, dispatching like
+/// [`resp::why_so_responsibility`] — except that the exact branch reuses
+/// the already computed minimized lineage instead of re-deriving it per
+/// cause.
 fn compute_responsibility(
     shared: &RankShared<'_>,
     t: TupleRef,
@@ -372,7 +375,7 @@ struct TopKThreshold {
 impl TopKThreshold {
     fn new(k: usize) -> Self {
         TopKThreshold {
-            k: k.max(1),
+            k,
             best: Vec::new(),
         }
     }
@@ -381,8 +384,9 @@ impl TopKThreshold {
     /// `k` computed causes are already *strictly* more responsible than
     /// the bound allows. Strictness keeps potential ties alive, so the
     /// tuple-identity tie-break matches the unpruned ranking exactly.
+    /// With `k = 0` nothing can enter, so every candidate is out.
     fn proves_out(&self, upper_bound: f64) -> bool {
-        self.best.len() == self.k && upper_bound < self.best[self.k - 1]
+        self.best.len() == self.k && self.best.last().is_none_or(|&kth| upper_bound < kth)
     }
 
     fn record(&mut self, rho: f64) {
@@ -397,7 +401,7 @@ impl TopKThreshold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranking::rank_why_so_cached;
+    use crate::causes::why_so_causes;
     use causality_engine::database::example_2_2;
     use causality_engine::{tup, Schema, Value};
 
@@ -405,11 +409,39 @@ mod tests {
         ConjunctiveQuery::parse(text).unwrap()
     }
 
+    /// The reference ranking, sharing none of the ranker's code: every
+    /// actual cause solved alone by its method's single-tuple function
+    /// (each call derives its own lineage), sorted by ρ descending, then
+    /// by tuple.
+    fn reference_ranking(db: &Database, q: &ConjunctiveQuery, method: Method) -> Vec<RankedCause> {
+        let mut ranked: Vec<RankedCause> = why_so_causes(db, q)
+            .unwrap()
+            .actual
+            .into_iter()
+            .map(|t| RankedCause {
+                tuple: t,
+                responsibility: match method {
+                    Method::Auto => resp::why_so_responsibility(db, q, t),
+                    Method::Exact => resp::exact::why_so_responsibility_exact(db, q, t),
+                    Method::Flow => resp::flow::why_so_responsibility_flow(db, q, t),
+                }
+                .unwrap(),
+            })
+            .collect();
+        ranked.sort_by(|a, b| {
+            b.responsibility
+                .rho
+                .total_cmp(&a.responsibility.rho)
+                .then(a.tuple.cmp(&b.tuple))
+        });
+        ranked
+    }
+
     #[test]
     fn parallel_matches_sequential_all_parallelisms() {
         let db = example_2_2();
         let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a4")]);
-        let sequential = rank_why_so_cached(&db, &query, Method::Auto, None).unwrap();
+        let reference = reference_ranking(&db, &query, Method::Auto);
         for parallelism in [1, 2, 8] {
             let out = rank_why_so_parallel(
                 &db,
@@ -418,9 +450,9 @@ mod tests {
                 None,
             )
             .unwrap();
-            assert_eq!(out.causes, sequential);
-            assert_eq!(out.stats.candidates, sequential.len());
-            assert_eq!(out.stats.computed, sequential.len());
+            assert_eq!(out.causes, reference);
+            assert_eq!(out.stats.candidates, reference.len());
+            assert_eq!(out.stats.computed, reference.len());
             assert_eq!(out.stats.pruned, 0);
         }
     }
@@ -429,7 +461,7 @@ mod tests {
     fn top_k_is_a_prefix_of_the_full_ranking() {
         let db = example_2_2();
         let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a4")]);
-        let full = rank_why_so_cached(&db, &query, Method::Auto, None).unwrap();
+        let full = reference_ranking(&db, &query, Method::Auto);
         for k in 1..=full.len() + 1 {
             for parallelism in [1, 2, 8] {
                 let out = rank_why_so_parallel(
@@ -473,7 +505,7 @@ mod tests {
                 assert_eq!(out.stats.pruned, 2, "stats: {:?}", out.stats);
                 assert_eq!(out.stats.computed, 1);
             }
-            let full = rank_why_so_cached(&db, &query, Method::Auto, None).unwrap();
+            let full = reference_ranking(&db, &query, Method::Auto);
             assert_eq!(out.causes, full[..1]);
         }
     }
@@ -483,7 +515,7 @@ mod tests {
         let db = example_2_2();
         let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a4")]);
         for method in [Method::Auto, Method::Exact, Method::Flow] {
-            let sequential = rank_why_so_cached(&db, &query, method, None).unwrap();
+            let reference = reference_ranking(&db, &query, method);
             let out = rank_why_so_parallel(
                 &db,
                 &query,
@@ -495,7 +527,7 @@ mod tests {
                 None,
             )
             .unwrap();
-            assert_eq!(out.causes, sequential);
+            assert_eq!(out.causes, reference);
         }
     }
 
@@ -523,11 +555,11 @@ mod tests {
             );
             assert!(err.is_err());
         }
-        // Auto falls back to the exact solver and agrees with sequential.
-        let sequential = rank_why_so_cached(&db, &query, Method::Auto, None).unwrap();
+        // Auto falls back to the exact solver and agrees with the reference.
+        let reference = reference_ranking(&db, &query, Method::Auto);
         let out =
             rank_why_so_parallel(&db, &query, &RankConfig::with_parallelism(4), None).unwrap();
-        assert_eq!(out.causes, sequential);
+        assert_eq!(out.causes, reference);
     }
 
     #[test]
@@ -560,12 +592,36 @@ mod tests {
     }
 
     #[test]
+    fn threshold_of_zero_proves_every_candidate_out() {
+        let t = TopKThreshold::new(0);
+        assert!(t.proves_out(1.0));
+        assert!(t.proves_out(0.0));
+    }
+
+    #[test]
+    fn top_zero_prunes_every_candidate() {
+        let db = example_2_2();
+        let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a4")]);
+        for parallelism in [1, 2] {
+            let out = rank_why_so_parallel(
+                &db,
+                &query,
+                &RankConfig::with_parallelism(parallelism).top_k(0),
+                None,
+            )
+            .unwrap();
+            assert!(out.causes.is_empty());
+            assert_eq!(out.stats.candidates, 4, "stats: {:?}", out.stats);
+            assert_eq!(out.stats.computed, 0);
+            assert_eq!(out.stats.pruned, out.stats.candidates);
+        }
+    }
+
+    #[test]
     fn packing_bound_is_sound_on_example() {
         let db = example_2_2();
         let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a4")]);
-        let phi = n_lineage_cached(&db, &query, None).unwrap();
-        let (arena, bits) = LineageArena::from_dnf(&phi);
-        let phin = bits.minimized();
+        let (arena, phin) = minimized_n_lineage(&db, &query, None).unwrap();
         let mut scratch = VarSet::new();
         for t in arena.tuples_of(&phin.variables()) {
             let v = arena.id(t).unwrap();

@@ -30,8 +30,8 @@
 
 use crate::error::CoreError;
 use crate::resp::Responsibility;
-use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, TupleRef};
-use causality_lineage::{n_lineage_cached, BitDnf, Dnf, LineageArena, VarSet};
+use causality_engine::{ConjunctiveQuery, Database, TupleRef};
+use causality_lineage::{minimized_n_lineage, BitDnf, Dnf, LineageArena, VarSet};
 use std::collections::BTreeSet;
 
 /// Exact Why-So responsibility of `t` (any conjunctive query).
@@ -40,28 +40,17 @@ pub fn why_so_responsibility_exact(
     q: &ConjunctiveQuery,
     t: TupleRef,
 ) -> Result<Responsibility, CoreError> {
-    why_so_responsibility_exact_cached(db, q, t, None)
-}
-
-/// [`why_so_responsibility_exact`] with an optional [`SharedIndexCache`].
-pub fn why_so_responsibility_exact_cached(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    t: TupleRef,
-    cache: Option<&SharedIndexCache>,
-) -> Result<Responsibility, CoreError> {
     if !db.is_endogenous(t) {
         return Err(CoreError::NotEndogenous);
     }
-    let phi = n_lineage_cached(db, q, cache)?;
-    let (arena, bits) = LineageArena::from_dnf(&phi);
-    let phin = bits.minimized();
+    let (arena, phin) = minimized_n_lineage(db, q, None)?;
     Ok(responsibility_from_bits(&arena, &phin, t))
 }
 
 /// Responsibility of `t` over a *minimized* arena-form n-lineage: the
-/// per-candidate unit of work shared by the sequential and parallel
-/// rankers (one arena, zero per-candidate lineage recomputation).
+/// per-candidate unit of work of [`why_so_responsibility_exact`] and of
+/// the ranker, which solves every candidate over one shared arena (zero
+/// per-candidate lineage recomputation).
 pub fn responsibility_from_bits(
     arena: &LineageArena,
     phin: &BitDnf,

@@ -23,7 +23,9 @@ pub mod flow;
 pub mod whyno;
 
 use crate::error::CoreError;
-use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, TupleRef};
+use causality_engine::{ConjunctiveQuery, Database, TupleRef};
+
+pub use whyno::why_no_responsibility;
 
 /// The responsibility of one tuple for a (non-)answer.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,23 +73,9 @@ pub fn why_so_responsibility(
     q: &ConjunctiveQuery,
     t: TupleRef,
 ) -> Result<Responsibility, CoreError> {
-    why_so_responsibility_cached(db, q, t, None)
-}
-
-/// [`why_so_responsibility`] with an optional [`SharedIndexCache`] so
-/// repeated computations reuse their join indexes while the query's
-/// relations keep their content stamps.
-pub fn why_so_responsibility_cached(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    t: TupleRef,
-    cache: Option<&SharedIndexCache>,
-) -> Result<Responsibility, CoreError> {
-    match flow::why_so_responsibility_flow_cached(db, q, t, cache) {
+    match flow::why_so_responsibility_flow(db, q, t) {
         Ok(r) => Ok(r),
-        Err(e) if flow_inapplicable(&e) => {
-            exact::why_so_responsibility_exact_cached(db, q, t, cache)
-        }
+        Err(e) if flow_inapplicable(&e) => exact::why_so_responsibility_exact(db, q, t),
         Err(e) => Err(e),
     }
 }
@@ -96,9 +84,10 @@ pub fn why_so_responsibility_cached(
 /// method treats as "fall back to the exact solver" rather than a real
 /// error: the query is outside the flow algorithm's dichotomy class
 /// (not weakly linear, has a self-join) or its relations are not
-/// uniformly marked. One predicate shared by every Auto dispatch
-/// ([`why_so_responsibility_cached`], the sequential ranker, and the
-/// parallel ranker), so the fallback set cannot drift between them.
+/// uniformly marked. One predicate shared by both Auto dispatches
+/// ([`why_so_responsibility`] and the ranker,
+/// [`crate::ranking::rank_why_so_parallel`]), so the fallback set cannot
+/// drift between them.
 pub(crate) fn flow_inapplicable(e: &CoreError) -> bool {
     matches!(
         e,
@@ -106,15 +95,6 @@ pub(crate) fn flow_inapplicable(e: &CoreError) -> bool {
             | CoreError::SelfJoin { .. }
             | CoreError::UnmarkedAtom { .. }
     )
-}
-
-/// Compute Why-No responsibility (always PTIME, Theorem 4.17).
-pub fn why_no_responsibility(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    t: TupleRef,
-) -> Result<Responsibility, CoreError> {
-    whyno::why_no_responsibility(db, q, t)
 }
 
 #[cfg(test)]

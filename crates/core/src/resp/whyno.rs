@@ -14,8 +14,8 @@
 
 use crate::error::CoreError;
 use crate::resp::Responsibility;
-use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, TupleRef};
-use causality_lineage::{non_answer_lineage_cached, BitDnf, LineageArena};
+use causality_engine::{ConjunctiveQuery, Database, TupleRef};
+use causality_lineage::{minimized_n_lineage, BitDnf, LineageArena};
 
 /// Why-No responsibility of the candidate insertion `t` for a Boolean
 /// non-answer. PTIME in the size of the database (Theorem 4.17).
@@ -24,26 +24,11 @@ pub fn why_no_responsibility(
     q: &ConjunctiveQuery,
     t: TupleRef,
 ) -> Result<Responsibility, CoreError> {
-    why_no_responsibility_cached(db, q, t, None)
-}
-
-/// [`why_no_responsibility`] with an optional [`SharedIndexCache`].
-pub fn why_no_responsibility_cached(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    t: TupleRef,
-    cache: Option<&SharedIndexCache>,
-) -> Result<Responsibility, CoreError> {
     if !db.is_endogenous(t) {
         return Err(CoreError::NotEndogenous);
     }
-    let phi = non_answer_lineage_cached(db, q, cache)?;
-    let (arena, bits) = LineageArena::from_dnf(&phi);
-    Ok(why_no_responsibility_from_bits(
-        &arena,
-        &bits.minimized(),
-        t,
-    ))
+    let (arena, phin) = minimized_n_lineage(db, q, None)?;
+    Ok(why_no_responsibility_from_bits(&arena, &phin, t))
 }
 
 /// Theorem 4.17 read off the arena-form *minimized* non-answer lineage:

@@ -23,7 +23,7 @@ use crate::error::CoreError;
 use causality_engine::{
     ConjunctiveQuery, Database, EngineError, SharedIndexCache, Term, Tuple, TupleRef, Value, VarId,
 };
-use causality_lineage::{non_answer_lineage_cached, LineageArena};
+use causality_lineage::minimized_n_lineage;
 use std::collections::BTreeSet;
 
 /// Configuration for candidate generation.
@@ -177,9 +177,7 @@ pub fn screen_candidates(
     installed: &[TupleRef],
     cache: Option<&SharedIndexCache>,
 ) -> Result<Vec<TupleRef>, CoreError> {
-    let phi = non_answer_lineage_cached(db, q, cache)?;
-    let (arena, bits) = LineageArena::from_dnf(&phi);
-    let phin = bits.minimized();
+    let (arena, phin) = minimized_n_lineage(db, q, cache)?;
     if phin.is_tautology() {
         // Already an answer on Dx: no repair matters.
         return Ok(Vec::new());

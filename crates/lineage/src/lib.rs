@@ -9,7 +9,9 @@
 //!   (a conjunct is redundant if another conjunct is a strict subset).
 //! * [`whyso`] — the lineage `Φ` of a Boolean query (one conjunct
 //!   `c_θ = X_{t1} ∧ … ∧ X_{tm}` per valuation `θ`, Def. 3.1) and the
-//!   **n-lineage** `Φⁿ = Φ[X_t := true, ∀t ∈ Dx]`.
+//!   **n-lineage** `Φⁿ = Φ[X_t := true, ∀t ∈ Dx]`; [`minimized_n_lineage`]
+//!   returns it interned and minimized, the form every cause and
+//!   responsibility computation reads.
 //! * [`whyno`] — the non-answer lineage over `Dx ∪ Dn`, where `Dn` holds
 //!   the *potentially missing* tuples (Sect. 2's Why-No setting; computing
 //!   `Dn` itself is delegated to the data generator / caller, as the paper
@@ -41,5 +43,5 @@ pub mod witness;
 pub use arena::{BitDnf, LineageArena, VarSet};
 pub use dnf::{Conjunct, Dnf};
 pub use whyno::{non_answer_lineage, non_answer_lineage_cached};
-pub use whyso::{lineage, lineage_cached, n_lineage, n_lineage_cached};
+pub use whyso::{lineage, lineage_cached, minimized_n_lineage, n_lineage, n_lineage_cached};
 pub use witness::why_provenance;

@@ -6,6 +6,7 @@
 //! depends only on endogenous tuples, and Theorem 3.2 reads the actual
 //! causes straight off its non-redundant conjuncts.
 
+use crate::arena::{BitDnf, LineageArena};
 use crate::dnf::{Conjunct, Dnf};
 use causality_engine::{
     evaluate_masked, evaluate_masked_with_cache, Database, EndoMask, EngineError, SharedIndexCache,
@@ -64,6 +65,24 @@ pub fn n_lineage_cached(
         .filter(|&t| !db.is_endogenous(t))
         .collect();
     Ok(phi.assign_true(&exo))
+}
+
+/// The n-lineage in the form every cause and responsibility computation
+/// reads: [`n_lineage_cached`], interned into a [`LineageArena`] and
+/// minimized (Theorem 3.2's non-redundant conjuncts).
+///
+/// It serves Why-No questions as well: the non-answer lineage
+/// ([`non_answer_lineage_cached`](crate::non_answer_lineage_cached)) is
+/// structurally the n-lineage of the completed database `Dx ∪ Dn`, and
+/// differs only by a second, redundant Boolean check.
+pub fn minimized_n_lineage(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    cache: Option<&SharedIndexCache>,
+) -> Result<(LineageArena, BitDnf), EngineError> {
+    let phi = n_lineage_cached(db, q, cache)?;
+    let (arena, bits) = LineageArena::from_dnf(&phi);
+    Ok((arena, bits.minimized()))
 }
 
 pub(crate) fn require_boolean(q: &ConjunctiveQuery) -> Result<(), EngineError> {
@@ -125,6 +144,9 @@ mod tests {
         assert_eq!(min.len(), 1);
         let s3 = tref(&db, "S", tup!["a3"]);
         assert_eq!(min.conjuncts()[0], Conjunct::new([s3]));
+        // The arena form the cause and responsibility code reads.
+        let (arena, bits) = minimized_n_lineage(&db, &query, None).unwrap();
+        assert_eq!(arena.dnf_of(&bits), min);
     }
 
     #[test]

@@ -59,8 +59,8 @@
 //!   the parallel executor (`causality_core::ranking::parallel`):
 //!   candidates screened by a cheap responsibility upper bound, solved
 //!   on [`ServiceConfig::rank_parallelism`] scoped threads, pruned once
-//!   they provably cannot enter the top k — bit-identical to the
-//!   sequential ranking, with [`ServiceStats::rank_tasks`] /
+//!   they provably cannot enter the top k — bit-identical to the first
+//!   k of the full ranking, with [`ServiceStats::rank_tasks`] /
 //!   [`ServiceStats::topk_pruned`] accounting;
 //! * failure isolation — every fresh computation runs behind a
 //!   `catch_unwind` boundary, so a panicking job resolves to

@@ -453,13 +453,7 @@ fn compute(
                 .why_top_k(&request.answer, k)?;
             core.stats.rank_tasks.inc();
             core.stats.topk_pruned.add(rank_stats.pruned as u64);
-            Ok((
-                explanation,
-                ExplainTiming {
-                    lineage_us: rank_stats.lineage_us,
-                    solve_us: rank_stats.solve_us,
-                },
-            ))
+            Ok((explanation, ExplainTiming::from(&rank_stats)))
         }
     }
 }

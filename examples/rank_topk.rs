@@ -6,12 +6,12 @@
 //! ```
 //!
 //! Ranks the causes of the Musical answer on a scaled IMDB instance
-//! three ways — the sequential loop, the multi-threaded fan-out, and
-//! the pruned top-k screen — and shows all three agreeing bit for bit
-//! while doing decreasing amounts of work.
+//! three ways — on one thread, fanned out over four, and through the
+//! pruned top-k screen — and shows all three agreeing bit for bit while
+//! doing decreasing amounts of work.
 
 use causality::prelude::*;
-use causality_core::ranking::{rank_why_so_cached, rank_why_so_parallel, RankConfig};
+use causality_core::ranking::{rank_why_so_parallel, RankConfig};
 use causality_datagen::imdb::{burton_genre_query, generate, ImdbConfig};
 use std::time::Instant;
 
@@ -25,25 +25,25 @@ fn main() {
     });
     let query = burton_genre_query().ground(&[Value::from("Musical")]);
     let cache = SharedIndexCache::new();
+    let one_thread = RankConfig::default();
     // Prime the shared join indexes so the three timings below compare
     // ranking compute, not first-touch index builds.
-    rank_why_so_cached(&db, &query, Method::Auto, Some(&cache)).unwrap();
+    rank_why_so_parallel(&db, &query, &one_thread, Some(&cache)).unwrap();
 
-    // Sequential reference: every candidate solved, one thread.
+    // One thread: every candidate solved on the calling thread.
     let t0 = Instant::now();
-    let sequential = rank_why_so_cached(&db, &query, Method::Auto, Some(&cache)).unwrap();
+    let full = rank_why_so_parallel(&db, &query, &one_thread, Some(&cache))
+        .unwrap()
+        .causes;
     let t_seq = t0.elapsed();
-    println!(
-        "sequential: ranked {} causes in {t_seq:?}",
-        sequential.len()
-    );
+    println!("one thread: ranked {} causes in {t_seq:?}", full.len());
 
     // Fan-out: same candidates, sharded over 4 threads, same output.
     let cfg = RankConfig::with_parallelism(4);
     let t0 = Instant::now();
     let fanout = rank_why_so_parallel(&db, &query, &cfg, Some(&cache)).unwrap();
     let t_par = t0.elapsed();
-    assert_eq!(fanout.causes, sequential, "bit-identical order");
+    assert_eq!(fanout.causes, full, "bit-identical order");
     println!(
         "fan-out:    ranked {} causes on {} threads in {t_par:?}",
         fanout.causes.len(),
@@ -55,7 +55,7 @@ fn main() {
     let t0 = Instant::now();
     let top3 = rank_why_so_parallel(&db, &query, &cfg, Some(&cache)).unwrap();
     let t_top = t0.elapsed();
-    assert_eq!(top3.causes, sequential[..3], "top-3 is the same prefix");
+    assert_eq!(top3.causes, full[..3], "top-3 is the same prefix");
     println!(
         "top-3:      solved {} of {} candidates ({} pruned by the upper-bound \
          screen) in {t_top:?}\n",

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use causality_core::dichotomy::classify::{classify_why_so, Complexity};
     pub use causality_core::explain::{ExplainMode, Explainer, Explanation};
     pub use causality_core::ranking::{
-        rank_why_no, rank_why_so, rank_why_so_parallel, Method, RankConfig, RankStats, RankedTopK,
+        rank_why_no, rank_why_so_parallel, Method, RankConfig, RankStats, RankedTopK,
     };
     pub use causality_core::resp::approx::{
         anytime_min_contingency, AnytimeOutcome, ApproxBudget, RhoBounds,

@@ -6,14 +6,37 @@
 //! and `causality_core::resp::exact::oracle`. A final pair of
 //! properties re-runs the ranking bit-identity guarantee on top of the
 //! arena path: exact ranking matches the per-cause oracle, and the
-//! parallel executor stays bit-identical to sequential.
+//! ranker stays bit-identical to the reference ranking (each cause
+//! solved alone, then sorted) at every parallelism level.
 
 use causality::prelude::*;
-use causality_core::ranking::{rank_why_so_cached, rank_why_so_parallel, RankConfig};
+use causality_core::ranking::{rank_why_so_parallel, RankConfig, RankedCause};
 use causality_core::resp::exact;
 use causality_lineage::{oracle as lineage_oracle, Conjunct, Dnf, LineageArena};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// The reference `Auto` ranking, sharing none of the ranker's code:
+/// every actual cause solved alone by `why_so_responsibility` (each call
+/// derives its own lineage), sorted by ρ descending, then by tuple.
+fn reference_ranking(db: &Database, q: &ConjunctiveQuery) -> Vec<RankedCause> {
+    let mut ranked: Vec<RankedCause> = why_so_causes(db, q)
+        .unwrap()
+        .actual
+        .into_iter()
+        .map(|t| RankedCause {
+            tuple: t,
+            responsibility: why_so_responsibility(db, q, t).unwrap(),
+        })
+        .collect();
+    ranked.sort_by(|a, b| {
+        b.responsibility
+            .rho
+            .total_cmp(&a.responsibility.rho)
+            .then(a.tuple.cmp(&b.tuple))
+    });
+    ranked
+}
 
 /// Build a DNF from raw `(rel, row)` conjunct descriptions. Empty inner
 /// vectors become the empty conjunct (the tautology case).
@@ -126,7 +149,8 @@ proptest! {
         }
         let q = ConjunctiveQuery::parse("q :- R(x, y), S(y)").unwrap();
         let phin = lineage_oracle::minimized(&causality_lineage::n_lineage(&db, &q).unwrap());
-        for rc in rank_why_so_cached(&db, &q, Method::Exact, None).unwrap() {
+        let cfg = RankConfig { method: Method::Exact, ..RankConfig::default() };
+        for rc in rank_why_so_parallel(&db, &q, &cfg, None).unwrap().causes {
             let gamma = exact::oracle::min_contingency_from_lineage(&phin, rc.tuple)
                 .expect("ranked causes are causes");
             prop_assert_eq!(
@@ -158,14 +182,14 @@ proptest! {
             db.insert_endo(s, vec![Value::from(i64::from(y))]);
         }
         let q = ConjunctiveQuery::parse("q :- R(x, y), S(y)").unwrap();
-        let sequential = rank_why_so_cached(&db, &q, Method::Auto, None).unwrap();
+        let reference = reference_ranking(&db, &q);
         for parallelism in [1usize, 2, 8] {
             let full = rank_why_so_parallel(
                 &db, &q, &RankConfig::with_parallelism(parallelism), None).unwrap();
-            prop_assert_eq!(&full.causes, &sequential);
+            prop_assert_eq!(&full.causes, &reference);
             let topk = rank_why_so_parallel(
                 &db, &q, &RankConfig::with_parallelism(parallelism).top_k(k), None).unwrap();
-            prop_assert_eq!(&topk.causes, &sequential[..k.min(sequential.len())]);
+            prop_assert_eq!(&topk.causes, &reference[..k.min(reference.len())]);
         }
     }
 }
