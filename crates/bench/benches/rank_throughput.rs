@@ -38,11 +38,15 @@ fn mean_micros(iters: u32, mut f: impl FnMut()) -> f64 {
 /// output equality checked, printed once before the Criterion timings.
 ///
 /// The fan-out can only beat one thread when the host has cores to fan
-/// out over: a `std::thread::scope` of 4 workers costs ~50–100 µs to
-/// spawn and join, i.e. well under 10 % of one ranking pass on this
-/// workload, so on ≥ 4 cores the 4-thread pass lands at ~3× the
-/// one-thread throughput. On a 1-core host (some CI sandboxes) the same
-/// numbers show the overhead instead — which is why the note prints the
+/// out over and the per-cause work outweighs the spawn. Algorithm 1
+/// builds one network per ranking and counterfactual causes are read
+/// off the lineage, so on a 2-core host a one-thread pass on this
+/// workload takes ~200–370 µs (~2.6 ms when every cause rebuilt its own
+/// network), while a `std::thread::scope` of 4 workers costs ~140–160 µs
+/// to spawn and join: about two thirds of a pass, where it used to be
+/// ~6 %. On that host 2–8 threads ran at 0.2–0.7× one thread, and the
+/// 4-thread top-5 screen at 0.4–0.8×. The fan-out pays only where per-cause
+/// solves cost well over the spawn, which is why the note prints the
 /// host's available parallelism next to the measurements.
 fn print_scaling_note() {
     let (db, q) = workload(4000);
@@ -61,7 +65,7 @@ fn print_scaling_note() {
         std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
     );
     println!(
-        "candidate causes ranked per call: {} (all weakly linear: Algorithm 1 per cause)",
+        "candidate causes ranked per call: {} (all weakly linear: one Algorithm 1 network per ranking)",
         full.len()
     );
     let baseline = mean_micros(iters, || {

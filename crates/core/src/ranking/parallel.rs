@@ -13,8 +13,15 @@
 //!   enough). The n-lineage is interned and minimized **once** in arena
 //!   form ([`LineageArena`] + [`BitDnf`]); workers borrow the same
 //!   conjunct bitsets (`&VarSet` slices) in place — zero per-candidate
-//!   cloning — and the thread-safe [`SharedIndexCache`] makes every
-//!   per-cause flow run reuse one set of join indexes.
+//!   cloning — and, when Algorithm 1 ranks the causes, they share one
+//!   junction network (one `FlowPlan` per ranking): each cause changes
+//!   only capacities, on its own copy.
+//! * **Counterfactual read-off** — a candidate that occurs in every
+//!   conjunct of the minimized lineage is counterfactual (Theorem 3.2),
+//!   and Def. 2.3 fixes its answer: ρ = 1 with Γ = ∅, the only
+//!   contingency of size 0. It is read off the lineage under every
+//!   method, with no solve; Algorithm 1 and the exact solver return the
+//!   same value for it.
 //! * **Top-k early termination** — when only the `k` most responsible
 //!   causes are wanted (the Fig. 2b table is rarely shown in full),
 //!   candidates are screened with a cheap, sound upper bound on ρ and
@@ -48,10 +55,12 @@ use crate::causes::causes_from_minimized_whyso;
 use crate::error::CoreError;
 use crate::ranking::{elapsed_us, sort_ranked, Method, RankedCause};
 use crate::resp::exact::responsibility_from_bits;
+use crate::resp::flow::FlowPlan;
 use crate::resp::{self, Responsibility};
 use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, TupleRef};
+use causality_graph::maxflow::FlowAlgorithm;
 use causality_lineage::{minimized_n_lineage, BitDnf, LineageArena, VarSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Tuning knobs of a ranking run.
@@ -125,18 +134,33 @@ pub struct RankedTopK {
     pub stats: RankStats,
 }
 
-/// One screened candidate: its tuple and a sound upper bound on ρ.
+/// One screened candidate: its tuple, whether it is counterfactual, and
+/// a sound upper bound on ρ.
 #[derive(Clone, Copy, Debug)]
 struct Candidate {
     tuple: TupleRef,
+    counterfactual: bool,
     upper_bound: f64,
 }
 
 /// Rank the Why-So causes of a Boolean query by responsibility,
 /// descending (ties broken by tuple identity), on `cfg.parallelism`
 /// threads, optionally truncated (and pruned) to the top `k`. The
-/// optional [`SharedIndexCache`] lets the lineage evaluation and every
-/// per-cause flow run reuse one set of join indexes.
+/// optional [`SharedIndexCache`] lets the lineage evaluation and the
+/// flow network's evaluation reuse one set of join indexes.
+///
+/// Counterfactual causes are read off the lineage (ρ = 1, Γ = ∅) under
+/// every method. The rest are solved on one Algorithm 1 network built
+/// before the fan-out and shared by every worker, or by the exact solver
+/// on the shared lineage. Whether the ranking builds that network is
+/// decided once: never under [`Method::Exact`] or when no candidate can
+/// be solved (no causes, or `top_k: Some(0)`); always under
+/// [`Method::Flow`], so its query-level errors surface even when every
+/// cause is counterfactual; under [`Method::Auto`] only when some cause
+/// is not counterfactual, falling back to the exact solver for the whole
+/// ranking when Algorithm 1 does not apply. Every Algorithm 1 error is
+/// query-level, so this one decision is what a per-cause dispatch would
+/// decide for every cause.
 ///
 /// This is the one Why-So ranker. The output is bit-identical at every
 /// parallelism level, and with `top_k: Some(k)` it is the first `k`
@@ -162,16 +186,20 @@ pub fn rank_why_so_parallel(
     let mut candidates: Vec<Candidate> = causes
         .actual
         .iter()
-        .map(|&tuple| Candidate {
-            tuple,
-            // Only pruning reads the bound, and a full ranking never
-            // prunes.
-            upper_bound: if cfg.top_k.is_none() || causes.counterfactual.contains(&tuple) {
-                1.0
-            } else {
-                let v = arena.id(tuple).expect("causes come from the lineage");
-                1.0 / (1.0 + disjoint_packing_bound(&phin, v, &mut packing_scratch) as f64)
-            },
+        .map(|&tuple| {
+            let counterfactual = causes.counterfactual.contains(&tuple);
+            Candidate {
+                tuple,
+                counterfactual,
+                // Only pruning reads the bound, and a full ranking never
+                // prunes.
+                upper_bound: if cfg.top_k.is_none() || counterfactual {
+                    1.0
+                } else {
+                    let v = arena.id(tuple).expect("causes come from the lineage");
+                    1.0 / (1.0 + disjoint_packing_bound(&phin, v, &mut packing_scratch) as f64)
+                },
+            }
         })
         .collect();
     // Screen order: most promising first, ties by tuple identity (the
@@ -179,22 +207,19 @@ pub fn rank_why_so_parallel(
     // is stable, so the order is deterministic).
     candidates.sort_by(|a, b| b.upper_bound.total_cmp(&a.upper_bound));
 
+    let plan = flow_plan(db, q, cfg, cache, &candidates)?;
     let threads = cfg.parallelism.max(1).min(candidates.len().max(1));
     let shared = RankShared {
-        db,
-        q,
-        method: cfg.method,
-        cache,
         candidates: &candidates,
         cursor: AtomicUsize::new(0),
         pruned: AtomicUsize::new(0),
-        failed: AtomicBool::new(false),
         threshold: cfg.top_k.map(|k| Mutex::new(TopKThreshold::new(k))),
         arena: &arena,
         phin: &phin,
+        plan: plan.as_ref(),
     };
 
-    let mut slots: Vec<Option<Result<Responsibility, CoreError>>> = if threads == 1 {
+    let slots: Vec<Option<Responsibility>> = if threads == 1 {
         // Sequential fast path: no spawn overhead, same pruning logic.
         let mut slots = vec![None; candidates.len()];
         rank_worker(&shared, &mut slots);
@@ -224,19 +249,17 @@ pub fn rank_why_so_parallel(
         merged
     };
 
-    // Deterministic error reporting: the first failed candidate in
-    // screen order wins, independent of thread interleaving.
-    let mut ranked = Vec::with_capacity(slots.len());
-    for (candidate, slot) in candidates.iter().zip(slots.iter_mut()) {
-        match slot.take() {
-            Some(Ok(responsibility)) => ranked.push(RankedCause {
+    // Unfilled slots were pruned.
+    let mut ranked: Vec<RankedCause> = candidates
+        .iter()
+        .zip(slots)
+        .filter_map(|(candidate, slot)| {
+            slot.map(|responsibility| RankedCause {
                 tuple: candidate.tuple,
                 responsibility,
-            }),
-            Some(Err(e)) => return Err(e),
-            None => {} // pruned
-        }
-    }
+            })
+        })
+        .collect();
     let computed = ranked.len();
     sort_ranked(&mut ranked);
     if let Some(k) = cfg.top_k {
@@ -258,17 +281,11 @@ pub fn rank_why_so_parallel(
 
 /// State shared by the fan-out workers (all borrows — scoped threads).
 struct RankShared<'a> {
-    db: &'a Database,
-    q: &'a ConjunctiveQuery,
-    method: Method,
-    cache: Option<&'a SharedIndexCache>,
     candidates: &'a [Candidate],
     /// Next candidate index to claim.
     cursor: AtomicUsize,
     /// Candidates skipped by the top-k bound.
     pruned: AtomicUsize,
-    /// Set once any worker hits an error; others stop claiming work.
-    failed: AtomicBool,
     /// The `k` best ρ values computed so far (absent without `top_k`).
     threshold: Option<Mutex<TopKThreshold>>,
     /// The interner resolving variable ids back to tuples at the result
@@ -277,17 +294,17 @@ struct RankShared<'a> {
     /// The minimized n-lineage in arena form, shared by the exact solves
     /// (workers read the same conjunct bitsets in place).
     phin: &'a BitDnf,
+    /// The ranking's one Algorithm 1 network; `None` sends every
+    /// non-counterfactual cause to the exact solver.
+    plan: Option<&'a FlowPlan>,
 }
 
 /// Claims candidates off the shared cursor until the list is drained,
 /// writing each computed responsibility into the worker's slot vector
 /// (slot `i` belongs to screened candidate `i`; a worker only ever fills
 /// slots it claimed, so merging is conflict-free).
-fn rank_worker(shared: &RankShared<'_>, slots: &mut [Option<Result<Responsibility, CoreError>>]) {
+fn rank_worker(shared: &RankShared<'_>, slots: &mut [Option<Responsibility>]) {
     loop {
-        if shared.failed.load(Ordering::Relaxed) {
-            return;
-        }
         let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
         let Some(candidate) = shared.candidates.get(i) else {
             return;
@@ -302,47 +319,55 @@ fn rank_worker(shared: &RankShared<'_>, slots: &mut [Option<Result<Responsibilit
                 continue;
             }
         }
-        let result = compute_responsibility(shared, candidate.tuple);
-        if let Ok(responsibility) = &result {
-            if let Some(threshold) = &shared.threshold {
-                threshold
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .record(responsibility.rho);
-            }
-        } else {
-            shared.failed.store(true, Ordering::Relaxed);
+        let responsibility = compute_responsibility(shared, candidate);
+        if let Some(threshold) = &shared.threshold {
+            threshold
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .record(responsibility.rho);
         }
-        slots[i] = Some(result);
+        slots[i] = Some(responsibility);
     }
 }
 
-/// One per-cause responsibility solve, dispatching like
-/// [`resp::why_so_responsibility`] — except that the exact branch reuses
-/// the already computed minimized lineage instead of re-deriving it per
-/// cause.
-fn compute_responsibility(
-    shared: &RankShared<'_>,
-    t: TupleRef,
-) -> Result<Responsibility, CoreError> {
-    let exact_from_lineage = || Ok(responsibility_from_bits(shared.arena, shared.phin, t));
-    match shared.method {
-        Method::Exact => exact_from_lineage(),
-        Method::Flow => {
-            resp::flow::why_so_responsibility_flow_cached(shared.db, shared.q, t, shared.cache)
-        }
-        Method::Auto => {
-            match resp::flow::why_so_responsibility_flow_cached(
-                shared.db,
-                shared.q,
-                t,
-                shared.cache,
-            ) {
-                Ok(r) => Ok(r),
-                Err(e) if resp::flow_inapplicable(&e) => exact_from_lineage(),
-                Err(e) => Err(e),
-            }
-        }
+/// Decides, before the fan-out, whether the ranking solves its causes on
+/// one Algorithm 1 network (see [`rank_why_so_parallel`]). Under
+/// [`Method::Auto`] an inapplicable query means the exact solver; any
+/// other error is the ranking's.
+fn flow_plan(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    cfg: &RankConfig,
+    cache: Option<&SharedIndexCache>,
+    candidates: &[Candidate],
+) -> Result<Option<FlowPlan>, CoreError> {
+    if candidates.is_empty() || cfg.top_k == Some(0) {
+        return Ok(None);
+    }
+    let plan = || FlowPlan::new(db, q, FlowAlgorithm::Dinic, cache);
+    match cfg.method {
+        Method::Exact => Ok(None),
+        Method::Flow => plan().map(Some),
+        Method::Auto if candidates.iter().all(|c| c.counterfactual) => Ok(None),
+        Method::Auto => match plan() {
+            Ok(plan) => Ok(Some(plan)),
+            Err(e) if resp::flow_inapplicable(&e) => Ok(None),
+            Err(e) => Err(e),
+        },
+    }
+}
+
+/// One per-cause responsibility: read off for a counterfactual cause
+/// (Def. 2.3: ∅ is the only contingency of size 0), else solved on the
+/// ranking's flow network, or by the exact solver on the shared
+/// minimized lineage when there is none.
+fn compute_responsibility(shared: &RankShared<'_>, candidate: &Candidate) -> Responsibility {
+    if candidate.counterfactual {
+        return Responsibility::from_contingency(Vec::new());
+    }
+    match shared.plan {
+        Some(plan) => plan.solve(candidate.tuple).0,
+        None => responsibility_from_bits(shared.arena, shared.phin, candidate.tuple),
     }
 }
 
@@ -411,9 +436,14 @@ mod tests {
 
     /// The reference ranking, sharing none of the ranker's code: every
     /// actual cause solved alone by its method's single-tuple function
-    /// (each call derives its own lineage), sorted by ρ descending, then
-    /// by tuple.
+    /// (each call derives its own lineage), with Algorithm 1 taken from
+    /// the seed [`resp::flow::oracle`], sorted by ρ descending, then by
+    /// tuple.
     fn reference_ranking(db: &Database, q: &ConjunctiveQuery, method: Method) -> Vec<RankedCause> {
+        let flow = |t| {
+            resp::flow::oracle::why_so_responsibility_flow_with(db, q, t, FlowAlgorithm::Dinic)
+                .map(|(r, _)| r)
+        };
         let mut ranked: Vec<RankedCause> = why_so_causes(db, q)
             .unwrap()
             .actual
@@ -421,9 +451,14 @@ mod tests {
             .map(|t| RankedCause {
                 tuple: t,
                 responsibility: match method {
-                    Method::Auto => resp::why_so_responsibility(db, q, t),
+                    Method::Auto => match flow(t) {
+                        Err(e) if resp::flow_inapplicable(&e) => {
+                            resp::exact::why_so_responsibility_exact(db, q, t)
+                        }
+                        other => other,
+                    },
                     Method::Exact => resp::exact::why_so_responsibility_exact(db, q, t),
-                    Method::Flow => resp::flow::why_so_responsibility_flow(db, q, t),
+                    Method::Flow => flow(t),
                 }
                 .unwrap(),
             })

@@ -18,6 +18,18 @@
 //! valuation path `p` through `t`, set `p − {t}` to ∞ (the witness that
 //! keeps `q` true once `t` is restored), compute the min-cut `Γ_p`, and
 //! take `ρ_t = 1 / (1 + min_p |Γ_p|)`.
+//!
+//! The network depends only on the query and the database: nodes and
+//! edges are created in valuation order, never in an order that depends
+//! on `t`, and `t` changes only capacities (its own edge to 0, the rest
+//! of each witness path to ∞). So a `FlowPlan` marks the query, certifies
+//! weak linearity, evaluates and builds the network **once**, and then
+//! solves any number of tuples on per-call copies of the capacities: the
+//! ranker shares one plan across all of a ranking's causes, and the
+//! single-tuple functions below are a plan of one. The seed per-tuple
+//! implementation survives in [`oracle`] as the differential baseline.
+
+pub mod oracle;
 
 use crate::dichotomy::aquery::AQuery;
 use crate::dichotomy::weaken::weakly_linear_certificate;
@@ -31,7 +43,7 @@ use causality_graph::maxflow::{EdgeHandle, FlowAlgorithm, FlowNetwork, INF};
 use std::collections::{BTreeSet, HashMap};
 
 /// Diagnostic statistics of one Algorithm 1 run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlowStats {
     /// Junction + terminal nodes in the network.
     pub nodes: usize,
@@ -61,7 +73,7 @@ pub fn why_so_responsibility_flow_cached(
     t: TupleRef,
     cache: Option<&SharedIndexCache>,
 ) -> Result<Responsibility, CoreError> {
-    flow_impl(db, q, t, FlowAlgorithm::Dinic, cache).map(|(r, _)| r)
+    solve_one(db, q, t, FlowAlgorithm::Dinic, cache).map(|(r, _)| r)
 }
 
 /// As [`why_so_responsibility_flow`], with algorithm choice and stats
@@ -72,171 +84,201 @@ pub fn why_so_responsibility_flow_with(
     t: TupleRef,
     algo: FlowAlgorithm,
 ) -> Result<(Responsibility, FlowStats), CoreError> {
-    flow_impl(db, q, t, algo, None)
+    solve_one(db, q, t, algo, None)
 }
 
-fn flow_impl(
+/// A plan of one. A self-join is reported before `NotEndogenous`
+/// ([`FlowPlan::new`] checks it first), which is before every other
+/// query-level error.
+fn solve_one(
     db: &Database,
     q: &ConjunctiveQuery,
     t: TupleRef,
     algo: FlowAlgorithm,
     cache: Option<&SharedIndexCache>,
 ) -> Result<(Responsibility, FlowStats), CoreError> {
-    if q.has_self_join() {
-        return Err(CoreError::SelfJoin {
-            query: q.to_string(),
-        });
-    }
-    if !db.is_endogenous(t) {
+    if !q.has_self_join() && !db.is_endogenous(t) {
         return Err(CoreError::NotEndogenous);
     }
-    let marked = mark_query(db, q)?;
-    let aq = AQuery::from_query(&marked)?;
-    let cert = weakly_linear_certificate(&aq)?.ok_or_else(|| CoreError::NotWeaklyLinear {
-        query: q.to_string(),
-    })?;
-    let order = cert.linear_order;
-    let weakened = cert.weakened;
+    Ok(FlowPlan::new(db, q, algo, cache)?.solve(t))
+}
 
-    let result = match cache {
-        Some(c) => evaluate_with_cache(db, q, c)?,
-        None => evaluate(db, q)?,
-    };
-    if result.valuations.is_empty() {
-        return Ok((Responsibility::not_a_cause(), FlowStats::default()));
-    }
-    let m = order.len();
+/// Algorithm 1's junction network for one query over one database,
+/// built once and solved for any number of tuples.
+///
+/// The network holds every endogenous edge at capacity 1 and every
+/// exogenous edge at ∞; [`FlowPlan::solve`] applies one tuple's
+/// capacities to its own copy, so concurrent solves can share one
+/// `&FlowPlan`.
+pub(crate) struct FlowPlan {
+    algo: FlowAlgorithm,
+    net: FlowNetwork,
+    /// The endogenous tuple of each edge, by handle (`None` for a merged
+    /// exogenous edge); translates a min-cut back into tuples.
+    edge_tuple: Vec<Option<TupleRef>>,
+    /// Each endogenous tuple's edge and the indices of the valuation
+    /// paths through it.
+    by_tuple: HashMap<TupleRef, (EdgeHandle, Vec<usize>)>,
+    /// Every valuation's path as sorted edge handles, in valuation
+    /// order. Empty exactly when the query is false.
+    paths: Vec<Vec<EdgeHandle>>,
+}
 
-    // Boundary variables between consecutive atoms of the linear order.
-    let boundaries: Vec<Vec<VarId>> = (0..m.saturating_sub(1))
-        .map(|k| {
-            let shared = weakened.atoms[order[k]].vars & weakened.atoms[order[k + 1]].vars;
-            (0..64u32)
-                .filter(|v| shared & (1u64 << v) != 0)
-                .map(VarId)
-                .collect()
-        })
-        .collect();
-
-    let mut net = FlowNetwork::new(2); // 0 = source, 1 = sink
-    let mut nodes: HashMap<(usize, Vec<Value>), usize> = HashMap::new();
-    #[derive(PartialEq, Eq, Hash)]
-    enum EdgeKey {
-        Tuple(TupleRef),
-        Exo(usize, usize, usize),
-    }
-    let mut edges: HashMap<EdgeKey, EdgeHandle> = HashMap::new();
-    let mut handle_tuple: HashMap<EdgeHandle, TupleRef> = HashMap::new();
-    // Paths through t, deduplicated by edge set. A path has at most m
-    // edges, so a sorted m-element vec is both the compact dedup key
-    // and the deterministic (element-sequence ordered) iteration
-    // source for the per-witness min-cut loop below.
-    let mut witness_paths: BTreeSet<Vec<EdgeHandle>> = BTreeSet::new();
-    let mut t_edge: Option<EdgeHandle> = None;
-
-    for val in &result.valuations {
-        let mut path = Vec::with_capacity(m);
-        let mut contains_t = false;
-        let mut left = 0usize;
-        for k in 0..m {
-            let atom_idx = order[k];
-            let tuple = val.atom_tuples[atom_idx];
-            let right = if k + 1 == m {
-                1
-            } else {
-                let key: Vec<Value> = boundaries[k]
-                    .iter()
-                    .map(|&v| val.value(v).expect("boundary variable bound").clone())
-                    .collect();
-                match nodes.entry((k, key)) {
-                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let id = net.add_node();
-                        e.insert(id);
-                        id
-                    }
-                }
-            };
-            let endo = db.is_endogenous(tuple);
-            let key = if endo {
-                EdgeKey::Tuple(tuple)
-            } else {
-                EdgeKey::Exo(k, left, right)
-            };
-            let handle = *edges.entry(key).or_insert_with(|| {
-                let h = net.add_edge(left, right, if endo { 1 } else { INF });
-                if endo {
-                    handle_tuple.insert(h, tuple);
-                }
-                h
+impl FlowPlan {
+    /// Everything of Algorithm 1 that depends only on the query and the
+    /// database: the self-join check, marking, the weak-linearity
+    /// certificate, one evaluation and the junction network. Errors are
+    /// query-level: they hold for every tuple.
+    pub(crate) fn new(
+        db: &Database,
+        q: &ConjunctiveQuery,
+        algo: FlowAlgorithm,
+        cache: Option<&SharedIndexCache>,
+    ) -> Result<FlowPlan, CoreError> {
+        if q.has_self_join() {
+            return Err(CoreError::SelfJoin {
+                query: q.to_string(),
             });
-            if endo && tuple == t {
-                contains_t = true;
-                t_edge = Some(handle);
-            }
-            path.push(handle);
-            left = right;
         }
-        if contains_t {
+        let marked = mark_query(db, q)?;
+        let aq = AQuery::from_query(&marked)?;
+        let cert = weakly_linear_certificate(&aq)?.ok_or_else(|| CoreError::NotWeaklyLinear {
+            query: q.to_string(),
+        })?;
+        let order = cert.linear_order;
+        let weakened = cert.weakened;
+
+        let result = match cache {
+            Some(c) => evaluate_with_cache(db, q, c)?,
+            None => evaluate(db, q)?,
+        };
+        let m = order.len();
+
+        // Boundary variables between consecutive atoms of the linear order.
+        let boundaries: Vec<Vec<VarId>> = (0..m.saturating_sub(1))
+            .map(|k| {
+                let shared = weakened.atoms[order[k]].vars & weakened.atoms[order[k + 1]].vars;
+                (0..64u32)
+                    .filter(|v| shared & (1u64 << v) != 0)
+                    .map(VarId)
+                    .collect()
+            })
+            .collect();
+
+        let mut net = FlowNetwork::new(2); // 0 = source, 1 = sink
+        let mut nodes: HashMap<(usize, Vec<Value>), usize> = HashMap::new();
+        let mut exo_edges: HashMap<(usize, usize, usize), EdgeHandle> = HashMap::new();
+        let mut edge_tuple: Vec<Option<TupleRef>> = Vec::new();
+        let mut by_tuple: HashMap<TupleRef, (EdgeHandle, Vec<usize>)> = HashMap::new();
+        let mut paths: Vec<Vec<EdgeHandle>> = Vec::with_capacity(result.valuations.len());
+
+        for val in &result.valuations {
+            let mut path = Vec::with_capacity(m);
+            let mut left = 0usize;
+            for k in 0..m {
+                let atom_idx = order[k];
+                let tuple = val.atom_tuples[atom_idx];
+                let right = if k + 1 == m {
+                    1
+                } else {
+                    let key: Vec<Value> = boundaries[k]
+                        .iter()
+                        .map(|&v| val.value(v).expect("boundary variable bound").clone())
+                        .collect();
+                    *nodes.entry((k, key)).or_insert_with(|| net.add_node())
+                };
+                let handle = if db.is_endogenous(tuple) {
+                    let (handle, through) = by_tuple.entry(tuple).or_insert_with(|| {
+                        edge_tuple.push(Some(tuple));
+                        (net.add_edge(left, right, 1), Vec::new())
+                    });
+                    through.push(paths.len());
+                    *handle
+                } else {
+                    *exo_edges.entry((k, left, right)).or_insert_with(|| {
+                        edge_tuple.push(None);
+                        net.add_edge(left, right, INF)
+                    })
+                };
+                path.push(handle);
+                left = right;
+            }
             path.sort();
             path.dedup();
-            witness_paths.insert(path);
+            paths.push(path);
         }
+        Ok(FlowPlan {
+            algo,
+            net,
+            edge_tuple,
+            by_tuple,
+            paths,
+        })
     }
 
-    let Some(t_edge) = t_edge else {
-        // t grounds no valuation: not a cause.
-        return Ok((
-            Responsibility::not_a_cause(),
-            FlowStats {
-                nodes: net.node_count(),
-                edges: net.edge_count(),
-                paths: 0,
-                flow_runs: 0,
-            },
-        ));
-    };
-    net.set_capacity(t_edge, 0);
-
-    let mut stats = FlowStats {
-        nodes: net.node_count(),
-        edges: net.edge_count(),
-        paths: witness_paths.len(),
-        flow_runs: 0,
-    };
-
-    let mut best: Option<(u64, Vec<TupleRef>)> = None;
-    for path in &witness_paths {
-        // Protect the witness path: everything on it except t becomes ∞.
-        let saved: Vec<(EdgeHandle, u64)> = path
-            .iter()
-            .filter(|&&h| h != t_edge)
-            .map(|&h| (h, net.capacity(h)))
-            .collect();
-        for &(h, _) in &saved {
-            net.set_capacity(h, INF);
+    /// Algorithm 1 for one tuple on the shared network: `t`'s edge goes
+    /// to 0; for each witness path through `t`, in ascending order, the
+    /// rest of the path goes to ∞, max-flow runs, and the capacities are
+    /// restored. The first minimum cut wins.
+    pub(crate) fn solve(&self, t: TupleRef) -> (Responsibility, FlowStats) {
+        if self.paths.is_empty() {
+            // The query is false: nothing is a cause.
+            return (Responsibility::not_a_cause(), FlowStats::default());
         }
-        let flow = net.max_flow(0, 1, algo);
-        stats.flow_runs += 1;
-        for &(h, cap) in &saved {
-            net.set_capacity(h, cap);
-        }
-        if best.as_ref().is_none_or(|(b, _)| flow.value < *b) {
-            let gamma: Vec<TupleRef> = flow
-                .min_cut
+        let mut stats = FlowStats {
+            nodes: self.net.node_count(),
+            edges: self.net.edge_count(),
+            paths: 0,
+            flow_runs: 0,
+        };
+        let Some((t_edge, through)) = self.by_tuple.get(&t) else {
+            // t grounds no valuation: not a cause.
+            return (Responsibility::not_a_cause(), stats);
+        };
+        let t_edge = *t_edge;
+        // Paths through t, deduplicated by edge set. A path has at most m
+        // edges, so a sorted m-element slice is both the compact dedup key
+        // and the deterministic (element-sequence ordered) iteration
+        // source for the per-witness min-cut loop below.
+        let witness_paths: BTreeSet<&[EdgeHandle]> =
+            through.iter().map(|&i| self.paths[i].as_slice()).collect();
+        stats.paths = witness_paths.len();
+        let mut net = self.net.clone();
+        net.set_capacity(t_edge, 0);
+
+        let mut best: Option<(u64, Vec<TupleRef>)> = None;
+        for path in &witness_paths {
+            // Protect the witness path: everything on it except t becomes ∞.
+            let saved: Vec<(EdgeHandle, u64)> = path
                 .iter()
-                .filter_map(|h| handle_tuple.get(h).copied())
+                .filter(|&&h| h != t_edge)
+                .map(|&h| (h, net.capacity(h)))
                 .collect();
-            debug_assert_eq!(
-                gamma.len() as u64,
-                flow.value,
-                "cut is unit-capacity tuples"
-            );
-            best = Some((flow.value, gamma));
+            for &(h, _) in &saved {
+                net.set_capacity(h, INF);
+            }
+            let flow = net.max_flow(0, 1, self.algo);
+            stats.flow_runs += 1;
+            for &(h, cap) in &saved {
+                net.set_capacity(h, cap);
+            }
+            if best.as_ref().is_none_or(|(b, _)| flow.value < *b) {
+                let gamma: Vec<TupleRef> = flow
+                    .min_cut
+                    .iter()
+                    .filter_map(|h| self.edge_tuple[h.0])
+                    .collect();
+                debug_assert_eq!(
+                    gamma.len() as u64,
+                    flow.value,
+                    "cut is unit-capacity tuples"
+                );
+                best = Some((flow.value, gamma));
+            }
         }
+        let (_, gamma) = best.expect("witness path exists for t");
+        (Responsibility::from_contingency(gamma), stats)
     }
-    let (_, gamma) = best.expect("witness path exists for t");
-    Ok((Responsibility::from_contingency(gamma), stats))
 }
 
 /// Mark every atom with the nature of its relation as partitioned in the

@@ -83,8 +83,11 @@ pub fn why_so_responsibility(
 /// Whether Algorithm 1 refused the query for a reason the automatic
 /// method treats as "fall back to the exact solver" rather than a real
 /// error: the query is outside the flow algorithm's dichotomy class
-/// (not weakly linear, has a self-join) or its relations are not
-/// uniformly marked. One predicate shared by both Auto dispatches
+/// (not weakly linear, has a self-join), its relations are not
+/// uniformly marked, or the certificate could not be derived at all
+/// (more than 64 variables or atoms, or the weakening search gave up).
+/// The exact solver needs none of these, so every one of them is a
+/// fallback. One predicate shared by both Auto dispatches
 /// ([`why_so_responsibility`] and the ranker,
 /// [`crate::ranking::rank_why_so_parallel`]), so the fallback set cannot
 /// drift between them.
@@ -94,12 +97,17 @@ pub(crate) fn flow_inapplicable(e: &CoreError) -> bool {
         CoreError::NotWeaklyLinear { .. }
             | CoreError::SelfJoin { .. }
             | CoreError::UnmarkedAtom { .. }
+            | CoreError::TooLarge { .. }
+            | CoreError::BudgetExceeded { .. }
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::Explainer;
+    use crate::ranking::{rank_why_so_parallel, RankConfig};
+    use causality_engine::{Schema, Value};
 
     #[test]
     fn responsibility_values() {
@@ -117,5 +125,49 @@ mod tests {
         assert!((actual.rho - 1.0 / 3.0).abs() < 1e-12);
         assert!(actual.is_cause());
         assert!(!actual.is_counterfactual());
+    }
+
+    /// `q :- R(x0, …, x64)` over one endogenous row per entry of `rows`:
+    /// 65 variables is one past what `AQuery` (and so Algorithm 1's
+    /// certificate) can represent.
+    fn wide_instance(rows: &[i64]) -> (Database, ConjunctiveQuery, Vec<TupleRef>) {
+        let columns: Vec<String> = (0..65).map(|i| format!("c{i}")).collect();
+        let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+        let mut db = Database::new();
+        let r = db.add_relation(Schema::new("R", &columns));
+        let tuples = rows
+            .iter()
+            .map(|&row| db.insert_endo(r, vec![Value::from(row); 65]))
+            .collect();
+        let vars: Vec<String> = (0..65).map(|i| format!("x{i}")).collect();
+        let q = ConjunctiveQuery::parse(&format!("q :- R({})", vars.join(", "))).unwrap();
+        (db, q, tuples)
+    }
+
+    /// Algorithm 1 cannot certify a 65-variable query (`TooLarge`), so
+    /// every `Auto` entry point falls back to the exact solver instead
+    /// of erroring: one row is counterfactual, two rows are each other's
+    /// contingency.
+    #[test]
+    fn auto_falls_back_when_the_certificate_is_too_large() {
+        for (rows, rho) in [(&[1][..], 1.0), (&[1, 2][..], 0.5)] {
+            let (db, q, tuples) = wide_instance(rows);
+            assert!(matches!(
+                flow::why_so_responsibility_flow(&db, &q, tuples[0]),
+                Err(CoreError::TooLarge { what: "variables" })
+            ));
+            let exact = exact::why_so_responsibility_exact(&db, &q, tuples[0]).unwrap();
+            assert_eq!(exact.rho, rho);
+            assert_eq!(why_so_responsibility(&db, &q, tuples[0]).unwrap(), exact);
+
+            let ranked = rank_why_so_parallel(&db, &q, &RankConfig::default(), None).unwrap();
+            assert_eq!(ranked.causes.len(), rows.len());
+            assert_eq!(ranked.causes[0].tuple, tuples[0]);
+            assert_eq!(ranked.causes[0].responsibility, exact);
+
+            let explanation = Explainer::new(&db, &q).why(&[]).unwrap();
+            assert_eq!(explanation.causes.len(), rows.len());
+            assert_eq!(explanation.causes[0].rho, rho);
+        }
     }
 }

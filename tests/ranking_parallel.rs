@@ -18,17 +18,25 @@ use causality::prelude::*;
 use causality_core::causes::{
     brute_force_why_so, smallest_whyno_contingency, smallest_whyso_contingency,
 };
+use causality_core::error::CoreError;
 use causality_core::ranking::{rank_why_so_parallel, RankConfig, RankedCause};
 use causality_core::resp;
 use causality_engine::holds_masked;
+use causality_graph::maxflow::FlowAlgorithm;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// The reference ranking, sharing none of the ranker's code: every
 /// actual cause solved alone by its method's single-tuple function
-/// (each call derives its own lineage), sorted by ρ descending, then by
+/// (each call derives its own lineage), with Algorithm 1 taken from the
+/// seed `resp::flow::oracle` and `Auto` falling back to the exact solver
+/// where the oracle refuses the query, sorted by ρ descending, then by
 /// tuple.
 fn reference_ranking(db: &Database, q: &ConjunctiveQuery, method: Method) -> Vec<RankedCause> {
+    let flow = |t| {
+        resp::flow::oracle::why_so_responsibility_flow_with(db, q, t, FlowAlgorithm::Dinic)
+            .map(|(r, _)| r)
+    };
     let mut ranked: Vec<RankedCause> = why_so_causes(db, q)
         .unwrap()
         .actual
@@ -36,9 +44,18 @@ fn reference_ranking(db: &Database, q: &ConjunctiveQuery, method: Method) -> Vec
         .map(|t| RankedCause {
             tuple: t,
             responsibility: match method {
-                Method::Auto => resp::why_so_responsibility(db, q, t),
+                Method::Auto => match flow(t) {
+                    Err(
+                        CoreError::NotWeaklyLinear { .. }
+                        | CoreError::SelfJoin { .. }
+                        | CoreError::UnmarkedAtom { .. }
+                        | CoreError::TooLarge { .. }
+                        | CoreError::BudgetExceeded { .. },
+                    ) => resp::exact::why_so_responsibility_exact(db, q, t),
+                    other => other,
+                },
                 Method::Exact => resp::exact::why_so_responsibility_exact(db, q, t),
-                Method::Flow => resp::flow::why_so_responsibility_flow(db, q, t),
+                Method::Flow => flow(t),
             }
             .unwrap(),
         })
