@@ -1,7 +1,7 @@
 //! Experiment implementations — one per paper figure/table.
 //!
-//! Each function regenerates its artifact and returns a printable report;
-//! `EXPERIMENTS.md` records the outputs next to the paper's claims.
+//! Each function regenerates its artifact and returns a printable report,
+//! which the `experiments` binary prints.
 
 use crate::{render_table, time_once};
 use causality_core::dichotomy::aquery::AQuery;

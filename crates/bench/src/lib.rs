@@ -1,7 +1,7 @@
 //! # causality-bench — experiment harnesses and Criterion benches
 //!
 //! One regenerating artifact per figure/table of the paper (the
-//! per-experiment index lives in DESIGN.md §3):
+//! paper-to-code map in `docs/ARCHITECTURE.md` indexes them):
 //!
 //! * the `experiments` binary prints paper-style tables
 //!   (`cargo run -p causality_bench --bin experiments -- all`);

@@ -15,8 +15,8 @@
 //!   (`ρ = 1`) feeding `k` leaf edges (probe `ρ = 1/k`).
 //! * [`dense_triangles`] — a small-domain, high-density random triangle
 //!   database (no closed-form ρ) whose heavily overlapping witnesses
-//!   make exact min-contingency search genuinely expensive: the load
-//!   harness's "hard tenant" traffic.
+//!   make exact min-contingency search genuinely expensive: the
+//!   traffic of perfbench's `hard_triangles` tenants.
 //!
 //! All generators are deterministic: the fan/star families use no
 //! randomness at all, and the dense family is seeded.
@@ -104,7 +104,8 @@ pub fn selfjoin_star(k: usize) -> HardInstance {
     }
 }
 
-/// A dense random triangle database for the load harness's hard tenant.
+/// A dense random triangle database for perfbench's `hard_triangles`
+/// tenants.
 ///
 /// Small domain + many draws ⇒ most of the `nodes³` possible triangles
 /// exist and share tuples, so the exact min-contingency search branches

@@ -14,11 +14,12 @@
 //!   triangle databases (h2*'s hard shape), and random graphs.
 //! * [`hard_instances`] — NP-hard responsibility instances with *known*
 //!   exact answers by construction (triangle fans, self-join stars) plus
-//!   a dense random family for the load harness's hard tenant — the
-//!   shared ground truth for the anytime-approximation test layer.
-//! * [`tenants`] — multi-tenant serving workloads for the load harness:
-//!   per-tenant databases plus a seeded, Zipf-skewed op stream mixing
-//!   Why-So / Why-No / rank-top-k reads with cache-invalidating writes.
+//!   a dense random family for perfbench's `hard_triangles` tenants —
+//!   the shared ground truth for the anytime-approximation test layer.
+//! * [`tenants`] — multi-tenant serving workloads for perfbench's
+//!   `tenant_mix`: per-tenant databases plus a seeded, Zipf-skewed op
+//!   stream mixing Why-So / Why-No / rank-top-k reads with
+//!   cache-invalidating writes.
 //! * [`zipf`] — a seeded Zipf(α) sampler (inverse-CDF table).
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,6 @@
-//! Multi-tenant open-loop workload generation for the serving-tier load
-//! harness.
+//! Multi-tenant workload generation for the serving tier.
 //!
-//! The harness (`crates/bench/benches/load_harness.rs`) drives a
+//! perfbench's `tenant_mix` workload drives a
 //! [`ShardedService`](../causality_service) the way an interactive
 //! explanation front end would be driven: many tenants, each with its own
 //! database, issuing a skewed mix of Why-So / Why-No / rank-top-k reads
@@ -17,8 +16,8 @@
 //!   dependent cache lines) without disturbing any existing answer.
 //!
 //! Everything is seeded: the same [`TenantWorkloadConfig`] always yields
-//! byte-identical databases and op streams, so two harness runs measure
-//! the same work.
+//! byte-identical databases and op streams, so two benchmark runs
+//! measure the same work.
 
 use crate::zipf::Zipf;
 use causality_engine::{ConjunctiveQuery, Database, Schema, Value};
@@ -128,11 +127,6 @@ impl TenantOp {
             | TenantOp::RankTopK { tenant, .. }
             | TenantOp::Write { tenant, .. } => *tenant,
         }
-    }
-
-    /// Is this op a write?
-    pub fn is_write(&self) -> bool {
-        matches!(self, TenantOp::Write { .. })
     }
 }
 

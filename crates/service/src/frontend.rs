@@ -692,8 +692,8 @@ impl ShardedService {
 
     /// Like [`ShardedService::stats`], but zeroes every shard's monotone
     /// counters and latency histogram (queue-depth gauges stay live) —
-    /// the phase separator the load harness uses between warmup and the
-    /// timed window. Front-end resilience counters and the lifecycle
+    /// a phase separator between a warmup and the timed window after
+    /// it. Front-end resilience counters and the lifecycle
     /// counters (`shard_restarts`, `shard_quarantines`) are reported but
     /// **not** reset: a phase boundary does not undo a restart.
     pub fn snapshot_and_reset(&self) -> TierStats {

@@ -122,8 +122,8 @@ impl CausalityService {
 
     /// Like [`CausalityService::stats`], but also zeroes every monotone
     /// counter and the latency histogram (the queue-depth gauge stays
-    /// live), so successive measurement phases — warmup vs timed window
-    /// in the load harness — never bleed together.
+    /// live), so successive measurement phases — a warmup and the timed
+    /// window after it — never bleed together.
     pub fn snapshot_and_reset(&self) -> ServiceStats {
         self.tier.snapshot_and_reset().aggregate()
     }

@@ -190,7 +190,7 @@ impl StatsCounters {
     /// A point-in-time view that also zeroes every `Reset` counter and
     /// the latency histogram (the `queue_depth` gauge and the
     /// `Lifecycle` counters are left live), so successive measurement
-    /// phases — e.g. the load harness's warmup vs timed window — never
+    /// phases — e.g. a warmup and the timed window after it — never
     /// bleed into each other.
     ///
     /// Each counter is reset with one atomic `swap(0)`, so per counter a

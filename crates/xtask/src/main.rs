@@ -10,11 +10,10 @@
 //!   freshly-generated manifest against the newest committed one of the
 //!   same bench.
 //! * `trace-report FILE [FILE...]` — validate request-trace JSONL dumps
-//!   (`traces.jsonl` / `slowlog.jsonl`, as written by the load harness
-//!   or `export_traces`) against the `RequestTrace` schema and print a
-//!   per-stage latency breakdown (count / p50 / p99 / max) per file.
-//!   Any schema violation fails the run after listing every offending
-//!   line.
+//!   (as written by `export_traces` / `export_slow_log`) against the
+//!   `RequestTrace` schema and print a per-stage latency breakdown
+//!   (count / p50 / p99 / max) per file. Any schema violation fails the
+//!   run after listing every offending line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
 //! `trace-report` — validate a request-trace JSONL dump (as written by
-//! the load harness / `export_traces`) and render a per-stage latency
+//! `export_traces` / `export_slow_log`) and render a per-stage latency
 //! breakdown.
 //!
 //! Every line must be one JSON object matching the `RequestTrace`
@@ -12,6 +12,9 @@
 //! The report aggregates `dur_us` per stage across every valid record
 //! and prints count / p50 / p99 / max per stage plus an end-to-end
 //! total row.
+//!
+//! The tests run the gate over a dump of a live tier, so the kind and
+//! outcome lists below cannot fall behind the labels the service emits.
 
 use crate::json::{parse, Json};
 use causality_telemetry::Stage;
@@ -393,6 +396,153 @@ mod tests {
         }
         assert!(table.contains("total (e2e)"));
         assert!(table.contains("1 records, schema ok"));
+    }
+
+    /// The gate passes a dump of a live one-shard tier that holds `ok`
+    /// traces of every request kind, `overloaded`, `panicked` and
+    /// `error` outcomes, an `approx_refine` chain, a backed-off `retry`,
+    /// and a non-empty slow log.
+    #[test]
+    fn a_live_tier_dump_passes_the_gate() {
+        use causality_core::ranking::Method;
+        use causality_datagen::hard_instances::triangle_fan;
+        use causality_engine::database::example_2_2;
+        use causality_engine::{ConjunctiveQuery, Value};
+        use causality_service::{
+            ExplainRequest, ServiceConfig, ServiceError, ShardedService, TierConfig,
+        };
+        use causality_telemetry::TelemetryConfig;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Duration;
+
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            admission_limit: 2,
+            shard: ServiceConfig {
+                workers: 1,
+                batch_max: 1,
+                telemetry: TelemetryConfig {
+                    slow_latency: Some(Duration::from_millis(5)),
+                    ..TelemetryConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+            ..TierConfig::default()
+        });
+        let easy = tier.add_tenant("easy", example_2_2()).unwrap();
+        let fan = triangle_fan(4);
+        let hard = tier.add_tenant("hard", fan.db.clone()).unwrap();
+        let q = ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap();
+        let answer = |x: &str| vec![Value::str(x)];
+
+        for request in [
+            ExplainRequest::why_so(q.clone(), answer("a2")),
+            ExplainRequest::why_no(q.clone(), answer("a1")),
+            ExplainRequest::rank_top_k(q.clone(), answer("a4"), 1),
+        ] {
+            tier.explain(easy, request).unwrap().result.unwrap();
+        }
+        // Algorithm 1 refuses the triangle: a core error.
+        let flow = ExplainRequest::why_so(fan.query.clone(), vec![]).with_method(Method::Flow);
+        let refused = tier.explain(hard, flow).unwrap().result;
+        assert!(matches!(refused, Err(ServiceError::Core(_))), "{refused:?}");
+        // The anytime route under a deadline.
+        tier.submit_with_deadline(
+            hard,
+            ExplainRequest::why_so(fan.query.clone(), vec![]),
+            Duration::from_secs(5),
+        )
+        .unwrap()
+        .wait()
+        .unwrap()
+        .result
+        .unwrap();
+        // One panic, then a backed-off retry that succeeds.
+        let fired = AtomicBool::new(false);
+        tier.inject_fault(move |_| !fired.swap(true, Ordering::Relaxed));
+        let retried =
+            tier.explain_with_retry(easy, ExplainRequest::why_so(q.clone(), answer("a3")));
+        retried.unwrap().result.unwrap();
+        // Stalled work past an admission limit of 2: rejects, and slow
+        // requests for the slow log.
+        tier.inject_delay(|_| Some(Duration::from_millis(20)));
+        let mut accepted = Vec::new();
+        for _ in 0..8 {
+            match tier.submit(easy, ExplainRequest::why_so(q.clone(), answer("a4"))) {
+                Ok(pending) => accepted.push(pending),
+                Err(e) => assert!(matches!(e, ServiceError::Overloaded { .. }), "{e}"),
+            }
+        }
+        for pending in accepted {
+            pending.wait().unwrap().result.unwrap();
+        }
+
+        let traces = validate(&tier.export_traces()).expect("the trace dump passes the gate");
+        validate(&tier.export_slow_log()).expect("the slow log is non-empty and passes the gate");
+        for outcome in ["ok", "overloaded", "panicked", "error"] {
+            let slot = OUTCOMES.iter().position(|o| *o == outcome).unwrap();
+            assert!(traces.outcomes[slot] > 0, "no {outcome:?} trace");
+        }
+        for stage in ["approx_refine", "retry"] {
+            let slot = stage_slot(stage).unwrap();
+            assert!(!traces.durations[slot].is_empty(), "no {stage:?} span");
+        }
+        let recent = tier.recent_traces();
+        for kind in KINDS {
+            assert!(
+                recent.iter().any(|t| t.kind == kind && t.outcome == "ok"),
+                "no ok {kind:?} trace"
+            );
+        }
+        tier.shutdown();
+    }
+
+    /// `KINDS` and `OUTCOMES` are copied by hand from the service's
+    /// labels; they must list exactly those labels, in order.
+    #[test]
+    fn label_lists_match_the_service() {
+        use causality_core::CoreError;
+        use causality_service::{ExplainKind, ServiceError};
+        use std::time::Duration;
+
+        // Both matches are exhaustive on purpose: a new variant stops
+        // this test compiling until it is listed here.
+        let kinds = [
+            ExplainKind::WhySo,
+            ExplainKind::WhyNo,
+            ExplainKind::RankTopK(1),
+        ]
+        .map(|kind| match kind {
+            ExplainKind::WhySo | ExplainKind::WhyNo | ExplainKind::RankTopK(_) => kind.label(),
+        });
+        assert_eq!(kinds, KINDS);
+
+        let hint = Duration::from_millis(1);
+        let errors = [
+            ServiceError::Disconnected,
+            ServiceError::QueueFull,
+            ServiceError::Overloaded { retry_after: hint },
+            ServiceError::CircuitOpen { retry_after: hint },
+            ServiceError::DeadlineExceeded,
+            ServiceError::Timeout,
+            ServiceError::InvalidRequest(String::new()),
+            ServiceError::Core(CoreError::NotEndogenous),
+            ServiceError::Panicked(String::new()),
+        ];
+        let outcomes: Vec<&str> = std::iter::once("ok")
+            .chain(errors.iter().map(|e| match e {
+                ServiceError::Disconnected
+                | ServiceError::QueueFull
+                | ServiceError::Overloaded { .. }
+                | ServiceError::CircuitOpen { .. }
+                | ServiceError::DeadlineExceeded
+                | ServiceError::Timeout
+                | ServiceError::InvalidRequest(_)
+                | ServiceError::Core(_)
+                | ServiceError::Panicked(_) => e.outcome_label(),
+            }))
+            .collect();
+        assert_eq!(outcomes, OUTCOMES);
     }
 
     #[test]

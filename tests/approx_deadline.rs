@@ -146,22 +146,31 @@ fn expired_deadline_still_yields_sound_greedy_bounds() {
     });
 }
 
+/// A database for the weakly linear (PTIME) query [`ptime_query`].
+fn ptime_database() -> Database {
+    let mut db = Database::new();
+    let r = db.add_relation(Schema::new("R", &["x", "y"]));
+    let s = db.add_relation(Schema::new("S", &["y"]));
+    for (x, y) in [("a1", "a5"), ("a2", "a1"), ("a3", "a3"), ("a4", "a3")] {
+        db.insert_endo(r, vec![Value::str(x), Value::str(y)]);
+    }
+    for y in ["a1", "a3"] {
+        db.insert_endo(s, vec![Value::str(y)]);
+    }
+    db
+}
+
+fn ptime_query() -> ConjunctiveQuery {
+    ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap()
+}
+
 /// PTIME traffic is untouched by the router: with or without a
 /// deadline, the answer is the exact explanation, bit for bit.
 #[test]
 fn ptime_route_with_deadline_is_bit_identical_to_exact() {
     with_timeout(|| {
-        let mut db = Database::new();
-        let r = db.add_relation(Schema::new("R", &["x", "y"]));
-        let s = db.add_relation(Schema::new("S", &["y"]));
-        for (x, y) in [("a1", "a5"), ("a2", "a1"), ("a3", "a3"), ("a4", "a3")] {
-            db.insert_endo(r, vec![Value::str(x), Value::str(y)]);
-        }
-        for y in ["a1", "a3"] {
-            db.insert_endo(s, vec![Value::str(y)]);
-        }
         let svc = CausalityService::with_config(
-            db,
+            ptime_database(),
             ServiceConfig {
                 workers: 1,
                 // No caching between the two submissions: both compute.
@@ -169,8 +178,7 @@ fn ptime_route_with_deadline_is_bit_identical_to_exact() {
                 ..ServiceConfig::default()
             },
         );
-        let query = ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap();
-        let req = ExplainRequest::why_so(query, vec![Value::str("a2")]);
+        let req = ExplainRequest::why_so(ptime_query(), vec![Value::str("a2")]);
 
         let exact = svc.explain(req.clone()).unwrap().expect_explanation();
         let deadlined = svc
@@ -190,6 +198,67 @@ fn ptime_route_with_deadline_is_bit_identical_to_exact() {
         );
         assert_eq!(stats.deadline_misses, 0);
         svc.shutdown();
+    });
+}
+
+/// Mixed traffic takes each request's own route. One in four requests
+/// is an NP-hard `dense_triangles` question under a 2 ms deadline; the
+/// rest are deadline-free PTIME questions. Both tenants share the one
+/// worker of a one-shard tier. Every hard answer is approximate, every
+/// PTIME answer exact, no deadline is missed, and the queue drains.
+/// Identical hard requests in flight together coalesce into one
+/// computation, so the anytime counter may be lower than the number of
+/// approximate answers, but never zero.
+#[test]
+fn mixed_hard_and_ptime_traffic_takes_each_route() {
+    with_timeout(|| {
+        const ROUNDS: usize = 60;
+        let inst = dense_triangles(5, 40, 200);
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            admission_limit: ROUNDS,
+            shard: ServiceConfig {
+                workers: 1,
+                queue_capacity: ROUNDS,
+                ..ServiceConfig::default()
+            },
+            ..TierConfig::default()
+        });
+        let easy = tier.add_tenant("easy", ptime_database()).unwrap();
+        let hard = tier.add_tenant("hard", inst.db.clone()).unwrap();
+        let easy_req = ExplainRequest::why_so(ptime_query(), vec![Value::str("a2")]);
+        let hard_req = ExplainRequest::why_so(inst.query.clone(), vec![]);
+
+        let pending: Vec<(bool, _)> = (0..ROUNDS)
+            .map(|i| {
+                let is_hard = i % 4 == 0;
+                let submitted = if is_hard {
+                    tier.submit_with_deadline(hard, hard_req.clone(), Duration::from_millis(2))
+                } else {
+                    tier.submit(easy, easy_req.clone())
+                };
+                (is_hard, submitted.expect("sized for zero rejects"))
+            })
+            .collect();
+        let mut approximate = 0u64;
+        for (is_hard, handle) in pending {
+            let explanation = handle.wait().unwrap().expect_explanation();
+            if is_hard {
+                assert_sound_brackets(&explanation);
+                approximate += 1;
+            } else {
+                assert_eq!(explanation.mode, ExplainMode::Exact, "PTIME never degrades");
+            }
+        }
+        let stats = tier.stats().aggregate();
+        assert_eq!(stats.deadline_misses, 0);
+        assert!(
+            (1..=approximate).contains(&stats.approx_requests),
+            "{} anytime computations for {approximate} approximate answers",
+            stats.approx_requests
+        );
+        assert_eq!(stats.queue_depth, 0, "the mixed stream drained");
+        tier.shutdown();
     });
 }
 

@@ -1,12 +1,13 @@
-//! Seeded chaos smoke (PR 9): a compact version of the load harness's
-//! chaos soak, sized for the standard test job. A deterministic
+//! Seeded chaos soak, sized for the standard test job. A deterministic
 //! [`FaultPlan`] — panic bursts, worker stalls, cache poisoning,
 //! submission bursts, clock skew — is replayed against a two-shard tier
 //! driven entirely through `explain_with_retry`, and the run asserts
 //! the self-healing contract: zero silent drops (every submission comes
 //! back as an answer or a retryable reject with a retry-after hint),
-//! the wedged shards are quarantined and restarted by the supervisor,
-//! and the tier converges back to `Healthy` once the faults stop.
+//! every answer is the right one (the soak's writes join nothing, so
+//! each must equal the `Explainer`'s answer on the seed database), the
+//! wedged shards are quarantined and restarted by the supervisor, and
+//! the tier converges back to `Healthy` once the faults stop.
 
 use causality::prelude::*;
 use std::sync::mpsc;
@@ -146,6 +147,11 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
         tier.install_fault_plan(&plan);
         install_quiet_panic_hook();
 
+        // Every write adds an `S` row that joins no `R` row, so each
+        // answer the soak gets, retried or not, must be this one.
+        let expected = Explainer::new(&seed_database(), &query())
+            .why(&[Value::str("a2")])
+            .unwrap();
         let mut events: Vec<_> = plan.harness_events().copied().collect();
         let mut burst_handles = Vec::new();
         let mut submitted = 0u64;
@@ -165,7 +171,8 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
             submitted += 1;
             let was_rejected = match tier.explain_with_retry(tenant, req) {
                 Ok(resp) => match resp.result {
-                    Ok(_) => {
+                    Ok(explanation) => {
+                        assert_eq!(explanation, expected, "wrong answer to request {i}");
                         answered += 1;
                         false
                     }
@@ -232,7 +239,10 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
                 .wait()
                 .expect("restarted pools never lose a queued request");
             match resp.result {
-                Ok(_) => answered += 1,
+                Ok(explanation) => {
+                    assert_eq!(explanation, expected, "wrong answer to a burst request");
+                    answered += 1;
+                }
                 Err(e) => {
                     assert!(e.is_retryable(), "terminal burst error in soak: {e}");
                     rejected += 1;
@@ -282,7 +292,11 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
                 ExplainRequest::why_so(query(), vec![Value::str("a2")]),
             )
             .unwrap();
-        resp.result.expect("healed tier serves exact answers");
+        assert_eq!(
+            resp.expect_explanation(),
+            expected,
+            "healed tier serves exact answers"
+        );
         tier.shutdown();
     });
 }

@@ -200,6 +200,7 @@ fn admission_rejects_are_returned_not_dropped() {
         }
         assert_eq!(accepted.len() as u64 + rejected, 40, "no op vanished");
         assert!(rejected > 0, "an open loop of 40 must overrun a limit of 2");
+        assert!(!accepted.is_empty(), "admission admits up to the limit");
         for pending in accepted {
             pending.wait().unwrap().result.unwrap();
         }

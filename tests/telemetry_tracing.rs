@@ -182,6 +182,68 @@ fn slow_log_captures_requests_over_the_latency_threshold() {
     svc.shutdown();
 }
 
+/// The slow-log keeps the outlier with what explains it. On a one-worker
+/// tier with a 5 ms threshold, an unstalled PTIME request stays out,
+/// while a triangle request (NP-hard, Cor. 4.14) stalled 20 ms lands in
+/// it with its kind, dichotomy class and `kernel_solve` span.
+#[test]
+fn slow_log_keeps_the_np_hard_outlier_with_its_class() {
+    let tier = ShardedService::new(TierConfig {
+        shards: 1,
+        shard: traced_config(TelemetryConfig {
+            slow_latency: Some(Duration::from_millis(5)),
+            ..TelemetryConfig::default()
+        }),
+        ..TierConfig::default()
+    });
+    let easy = tier.add_tenant("easy", example_2_2()).unwrap();
+    let mut db = Database::new();
+    let r = db.add_relation(Schema::new("R", &["x", "y"]));
+    let s = db.add_relation(Schema::new("S", &["y", "z"]));
+    let t = db.add_relation(Schema::new("T", &["z", "x"]));
+    db.insert_endo(r, vec![Value::int(1), Value::int(2)]);
+    db.insert_endo(s, vec![Value::int(2), Value::int(3)]);
+    db.insert_endo(t, vec![Value::int(3), Value::int(1)]);
+    let hard = tier.add_tenant("triangle", db).unwrap();
+
+    tier.explain(
+        easy,
+        ExplainRequest::why_so(query(), vec![Value::str("a2")]),
+    )
+    .unwrap()
+    .result
+    .unwrap();
+    tier.inject_delay(|_| Some(Duration::from_millis(20)));
+    let triangle = ConjunctiveQuery::parse("h2 :- R(x, y), S(y, z), T(z, x)").unwrap();
+    tier.explain(hard, ExplainRequest::why_so(triangle, vec![]))
+        .unwrap()
+        .result
+        .expect("the Boolean triangle has causes");
+
+    let traces = tier.recent_traces();
+    assert_eq!(traces.len(), 2);
+    assert_eq!(traces[0].dichotomy, "PTIME", "the easy request is traced");
+    let slow = tier.slow_log_records();
+    assert_eq!(slow.len(), 1, "only the stalled request is slow: {slow:?}");
+    let outlier = &slow[0];
+    assert_eq!(outlier.kind, "why_so");
+    assert!(
+        outlier.dichotomy.starts_with("NP-hard"),
+        "the outlier carries its class: {:?}",
+        outlier.dichotomy
+    );
+    assert!(
+        outlier.stage(Stage::KernelSolve).is_some(),
+        "the outlier keeps its kernel-stage timing"
+    );
+    assert!(
+        outlier.total_us >= 5_000,
+        "the outlier overran the 5 ms threshold: {} µs",
+        outlier.total_us
+    );
+    tier.shutdown();
+}
+
 /// The sharded tier samples across shards: exports aggregate every
 /// shard's ring, and per-shard Prometheus series stay distinct.
 #[test]
