@@ -64,7 +64,9 @@ pub enum BreakerState {
     Closed,
     /// Traffic is shed until the open window elapses.
     Open,
-    /// A limited number of probe requests are admitted.
+    /// Every request is admitted as a probe: `half_open_probes`
+    /// consecutive successes close the breaker, and any failure reopens
+    /// it. Admissions are not capped.
     HalfOpen,
 }
 
@@ -136,9 +138,9 @@ impl BreakerRegistry {
     /// Should a request from `tenant` be admitted right now?
     ///
     /// Open breakers whose window elapsed transition to half-open here
-    /// (admission is the only edge that needs the wall clock), and the
-    /// first `half_open_probes` requests of a half-open breaker are
-    /// admitted as probes.
+    /// (admission is the only edge that needs the wall clock). A
+    /// half-open breaker admits every request; `half_open_probes` only
+    /// counts the consecutive successes that close it.
     pub fn admit(&self, tenant: u64) -> Admit {
         if self.cfg.failure_threshold == 0 {
             return Admit::Yes;
@@ -301,6 +303,25 @@ mod tests {
             BreakerState::HalfOpen,
             "one probe is not enough"
         );
+        b.record(1, true);
+        assert_eq!(b.state_of(1), BreakerState::Closed);
+    }
+
+    #[test]
+    fn half_open_admits_every_request_until_successes_close_it() {
+        // `half_open_probes: 2` counts successes; it does not cap how
+        // many requests a half-open breaker lets through.
+        let (clock, b, _m) = registry(cfg3());
+        for _ in 0..3 {
+            b.record(1, false);
+        }
+        clock.advance(Duration::from_millis(100));
+        for _ in 0..10 {
+            assert_eq!(b.admit(1), Admit::Yes);
+        }
+        assert_eq!(b.state_of(1), BreakerState::HalfOpen);
+        assert_eq!(b.rejects(), 0);
+        b.record(1, true);
         b.record(1, true);
         assert_eq!(b.state_of(1), BreakerState::Closed);
     }

@@ -37,7 +37,7 @@ use crate::clock::{Clock, SystemClock};
 use crate::dispatch::{Dispatcher, TenantId};
 use crate::request::{ExplainRequest, ExplainResponse, PendingExplain, ServiceError};
 use crate::retry::{backoff, JitterRng, RetryPolicy};
-use crate::shard::{lock_unpoisoned, validate, Enqueue, ServiceConfig, Shard};
+use crate::shard::{lock_unpoisoned, validate, ServiceConfig, Shard};
 use crate::stats::{FrontendStats, ServiceStats, StatsCounters};
 use crate::supervisor::{
     assess, HealthState, ShardSignals, ShardTracker, SupervisorConfig, Verdict,
@@ -47,7 +47,7 @@ use causality_core::explain::Explainer;
 use causality_core::resp::approx::ApproxBudget;
 use causality_engine::{Database, Snapshot, SnapshotStore};
 use causality_telemetry::{
-    metrics_jsonl, prometheus_text, traces_jsonl, Counter, MetricsRegistry, RequestTrace, Stage,
+    prometheus_text, traces_jsonl, Counter, MetricsRegistry, RequestTrace, Stage,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -67,9 +67,6 @@ pub struct TierConfig {
     /// admission keeps tail latency flat when an open-loop client
     /// outruns the tier.
     pub admission_limit: usize,
-    /// Deadline budget stamped on every request submitted without an
-    /// explicit one ([`None`] = no deadline).
-    pub default_deadline: Option<Duration>,
     /// Retry/backoff/hedging policy used by
     /// [`ShardedService::explain_with_retry`]. Plain
     /// [`ShardedService::submit`]/[`ShardedService::explain`] never
@@ -101,7 +98,6 @@ impl Default for TierConfig {
         TierConfig {
             shards: 4,
             admission_limit: shard.queue_capacity,
-            default_deadline: None,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             supervisor: SupervisorConfig::default(),
@@ -254,11 +250,6 @@ impl ShardedService {
         self.dispatcher.lookup(name)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of registered tenants.
     pub fn tenant_count(&self) -> usize {
         self.dispatcher.tenant_count()
@@ -270,11 +261,12 @@ impl ShardedService {
         self.shards.get(shard).map(|s| s.core.health.get())
     }
 
-    /// Submit through admission control with the tier's default deadline.
+    /// Submit through admission control, with no deadline.
     ///
-    /// Never blocks: past the shard's queue-depth limit the request is
-    /// rejected with [`ServiceError::Overloaded`] (and counted), which
-    /// is the backpressure signal of an open-loop front end. No retries:
+    /// Never blocks: past the shard's queue-depth limit, or with its
+    /// queue full, the request is rejected with
+    /// [`ServiceError::Overloaded`] (and counted), which is the
+    /// backpressure signal of an open-loop front end. No retries:
     /// transient rejects surface to the caller, who can use
     /// [`ServiceError::retry_after_hint`] or switch to
     /// [`ShardedService::explain_with_retry`].
@@ -283,7 +275,9 @@ impl ShardedService {
         tenant: TenantId,
         request: ExplainRequest,
     ) -> Result<PendingExplain, ServiceError> {
-        self.submit_inner(tenant, request, self.cfg.default_deadline, Enqueue::Admit)
+        let (tx, rx) = mpsc::channel();
+        self.submit_routed(tenant, request, None, tx, None)?;
+        Ok(PendingExplain { rx })
     }
 
     /// Submit with an explicit per-request deadline budget: if the
@@ -295,35 +289,21 @@ impl ShardedService {
         request: ExplainRequest,
         budget: Duration,
     ) -> Result<PendingExplain, ServiceError> {
-        self.submit_inner(tenant, request, Some(budget), Enqueue::Admit)
-    }
-
-    /// A single-shot submit onto the tenant's home shard, for the tier's
-    /// own `submit`s and for [`CausalityService`](crate::CausalityService)'s.
-    pub(crate) fn submit_inner(
-        &self,
-        tenant: TenantId,
-        request: ExplainRequest,
-        deadline: Option<Duration>,
-        mode: Enqueue,
-    ) -> Result<PendingExplain, ServiceError> {
         let (tx, rx) = mpsc::channel();
-        self.submit_routed(tenant, request, deadline, mode, tx, None)?;
+        self.submit_routed(tenant, request, Some(budget), tx, None)?;
         Ok(PendingExplain { rx })
     }
 
     /// The one submission path every entry point funnels through:
     /// validation, breaker admission, the brownout check, trace start
     /// (with the PR 9 `retry` span when this is a backed-off retry), job
-    /// construction, and the enqueue in `mode` onto shard
-    /// `tenant.shard()` (a retry or hedge passes a rerouted
-    /// [`TenantId::on_shard`]).
+    /// construction, and the enqueue onto shard `tenant.shard()` (a
+    /// retry or hedge passes a rerouted [`TenantId::on_shard`]).
     fn submit_routed(
         &self,
         tenant: TenantId,
         request: ExplainRequest,
         deadline: Option<Duration>,
-        mode: Enqueue,
         tx: mpsc::Sender<ExplainResponse>,
         retry_span: Option<(Instant, Duration)>,
     ) -> Result<(), ServiceError> {
@@ -382,7 +362,7 @@ impl ShardedService {
             tx,
             trace,
         };
-        shard.enqueue(job, mode)
+        shard.enqueue(job)
     }
 
     /// Update and read the brownout state from the tier-wide queued
@@ -510,8 +490,7 @@ impl ShardedService {
         self.submit_routed(
             tenant.on_shard(target),
             request.clone(),
-            self.cfg.default_deadline,
-            Enqueue::Admit,
+            None,
             tx.clone(),
             retry_span,
         )?;
@@ -526,14 +505,7 @@ impl ShardedService {
                 // the loser's send lands in a dropped receiver.
                 if let Some(sibling) = self.reroute_target(tenant, target) {
                     if self
-                        .submit_routed(
-                            tenant.on_shard(sibling),
-                            request,
-                            self.cfg.default_deadline,
-                            Enqueue::Admit,
-                            tx,
-                            None,
-                        )
+                        .submit_routed(tenant.on_shard(sibling), request, None, tx, None)
                         .is_ok()
                     {
                         self.fe.hedges.inc();
@@ -564,12 +536,6 @@ impl ShardedService {
     /// pools).
     pub fn snapshot(&self, tenant: TenantId) -> Result<Snapshot, ServiceError> {
         Ok(self.store(tenant)?.current())
-    }
-
-    /// Publish a whole new database as the tenant's next snapshot
-    /// version.
-    pub fn publish(&self, tenant: TenantId, db: Database) -> Result<u64, ServiceError> {
-        Ok(self.store(tenant)?.publish(db).version())
     }
 
     /// Copy-on-write update of the tenant's current snapshot; returns
@@ -745,17 +711,6 @@ impl ShardedService {
         prometheus_text(&[self.tier_registry.as_ref()], "causality_tier_")
     }
 
-    /// The same metric samples as [`ShardedService::export_metrics`],
-    /// rendered as JSONL (one `{"shard":…,"metric":…}` object per line).
-    pub fn export_metrics_jsonl(&self) -> String {
-        let registries: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| shard.core.registry.as_ref())
-            .collect();
-        metrics_jsonl(&registries)
-    }
-
     /// The sampled traces currently retained across all shard rings,
     /// oldest-first within each shard. Non-draining: exporting twice
     /// returns the same traces.
@@ -876,11 +831,25 @@ mod tests {
     use crate::breaker::BreakerState;
     use crate::clock::ManualClock;
     use causality_engine::database::example_2_2;
-    use causality_engine::{tup, ConjunctiveQuery, Value};
+    use causality_engine::{tup, ConjunctiveQuery, Schema, Value};
     use std::sync::atomic::AtomicBool;
 
     fn query() -> ConjunctiveQuery {
         ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap()
+    }
+
+    /// A one-tenant tier: one shard with breakers and the supervisor off,
+    /// serving `db` as its only tenant.
+    fn one_tenant(db: Database, shard: ServiceConfig) -> (ShardedService, TenantId) {
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            breaker: BreakerConfig::disabled(),
+            supervisor: SupervisorConfig::disabled(),
+            shard,
+            ..TierConfig::default()
+        });
+        let tenant = tier.add_tenant("default", db).unwrap();
+        (tier, tenant)
     }
 
     fn small_tier() -> ShardedService {
@@ -997,36 +966,6 @@ mod tests {
         assert_eq!(stats.admission_rejects, rejected);
         assert_eq!(stats.queue_depth, 0, "queue fully drained");
         tier.shutdown();
-    }
-
-    #[test]
-    fn default_deadline_is_stamped() {
-        let tier = ShardedService::new(TierConfig {
-            shards: 1,
-            default_deadline: Some(Duration::from_millis(5)),
-            shard: ServiceConfig {
-                workers: 1,
-                batch_max: 1,
-                ..ServiceConfig::default()
-            },
-            ..TierConfig::default()
-        });
-        let t = tier.add_tenant("t", example_2_2()).unwrap();
-        tier.inject_delay(|req| {
-            (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(60))
-        });
-        let blocker = tier
-            .submit(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
-            .unwrap();
-        let doomed = tier
-            .submit(t, ExplainRequest::why_so(query(), vec![Value::str("a3")]))
-            .unwrap();
-        assert!(matches!(
-            doomed.wait().unwrap().result,
-            Err(ServiceError::DeadlineExceeded)
-        ));
-        assert!(blocker.wait().unwrap().result.is_ok());
-        assert_eq!(tier.stats().aggregate().deadline_misses, 1);
     }
 
     #[test]
@@ -1302,5 +1241,417 @@ mod tests {
         assert!(text.contains("causality_tier_breaker_trips_total"));
         assert!(text.contains("causality_tier_brownout_served_total"));
         tier.shutdown();
+    }
+
+    #[test]
+    fn service_matches_direct_explainer() {
+        let (tier, t) = one_tenant(example_2_2(), ServiceConfig::default());
+        let q = query();
+        let resp = tier
+            .explain(t, ExplainRequest::why_so(q.clone(), vec![Value::str("a4")]))
+            .unwrap();
+        assert_eq!(resp.snapshot_version, 1);
+        assert!(!resp.cache_hit);
+        let served = resp.expect_explanation();
+
+        let db = example_2_2();
+        let direct = Explainer::new(&db, &q).why(&[Value::str("a4")]).unwrap();
+        assert_eq!(served, direct, "service output is bit-identical");
+        tier.shutdown();
+    }
+
+    #[test]
+    fn responsibility_cache_hits_are_identical() {
+        let (tier, t) = one_tenant(example_2_2(), ServiceConfig::default());
+        let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
+        let cold = tier.explain(t, req.clone()).unwrap();
+        let warm = tier.explain(t, req).unwrap();
+        assert!(!cold.cache_hit);
+        assert!(warm.cache_hit);
+        assert_eq!(
+            cold.expect_explanation(),
+            warm.expect_explanation(),
+            "cache hit is bit-identical to the cold answer"
+        );
+        let stats = tier.stats().aggregate();
+        assert_eq!(stats.cache_hits, 1);
+        assert_eq!(stats.cache_misses, 1);
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(
+            stats.latency_samples(),
+            2,
+            "every response is a latency sample"
+        );
+        assert!(stats.p99_us() >= stats.p50_us());
+    }
+
+    #[test]
+    fn why_no_and_top_k_kinds() {
+        let mut db = Database::new();
+        let r = db.add_relation(Schema::new("R", &["x", "y"]));
+        let s = db.add_relation(Schema::new("S", &["y"]));
+        db.insert_exo(r, tup![1, 2]);
+        db.insert_endo(s, tup![2]);
+        let (tier, t) = one_tenant(db, ServiceConfig::default());
+        let q = query();
+
+        let whyno = tier
+            .explain(t, ExplainRequest::why_no(q.clone(), vec![Value::int(1)]))
+            .unwrap()
+            .expect_explanation();
+        assert_eq!(whyno.causes.len(), 1);
+        assert_eq!(whyno.causes[0].rho, 1.0);
+
+        let (tier2, t2) = one_tenant(example_2_2(), ServiceConfig::default());
+        let top1 = tier2
+            .explain(t2, ExplainRequest::rank_top_k(q, vec![Value::str("a4")], 1))
+            .unwrap()
+            .expect_explanation();
+        assert_eq!(top1.causes.len(), 1, "truncated to k");
+    }
+
+    #[test]
+    fn publish_serves_new_version_and_keys_cache_by_version() {
+        let (tier, t) = one_tenant(example_2_2(), ServiceConfig::default());
+        let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
+        let v1 = tier.explain(t, req.clone()).unwrap();
+        assert_eq!(v1.snapshot_version, 1);
+
+        // Remove S(a1): answer a2 loses its only witness.
+        let version = tier
+            .update(t, |db| {
+                let s = db.relation_id("S").unwrap();
+                let row = db.relation(s).find(&tup!["a1"]).unwrap();
+                db.relation_mut(s).set_endogenous(row, false);
+            })
+            .unwrap();
+        assert_eq!(version, 2);
+
+        let v2 = tier.explain(t, req).unwrap();
+        assert_eq!(v2.snapshot_version, 2);
+        assert!(!v2.cache_hit, "the write touched S, so the key moved");
+        // S(a1) now exogenous: it can no longer be a cause; only R(a2,a1)
+        // remains, and with S(a1) always present it is counterfactual.
+        let explanation = v2.expect_explanation();
+        assert_eq!(explanation.causes.len(), 1);
+        assert_eq!(explanation.causes[0].relation, "R");
+    }
+
+    #[test]
+    fn invalid_requests_are_rejected_without_killing_workers() {
+        let (tier, t) = one_tenant(example_2_2(), ServiceConfig::default());
+        let q = query();
+        let bad = ExplainRequest::why_so(q.clone(), Vec::<Value>::new());
+        assert!(matches!(
+            tier.submit(t, bad),
+            Err(ServiceError::InvalidRequest(_))
+        ));
+        // Head constants must agree with the answer.
+        let qc = ConjunctiveQuery::parse("p('fixed') :- S(y)").unwrap();
+        let bad = ExplainRequest::why_so(qc, vec![Value::str("other")]);
+        assert!(matches!(
+            tier.submit(t, bad),
+            Err(ServiceError::InvalidRequest(_))
+        ));
+        // The pool is still alive and serving.
+        let ok = tier
+            .explain(t, ExplainRequest::why_so(q, vec![Value::str("a2")]))
+            .unwrap();
+        assert_eq!(ok.expect_explanation().causes.len(), 2);
+    }
+
+    #[test]
+    fn many_concurrent_submitters_all_get_answers() {
+        let (tier, t) = one_tenant(
+            example_2_2(),
+            ServiceConfig {
+                workers: 4,
+                queue_capacity: 8,
+                batch_max: 4,
+                ..ServiceConfig::default()
+            },
+        );
+        let answers = ["a2", "a3", "a4"];
+        std::thread::scope(|scope| {
+            for i in 0..8 {
+                let tier = &tier;
+                scope.spawn(move || {
+                    for j in 0..10 {
+                        let a = answers[(i + j) % answers.len()];
+                        let resp = tier
+                            .explain(t, ExplainRequest::why_so(query(), vec![Value::str(a)]))
+                            .unwrap();
+                        let explanation = resp.expect_explanation();
+                        assert!(!explanation.causes.is_empty(), "answer {a}");
+                    }
+                });
+            }
+        });
+        let stats = tier.stats().aggregate();
+        assert_eq!(stats.requests, 80);
+        assert_eq!(stats.batched_requests, 80, "every request was served");
+        assert_eq!(
+            stats.cache_hits + stats.cache_misses + stats.coalesced,
+            80,
+            "every request is a hit, a fresh computation, or a rider"
+        );
+        assert!(stats.cache_misses >= 3, "three distinct keys computed");
+        assert!(
+            stats.cache_hits + stats.coalesced >= 80 - stats.cache_misses,
+            "the rest were served without recomputation"
+        );
+        assert_eq!(stats.latency_samples(), 80, "one sample per response");
+        assert_eq!(stats.queue_depth, 0, "nothing left enqueued");
+    }
+
+    #[test]
+    fn cache_hits_survive_writes_to_unrelated_relations() {
+        // The query reads R and S; T is unrelated write traffic.
+        let mut db = example_2_2();
+        let t_rel = db.add_relation(Schema::new("T", &["z"]));
+        db.insert_endo(t_rel, tup![0]);
+        let (tier, t) = one_tenant(db, ServiceConfig::default());
+        let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
+
+        let cold = tier.explain(t, req.clone()).unwrap();
+        assert!(!cold.cache_hit);
+        assert_eq!(cold.snapshot_version, 1);
+
+        let version = tier
+            .update(t, |db| {
+                let t = db.relation_id("T").unwrap();
+                db.insert_endo(t, tup![1]);
+            })
+            .unwrap();
+        assert_eq!(version, 2);
+
+        // New snapshot version — but R and S kept their content stamps,
+        // so both cache layers stay warm.
+        let warm = tier.explain(t, req).unwrap();
+        assert_eq!(warm.snapshot_version, 2);
+        assert!(warm.cache_hit, "unrelated write must not evict the answer");
+        assert_eq!(cold.expect_explanation(), warm.expect_explanation());
+        let stats = tier.stats().aggregate();
+        assert_eq!(
+            stats.index_evictions, 0,
+            "no touched relation left the window, nothing to evict"
+        );
+    }
+
+    #[test]
+    fn index_retention_evicts_only_stale_relation_versions() {
+        let (tier, t) = one_tenant(
+            example_2_2(),
+            ServiceConfig {
+                cached_versions: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        let req = |a: &str| ExplainRequest::why_so(query(), vec![Value::str(a)]);
+        tier.explain(t, req("a2")).unwrap();
+        let baseline = tier.stats().aggregate().index_entries;
+        assert!(baseline > 0, "cold call built indexes");
+
+        // Each round rewrites S, pushing its previous content stamp out
+        // of the 2-version retention window; R is never touched.
+        for i in 0..3 {
+            tier.update(t, |db| {
+                let s = db.relation_id("S").unwrap();
+                db.insert_endo(s, tup![format!("b{i}")]);
+            })
+            .unwrap();
+            tier.explain(t, req("a2")).unwrap();
+        }
+        let stats = tier.stats().aggregate();
+        assert!(stats.index_evictions > 0, "stale S indexes were evicted");
+        assert!(
+            stats.index_entries <= baseline + 2,
+            "cache holds R's one live index plus at most the retained S versions, \
+             got {} entries",
+            stats.index_entries
+        );
+    }
+
+    #[test]
+    fn panicking_job_gets_an_error_and_the_pool_survives() {
+        let (tier, t) = one_tenant(
+            example_2_2(),
+            ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        tier.inject_fault(|req| req.answer == vec![Value::str("a3")]);
+        let poisoned = tier
+            .explain(t, ExplainRequest::why_so(query(), vec![Value::str("a3")]))
+            .unwrap();
+        match poisoned.result {
+            Err(ServiceError::Panicked(msg)) => {
+                assert!(msg.contains("fault injected"), "got: {msg}")
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        // Every worker still serves, including the one that caught the
+        // panic (more requests than workers).
+        tier.clear_faults();
+        for _ in 0..4 {
+            let ok = tier
+                .explain(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
+                .unwrap();
+            assert!(ok.result.is_ok());
+        }
+        assert_eq!(tier.stats().aggregate().panics_caught, 1);
+    }
+
+    #[test]
+    fn panicked_results_are_not_cached() {
+        let (tier, t) = one_tenant(example_2_2(), ServiceConfig::default());
+        let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
+        tier.inject_fault(|_| true);
+        assert!(matches!(
+            tier.explain(t, req.clone()).unwrap().result,
+            Err(ServiceError::Panicked(_))
+        ));
+        tier.clear_faults();
+        let healed = tier.explain(t, req).unwrap();
+        assert!(healed.result.is_ok(), "the request recomputes cleanly");
+        assert!(!healed.cache_hit, "the panicked attempt left no entry");
+    }
+
+    #[test]
+    fn poisoned_caches_are_recovered_not_fatal() {
+        let (tier, t) = one_tenant(example_2_2(), ServiceConfig::default());
+        let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
+        tier.explain(t, req.clone()).unwrap();
+        // Poison resp_cache and live_snapshots by panicking mid-hold.
+        let core = Arc::clone(&tier.shards[0].core);
+        let _ = std::thread::spawn(move || {
+            let _cache = core.resp_cache.lock().unwrap();
+            let _live = core.live_snapshots.lock().unwrap();
+            panic!("poison the service mutexes");
+        })
+        .join();
+        assert!(
+            tier.shards[0].core.resp_cache.lock().is_err(),
+            "cache is poisoned"
+        );
+        // Serving continues: lock recovery hands back the intact state.
+        let warm = tier.explain(t, req).unwrap();
+        assert!(warm.result.is_ok());
+        assert!(warm.cache_hit, "recovered cache still serves its entries");
+    }
+
+    #[test]
+    fn rank_top_k_reports_pruning_stats() {
+        // q :- A(x), B(y): A(1) is counterfactual; B(1), B(2) are ρ =
+        // 1/2 and provably out of the top 1 once A(1) is computed.
+        let mut db = Database::new();
+        let a = db.add_relation(Schema::new("A", &["x"]));
+        let b = db.add_relation(Schema::new("B", &["y"]));
+        db.insert_endo(a, tup![1]);
+        db.insert_endo(b, tup![1]);
+        db.insert_endo(b, tup![2]);
+        // rank_parallelism: 1 keeps the pruned count deterministic —
+        // with concurrent solvers a B candidate can finish before A(1)
+        // and legitimately escape the screen (tests/ covers the
+        // parallel-served path; the output is identical either way).
+        let (tier, t) = one_tenant(
+            db,
+            ServiceConfig {
+                rank_parallelism: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let q = ConjunctiveQuery::parse("q :- A(x), B(y)").unwrap();
+        let top1 = tier
+            .explain(t, ExplainRequest::rank_top_k(q, Vec::<Value>::new(), 1))
+            .unwrap()
+            .expect_explanation();
+        assert_eq!(top1.causes.len(), 1);
+        assert_eq!(top1.causes[0].rho, 1.0);
+        let stats = tier.stats().aggregate();
+        assert_eq!(stats.rank_tasks, 1);
+        assert!(stats.topk_pruned >= 1, "stats: {stats:?}");
+    }
+
+    #[test]
+    fn submit_and_pending_timeout() {
+        let (tier, t) = one_tenant(example_2_2(), ServiceConfig::default());
+        let pending = tier
+            .submit(t, ExplainRequest::why_so(query(), vec![Value::str("a3")]))
+            .unwrap();
+        let resp = pending.wait_timeout(Duration::from_secs(30)).unwrap();
+        assert!(resp.result.is_ok());
+    }
+
+    #[test]
+    fn expired_deadline_yields_an_error_not_a_computation() {
+        let (tier, t) = one_tenant(
+            example_2_2(),
+            ServiceConfig {
+                workers: 1,
+                // One job per pull: the blocker is drained (and stalls
+                // the sole worker) strictly before the doomed request is
+                // even looked at, making the expiry deterministic.
+                batch_max: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        // Stall the worker on a blocker request so the deadlined request
+        // sits in the queue past its budget.
+        tier.inject_delay(|req| {
+            (req.answer == vec![Value::str("a2")]).then_some(Duration::from_millis(120))
+        });
+        let blocker = tier
+            .submit(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
+            .unwrap();
+        let doomed = tier
+            .submit_with_deadline(
+                t,
+                ExplainRequest::why_so(query(), vec![Value::str("a3")]),
+                Duration::from_millis(10),
+            )
+            .unwrap();
+        assert!(matches!(
+            doomed.wait().unwrap().result,
+            Err(ServiceError::DeadlineExceeded)
+        ));
+        assert!(blocker.wait().unwrap().result.is_ok());
+        let stats = tier.stats().aggregate();
+        assert_eq!(stats.deadline_misses, 1);
+        assert_eq!(
+            stats.cache_misses, 1,
+            "the expired request never reached a computation"
+        );
+        // A generous budget is met.
+        tier.clear_faults();
+        let fine = tier
+            .submit_with_deadline(
+                t,
+                ExplainRequest::why_so(query(), vec![Value::str("a3")]),
+                Duration::from_secs(30),
+            )
+            .unwrap();
+        assert!(fine.wait().unwrap().result.is_ok());
+    }
+
+    #[test]
+    fn snapshot_and_reset_separates_phases() {
+        let (tier, t) = one_tenant(example_2_2(), ServiceConfig::default());
+        let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
+        tier.explain(t, req.clone()).unwrap();
+        let warmup = tier.snapshot_and_reset().aggregate();
+        assert_eq!(warmup.requests, 1);
+        assert_eq!(warmup.cache_misses, 1);
+        assert_eq!(warmup.latency_samples(), 1);
+
+        // The measurement phase starts from zero — but the *caches* are
+        // still warm: resetting counters must not cool the service.
+        tier.explain(t, req).unwrap();
+        let measured = tier.stats().aggregate();
+        assert_eq!(measured.requests, 1);
+        assert_eq!(measured.cache_hits, 1, "cache survived the reset");
+        assert_eq!(measured.cache_misses, 0);
+        assert_eq!(measured.latency_samples(), 1);
     }
 }

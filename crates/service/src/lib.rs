@@ -28,16 +28,13 @@
 //!   own responsibility LRU — so one tenant's writes or traffic can
 //!   never evict, queue behind, or crash another shard's tenants.
 //!
-//! [`CausalityService`] is the single-tenant handle on a one-shard tier
-//! with breakers and the supervisor off. Its requests take the tier's
-//! one submission path; it keeps the original embedded-service queueing
-//! (blocking `submit` backpressure, `try_submit` reporting
-//! [`ServiceError::QueueFull`], no admission control) and reaches fault
-//! injection and telemetry export through [`CausalityService::tier`].
+//! One database served to one client is a one-tenant tier: one shard,
+//! with [`BreakerConfig::disabled`] and [`SupervisorConfig::disabled`]
+//! (see the example below).
 //!
-//! Mechanisms shared by both entry points:
-//! * snapshots — writers [`CausalityService::publish`]/[`CausalityService::update`]
-//!   new immutable database versions while readers keep evaluating
+//! Mechanisms of the tier:
+//! * snapshots — writers [`ShardedService::update`] a tenant's database
+//!   into new immutable versions while readers keep evaluating
 //!   against the snapshot they pinned (see
 //!   [`causality_engine::snapshot`]). Snapshots are structurally shared:
 //!   the database holds one `Arc` per relation, so publishing an update
@@ -78,8 +75,7 @@
 //!   restarting the tier. Since PR 7 every counter lives in a per-shard
 //!   [`causality_telemetry`] registry exported verbatim — full histogram
 //!   buckets included — via
-//!   [`ShardedService::export_metrics`] (Prometheus text) and
-//!   [`ShardedService::export_metrics_jsonl`];
+//!   [`ShardedService::export_metrics`] (Prometheus text);
 //! * request tracing — sampled requests (rate set by
 //!   [`TelemetryConfig::sample_rate`]) carry a span builder through
 //!   admission → dispatch → shard queue → worker dequeue → snapshot pin
@@ -122,22 +118,28 @@
 //! # Example
 //!
 //! ```
-//! use causality_service::{CausalityService, ExplainRequest, ServiceConfig};
+//! use causality_service::{
+//!     BreakerConfig, ExplainRequest, ServiceConfig, ShardedService, SupervisorConfig, TierConfig,
+//! };
 //! use causality_engine::{database::example_2_2, ConjunctiveQuery, Value};
 //!
-//! let svc = CausalityService::with_config(
-//!     example_2_2(),
-//!     ServiceConfig { workers: 2, ..ServiceConfig::default() },
-//! );
+//! let tier = ShardedService::new(TierConfig {
+//!     shards: 1,
+//!     breaker: BreakerConfig::disabled(),
+//!     supervisor: SupervisorConfig::disabled(),
+//!     shard: ServiceConfig { workers: 2, ..ServiceConfig::default() },
+//!     ..TierConfig::default()
+//! });
+//! let tenant = tier.add_tenant("default", example_2_2()).unwrap();
 //! let q = ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap();
 //!
 //! // Cold: computed by a worker. Warm: served from the LRU cache.
 //! let req = ExplainRequest::why_so(q, vec![Value::str("a2")]);
-//! let cold = svc.explain(req.clone()).unwrap();
-//! let warm = svc.explain(req).unwrap();
+//! let cold = tier.explain(tenant, req.clone()).unwrap();
+//! let warm = tier.explain(tenant, req).unwrap();
 //! assert!(!cold.cache_hit && warm.cache_hit);
 //! assert_eq!(cold.expect_explanation(), warm.expect_explanation());
-//! assert_eq!(svc.stats().cache_hits, 1);
+//! assert_eq!(tier.stats().aggregate().cache_hits, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -151,7 +153,6 @@ pub mod frontend;
 pub mod lru;
 pub mod request;
 pub mod retry;
-pub mod service;
 pub mod shard;
 pub mod stats;
 pub mod supervisor;
@@ -165,7 +166,6 @@ pub use frontend::{ShardedService, TierConfig, TierStats};
 pub use lru::LruCache;
 pub use request::{ExplainKind, ExplainRequest, ExplainResponse, PendingExplain, ServiceError};
 pub use retry::{JitterRng, RetryPolicy};
-pub use service::CausalityService;
 pub use shard::ServiceConfig;
 pub use stats::{FrontendStats, ServiceStats};
 pub use supervisor::{HealthState, SupervisorConfig};
@@ -188,7 +188,6 @@ mod tests {
 
     #[test]
     fn service_types_are_send_sync() {
-        assert_send_sync::<CausalityService>();
         assert_send_sync::<ShardedService>();
         assert_send_sync::<TenantId>();
         assert_send_sync::<ExplainRequest>();

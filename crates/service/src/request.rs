@@ -112,7 +112,9 @@ impl ExplainResponse {
 pub enum ServiceError {
     /// The service has shut down (or its worker died) before responding.
     Disconnected,
-    /// The bounded request queue is full (`try_submit` only).
+    /// The bounded request queue is full. Nothing produces this any
+    /// more: a full queue is an [`ServiceError::Overloaded`] reject. The
+    /// variant stays while perfbench still matches it.
     QueueFull,
     /// Admission control rejected the request: the target shard's queue
     /// depth had reached its configured limit. The reject is returned to
@@ -196,8 +198,8 @@ impl ServiceError {
 
     /// Whether a retry of the same request may legitimately succeed.
     ///
-    /// Retryable errors are *transient tier states* — a full queue, an
-    /// overloaded shard, an open breaker, a response-wait timeout, or a
+    /// Retryable errors are *transient tier states* — an overloaded
+    /// shard, an open breaker, a response-wait timeout, or a
     /// panicked worker (the shard recovered; the panic poisoned one
     /// request, not the data). Terminal errors are properties of the
     /// request itself ([`ServiceError::InvalidRequest`],

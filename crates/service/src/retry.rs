@@ -40,17 +40,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retries and never hedges (PR ≤ 8 behaviour).
-    pub fn disabled() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            hedge_after: None,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
 /// Small xorshift64* generator backing the jitter stream. Seeded, so
 /// the schedule is reproducible; not a statistical RNG, which backoff
 /// jitter does not need.

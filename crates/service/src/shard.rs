@@ -8,14 +8,11 @@
 //! queue behind another shard's traffic. The one layer above is thin:
 //! [`ShardedService`](crate::ShardedService) routes tenants onto N shards
 //! via the [`dispatch`](crate::dispatch) layer and applies admission
-//! control and deadline budgets at the front end, and
-//! [`CausalityService`](crate::CausalityService) is a one-tenant handle
-//! on a one-shard tier.
+//! control and deadline budgets at the front end.
 //!
-//! A request enters a shard through one function, `Shard::enqueue`. Its
-//! `Enqueue` mode says what a queue without room does to the request:
-//! the tier's bounded admission rejects it, the handle's `submit` blocks,
-//! and its `try_submit` reports [`ServiceError::QueueFull`].
+//! A request enters a shard through one function, `Shard::enqueue`. A
+//! queue at its admission limit, or a full channel, rejects the request
+//! with a counted [`ServiceError::Overloaded`].
 //!
 //! Within a shard, multiple tenants can coexist soundly because both
 //! cache layers are keyed on per-relation `(RelId, RelVersion)` content
@@ -72,17 +69,14 @@ pub(crate) type TenantKey = u64;
 /// fingerprint — and therefore the cache entry — intact.
 pub(crate) type RelFingerprint = Vec<(RelId, RelVersion)>;
 
-/// Tuning knobs of one shard (and of the single-shard
-/// [`CausalityService`](crate::CausalityService)).
+/// Tuning knobs of one shard.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
     /// Worker threads evaluating requests.
     pub workers: usize,
-    /// Bound of the request queue. Past it,
-    /// [`CausalityService::submit`](crate::CausalityService::submit)
-    /// blocks, [`CausalityService::try_submit`](crate::CausalityService::try_submit)
-    /// returns [`ServiceError::QueueFull`], and a [`ShardedService`](crate::ShardedService)
-    /// submit is rejected with [`ServiceError::Overloaded`].
+    /// Bound of the request queue. Past it, a
+    /// [`ShardedService`](crate::ShardedService) submit is rejected with
+    /// [`ServiceError::Overloaded`].
     pub queue_capacity: usize,
     /// Maximum requests a worker drains into one batch.
     pub batch_max: usize,
@@ -137,8 +131,7 @@ impl ServiceConfig {
 /// State shared between a shard's handle and its workers.
 pub(crate) struct ShardCore {
     pub(crate) cfg: ServiceConfig,
-    /// Queue-depth limit enforced by [`Shard::enqueue`] in
-    /// [`Enqueue::Admit`] mode.
+    /// Queue-depth limit enforced by [`Shard::enqueue`].
     pub(crate) admission_limit: usize,
     /// Snapshot stores of the tenants routed to this shard.
     pub(crate) tenants: RwLock<HashMap<TenantKey, Arc<SnapshotStore>>>,
@@ -256,8 +249,8 @@ impl ShardCore {
         Arc::clone(&self.index_cache)
     }
 
-    /// Refuse a job that never made it into the queue (admission reject,
-    /// full queue, or disconnected shard): finalize its trace with the
+    /// Refuse a job that never made it into the queue (admission reject
+    /// or disconnected shard): finalize its trace with the
     /// error's outcome label, so rejected requests show up in the trace
     /// ring and slow-log too, and return the error.
     fn refuse(&self, job: Job, err: ServiceError) -> Result<(), ServiceError> {
@@ -327,21 +320,6 @@ pub(crate) fn validate(request: &ExplainRequest) -> Result<(), ServiceError> {
         .map_err(|e| ServiceError::InvalidRequest(e.to_string()))
 }
 
-/// What [`Shard::enqueue`] does with a request when the queue has no
-/// room for it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Enqueue {
-    /// Bounded admission (the tier's front end): at the shard's
-    /// `admission_limit`, or with the channel full, reject with a
-    /// counted [`ServiceError::Overloaded`] carrying a retry-after hint.
-    /// The depth limit is checked before anything else.
-    Admit,
-    /// Block until the queue has room (the handle's backpressure).
-    Block,
-    /// Fail with [`ServiceError::QueueFull`] instead of waiting.
-    Try,
-}
-
 /// One running shard: the shared core, the job queue, and the worker
 /// pool draining it.
 ///
@@ -370,7 +348,7 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Spawn a shard with `cfg.workers` threads. `admission_limit` is
-    /// the queue-depth bound of [`Enqueue::Admit`], `name` labels the
+    /// the queue-depth bound of [`Shard::enqueue`], `name` labels the
     /// worker threads, and `breakers` are the tier's circuit breakers,
     /// which the workers report outcomes to.
     pub(crate) fn spawn(
@@ -468,36 +446,27 @@ impl Shard {
     }
 
     /// Put `job` on the queue: the one way a request enters a shard.
-    /// `mode` decides what a queue without room does to it; a refused
-    /// job's trace is finalized with the error's outcome label.
-    pub(crate) fn enqueue(&self, job: Job, mode: Enqueue) -> Result<(), ServiceError> {
-        if mode == Enqueue::Admit
-            && self.core.stats.queue_depth.get() as usize >= self.core.admission_limit
-        {
+    /// Bounded admission: at the shard's `admission_limit`, or with the
+    /// channel full, the job is refused with a counted
+    /// [`ServiceError::Overloaded`] carrying a retry-after hint. A
+    /// refused job's trace is finalized with the error's outcome label.
+    pub(crate) fn enqueue(&self, job: Job) -> Result<(), ServiceError> {
+        if self.core.stats.queue_depth.get() as usize >= self.core.admission_limit {
             return self.core.refuse(job, self.core.overloaded());
         }
         let Some(tx) = self.sender() else {
             return self.core.refuse(job, ServiceError::Disconnected);
         };
         self.core.stats.queue_depth.inc();
-        let job = Box::new(job);
-        let sent = match mode {
-            Enqueue::Block => tx
-                .send(job)
-                .map_err(|returned| TrySendError::Disconnected(returned.0)),
-            Enqueue::Admit | Enqueue::Try => tx.try_send(job),
-        };
-        let Err(refused) = sent else {
+        let Err(refused) = tx.try_send(Box::new(job)) else {
             self.core.stats.requests.inc();
             return Ok(());
         };
         self.core.stats.queue_depth.dec(1);
         let (err, job) = match refused {
-            // With admission on, the channel filling between the depth
-            // check and the send is still "past the queue-depth limit"
-            // to a caller.
-            TrySendError::Full(job) if mode == Enqueue::Admit => (self.core.overloaded(), job),
-            TrySendError::Full(job) => (ServiceError::QueueFull, job),
+            // The channel filling below the depth limit is still "past
+            // the queue-depth limit" to a caller.
+            TrySendError::Full(job) => (self.core.overloaded(), job),
             TrySendError::Disconnected(job) => (ServiceError::Disconnected, job),
         };
         self.core.refuse(*job, err)

@@ -279,7 +279,7 @@ pub struct FrontendStats {
 }
 
 counters! {
-    /// Requests accepted by `submit`/`try_submit`.
+    /// Requests accepted onto a shard's queue.
     requests: "requests_total", Reset;
     /// Batches pulled off the queue by workers.
     batches: "batches_total", Reset;

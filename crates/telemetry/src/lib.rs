@@ -4,9 +4,9 @@
 //! without adding dependencies or hot-path locks:
 //!
 //! - **Metrics** ([`MetricsRegistry`], [`Counter`], [`Gauge`],
-//!   [`Histogram`]): named atomics handed out as shared handles, with
-//!   Prometheus-text and JSONL exporters that expose full histogram
-//!   bucket vectors.
+//!   [`Histogram`]): named atomics handed out as shared handles, with a
+//!   Prometheus-text exporter that exposes full histogram bucket
+//!   vectors.
 //! - **Tracing** ([`TraceBuilder`], [`Span`], [`Stage`]): per-request
 //!   span chains measured against a single origin instant so timestamps
 //!   stay monotone across the frontend→worker thread hop, sampled by a
@@ -30,8 +30,8 @@ pub mod trace;
 
 pub use export::traces_jsonl;
 pub use metrics::{
-    metrics_jsonl, prometheus_text, quantile_us, Counter, Gauge, Histogram, MetricKind,
-    MetricSample, MetricsRegistry, LATENCY_BUCKETS,
+    prometheus_text, quantile_us, Counter, Gauge, Histogram, MetricKind, MetricSample,
+    MetricsRegistry, LATENCY_BUCKETS,
 };
 pub use trace::{RequestTrace, Sampler, Span, Stage, StageSpan, TraceBuilder, TraceRing};
 

@@ -3,8 +3,8 @@
 //! The [`MetricsRegistry`] hands out shared handles (`Arc<Counter>` and
 //! friends) keyed by name. Handles are cheap to clone and lock-free to
 //! update; the registry itself is only locked at registration and export
-//! time, never on the hot path. Exporters render every registered metric
-//! in Prometheus text format or as JSONL — including the full histogram
+//! time, never on the hot path. The exporter renders every registered
+//! metric in Prometheus text format — including the full histogram
 //! bucket vector, not just a pair of quantiles.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -355,40 +355,6 @@ pub fn prometheus_text(shards: &[&MetricsRegistry], prefix: &str) -> String {
     out
 }
 
-/// Renders a set of per-shard registries as JSONL: one object per metric
-/// per shard, with histograms carrying the full bucket vector.
-pub fn metrics_jsonl(shards: &[&MetricsRegistry]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (shard, registry) in shards.iter().enumerate() {
-        for s in registry.samples() {
-            let kind = match s.kind {
-                MetricKind::Counter => "counter",
-                MetricKind::Gauge => "gauge",
-                MetricKind::Histogram => "histogram",
-            };
-            let _ = write!(
-                out,
-                "{{\"shard\":{shard},\"metric\":{},\"kind\":\"{kind}\",\"value\":{}",
-                crate::export::escape_json(&s.name),
-                s.value
-            );
-            if let Some(buckets) = s.buckets {
-                let _ = write!(out, ",\"sum_us\":{},\"buckets\":[", s.sum_us);
-                for (i, b) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{b}");
-                }
-                out.push(']');
-            }
-            out.push_str("}\n");
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,16 +444,5 @@ mod tests {
         assert!(text.contains("causality_latency_us_bucket{shard=\"0\",le=\"+Inf\"} 1"));
         assert!(text.contains("causality_latency_us_sum{shard=\"1\"} 2000"));
         assert!(text.contains("causality_latency_us_count{shard=\"1\"} 1"));
-    }
-
-    #[test]
-    fn metrics_jsonl_carries_full_bucket_vectors() {
-        let reg = MetricsRegistry::new();
-        reg.histogram("latency_us").record_us(3);
-        let line = metrics_jsonl(&[&reg]);
-        assert!(line.contains("\"metric\":\"latency_us\""));
-        assert!(line.contains("\"kind\":\"histogram\""));
-        assert!(line.contains("\"buckets\":[0,1,0"));
-        assert!(line.ends_with("}\n"));
     }
 }

@@ -5,9 +5,9 @@
 //! cargo run --example service_demo
 //! ```
 //!
-//! Starts a 4-worker service over the Fig. 2a instance, asks the paper's
-//! question ("why is Musical an answer of the Burton-genre query?") from
-//! several client threads, shows the responsibility cache warming up,
+//! Starts a one-tenant, 4-worker tier over the Fig. 2a instance, asks
+//! the paper's question ("why is Musical an answer of the Burton-genre
+//! query?") from several client threads, shows the responsibility cache warming up,
 //! then publishes a new snapshot (Tim Burton's *Sweeney Todd* removed)
 //! and shows the explanation tracking the new version while the old one
 //! keeps serving pinned readers. A later section turns on the
@@ -20,15 +20,30 @@
 
 use causality::prelude::*;
 use causality_datagen::imdb::{burton_genre_query, fig2a_instance};
-use std::sync::Arc;
 use std::time::Duration;
+
+/// Serve `db` as the only tenant of a one-shard tier, with circuit
+/// breakers and the supervisor off.
+fn one_tenant(db: Database, shard: ServiceConfig) -> (ShardedService, TenantId) {
+    let tier = ShardedService::new(TierConfig {
+        shards: 1,
+        breaker: BreakerConfig::disabled(),
+        supervisor: SupervisorConfig::disabled(),
+        shard,
+        ..TierConfig::default()
+    });
+    let tenant = tier
+        .add_tenant("default", db)
+        .expect("a fresh tier has no tenants");
+    (tier, tenant)
+}
 
 fn main() {
     let (db, refs) = fig2a_instance();
     let query = burton_genre_query();
     let musical = vec![Value::from("Musical")];
 
-    let svc = Arc::new(CausalityService::with_config(
+    let (svc, imdb) = one_tenant(
         db,
         ServiceConfig {
             workers: 4,
@@ -37,18 +52,18 @@ fn main() {
             rank_parallelism: 2,
             ..ServiceConfig::default()
         },
-    ));
+    );
 
     // --- 1. A burst of identical questions from concurrent clients. ----
     println!("== Why is (Musical) an answer? — 8 concurrent clients ==\n");
     std::thread::scope(|scope| {
         for client in 0..8 {
-            let svc = Arc::clone(&svc);
+            let svc = &svc;
             let query = query.clone();
             let musical = musical.clone();
             scope.spawn(move || {
                 let resp = svc
-                    .explain(ExplainRequest::why_so(query, musical))
+                    .explain(imdb, ExplainRequest::why_so(query, musical))
                     .expect("service is running");
                 let explanation = resp.result.expect("query explains");
                 if client == 0 {
@@ -57,7 +72,7 @@ fn main() {
             });
         }
     });
-    let stats = svc.stats();
+    let stats = svc.stats().aggregate();
     println!(
         "served {} requests in {} batches: {} computed, {} cache hits, {} coalesced ({}% hit rate)\n",
         stats.requests,
@@ -70,11 +85,10 @@ fn main() {
 
     // --- 2. Rank-top-k and Why-No requests share the same pool. --------
     let top2 = svc
-        .explain(ExplainRequest::rank_top_k(
-            query.clone(),
-            musical.clone(),
-            2,
-        ))
+        .explain(
+            imdb,
+            ExplainRequest::rank_top_k(query.clone(), musical.clone(), 2),
+        )
         .unwrap()
         .expect_explanation();
     println!("== Top-2 causes by responsibility ==\n{top2}");
@@ -82,10 +96,9 @@ fn main() {
     // --- 2b. Failure isolation: a panicking job costs one response. ----
     // Chaos hook: the next Why-No request panics inside its worker; the
     // pool catches it, answers with an error, and keeps serving.
-    svc.tier()
-        .inject_fault(|req| matches!(req.kind, ExplainKind::WhyNo));
+    svc.inject_fault(|req| matches!(req.kind, ExplainKind::WhyNo));
     let blast = svc
-        .explain(ExplainRequest::why_no(query.clone(), musical.clone()))
+        .explain(imdb, ExplainRequest::why_no(query.clone(), musical.clone()))
         .unwrap();
     println!(
         "== Injected fault: Why-No request answered with an error, pool alive ==\n{}\n",
@@ -93,21 +106,23 @@ fn main() {
             .result
             .expect_err("the chaos hook panicked this request")
     );
-    svc.tier().clear_faults();
+    svc.clear_faults();
 
     // --- 3. Publish a new snapshot: Sweeney Todd becomes exogenous -----
     // (context rather than suspect), so it can no longer be a cause.
     let sweeney = refs.sweeney;
-    let version = svc.update(move |db| {
-        let movie = sweeney.rel;
-        let tuple = db.relation(movie).tuple(sweeney.row).clone();
-        db.relation_mut(movie)
-            .set_endogenous_where(|t| t == &tuple, false);
-    });
+    let version = svc
+        .update(imdb, move |db| {
+            let movie = sweeney.rel;
+            let tuple = db.relation(movie).tuple(sweeney.row).clone();
+            db.relation_mut(movie)
+                .set_endogenous_where(|t| t == &tuple, false);
+        })
+        .expect("the tenant is registered");
     println!("== Published snapshot v{version}: Sweeney Todd now exogenous ==\n");
 
     let fresh = svc
-        .explain(ExplainRequest::why_so(query.clone(), musical.clone()))
+        .explain(imdb, ExplainRequest::why_so(query.clone(), musical.clone()))
         .unwrap();
     println!(
         "fresh explanation against v{} (cache hit: {}):\n",
@@ -115,7 +130,7 @@ fn main() {
     );
     println!("{}", fresh.expect_explanation());
 
-    let stats = svc.stats();
+    let stats = svc.stats().aggregate();
     println!(
         "final stats: version {}, {} requests, hit rate {:.0}%, \
          {} join indexes held, {} evicted (per-relation keying: only the \
@@ -145,7 +160,7 @@ fn main() {
     db.insert_endo(r, vec![Value::int(1), Value::int(2)]);
     db.insert_endo(s, vec![Value::int(2), Value::int(3)]);
     db.insert_endo(t, vec![Value::int(3), Value::int(1)]);
-    let obs = CausalityService::with_config(
+    let (obs, triangle) = one_tenant(
         db,
         ServiceConfig {
             workers: 1,
@@ -158,19 +173,19 @@ fn main() {
     );
 
     let easy = ConjunctiveQuery::parse("e(x) :- R(x, y)").unwrap();
-    obs.explain(ExplainRequest::why_so(easy, vec![Value::int(1)]))
+    obs.explain(triangle, ExplainRequest::why_so(easy, vec![Value::int(1)]))
         .unwrap()
         .result
         .expect("single-atom query explains");
 
     let hard = ConjunctiveQuery::parse("h2 :- R(x, y), S(y, z), T(z, x)").unwrap();
-    obs.tier().inject_delay(|_| Some(Duration::from_millis(20)));
-    obs.explain(ExplainRequest::why_so(hard, vec![]))
+    obs.inject_delay(|_| Some(Duration::from_millis(20)));
+    obs.explain(triangle, ExplainRequest::why_so(hard, vec![]))
         .unwrap()
         .result
         .expect("the triangle has a satisfying valuation");
 
-    for trace in obs.tier().recent_traces() {
+    for trace in obs.recent_traces() {
         println!(
             "{} · dichotomy {} · {} relations · ρ_max {:.2} · total {} µs",
             trace.kind, trace.dichotomy, trace.relations, trace.rho_max, trace.total_us
@@ -186,7 +201,7 @@ fn main() {
         println!();
     }
 
-    let slow = obs.tier().slow_log_records();
+    let slow = obs.slow_log_records();
     println!(
         "slow-log: {} record(s) over the 5 ms threshold (the stalled \
          NP-hard request; the PTIME request stayed under it)",
@@ -211,7 +226,7 @@ fn main() {
     // ρ instead of a DeadlineExceeded error.
     println!("\n== Hardness-aware routing: NP-hard request, 1 ms deadline ==\n");
     let inst = causality_datagen::hard_instances::dense_triangles(6, 150, 42);
-    let anytime = CausalityService::with_config(
+    let (anytime, dense) = one_tenant(
         inst.db.clone(),
         ServiceConfig {
             workers: 1,
@@ -220,6 +235,7 @@ fn main() {
     );
     let answer = anytime
         .submit_with_deadline(
+            dense,
             ExplainRequest::why_so(inst.query.clone(), vec![]),
             Duration::from_millis(1),
         )
@@ -257,7 +273,7 @@ fn main() {
             }
         );
     }
-    let stats = anytime.stats();
+    let stats = anytime.stats().aggregate();
     println!(
         "\nstats: {} approximate answer(s), {} deadline miss(es) — the \
          anytime tier absorbs what would otherwise be a timeout",

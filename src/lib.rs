@@ -25,7 +25,7 @@
 //! | [`reductions`] | executable hardness proofs: 3SAT rings, vertex cover, the LOGSPACE chain |
 //! | [`datagen`] | IMDB-schema synthesis (Fig. 1/2), chain/triangle workloads, Zipf |
 //! | [`service`] | sharded explanation serving: admission control, deadlines, per-shard worker pools and caches, latency histograms |
-//! | [`telemetry`] | std-only observability: request-trace spans, a named metrics registry (Prometheus-text/JSONL exporters), trace rings, slow-log |
+//! | [`telemetry`] | std-only observability: request-trace spans, a named metrics registry (Prometheus-text exporter), JSONL trace export, trace rings, slow-log |
 //!
 //! # Quickstart
 //!
@@ -52,6 +52,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+// Compiles and runs README.md's `rust` blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 pub use causality_core as core;
 pub use causality_datagen as datagen;
@@ -81,10 +86,10 @@ pub mod prelude {
     };
     pub use causality_lineage::{lineage, n_lineage};
     pub use causality_service::{
-        BreakerConfig, BreakerState, CausalityService, Clock, ExplainKind, ExplainRequest,
-        ExplainResponse, FaultKind, FaultPlan, FrontendStats, HealthState, ManualClock,
-        RetryPolicy, ServiceConfig, ServiceError, ServiceStats, ShardedService, SupervisorConfig,
-        SystemClock, TenantId, TierConfig, TierStats,
+        BreakerConfig, BreakerState, Clock, ExplainKind, ExplainRequest, ExplainResponse,
+        FaultKind, FaultPlan, FrontendStats, HealthState, ManualClock, RetryPolicy, ServiceConfig,
+        ServiceError, ServiceStats, ShardedService, SupervisorConfig, SystemClock, TenantId,
+        TierConfig, TierStats,
     };
     pub use causality_telemetry::{RequestTrace, Stage, TelemetryConfig};
 }

@@ -6,33 +6,20 @@
 //! under a hard timeout (and in CI's timeout-guarded matrix), so a
 //! routing bug that stalls a worker fails fast instead of hanging.
 
+#[path = "common/tier.rs"]
+mod tier;
+#[path = "common/timeout.rs"]
+mod timeout;
+
 use causality::datagen::hard_instances::{dense_triangles, triangle_fan};
 use causality::prelude::*;
 use causality_core::explain::ExplainMode;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
+use tier::one_tenant;
+use timeout::with_timeout;
 
 const HARD_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Run `scenario` on a helper thread; panic if it exceeds the timeout.
-fn with_timeout(scenario: impl FnOnce() + Send + 'static) {
-    use std::sync::mpsc::RecvTimeoutError;
-    let (done_tx, done_rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        scenario();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(HARD_TIMEOUT) {
-        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-            if let Err(payload) = runner.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("deadline scenario exceeded {HARD_TIMEOUT:?} — worker stall?")
-        }
-    }
-}
+const TIMED_OUT: &str = "deadline scenario timed out — worker stall?";
 
 /// Every cause of an approximate explanation must carry a sane bracket.
 fn assert_sound_brackets(explanation: &Explanation) {
@@ -58,9 +45,9 @@ fn assert_sound_brackets(explanation: &Explanation) {
 /// `DeadlineExceeded`, and the route is counted.
 #[test]
 fn hard_instance_under_tight_deadline_is_answered_approximately() {
-    with_timeout(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let inst = dense_triangles(6, 150, 42);
-        let svc = CausalityService::with_config(
+        let (tier, t) = one_tenant(
             inst.db.clone(),
             ServiceConfig {
                 workers: 1,
@@ -69,8 +56,8 @@ fn hard_instance_under_tight_deadline_is_answered_approximately() {
         );
         for _ in 0..4 {
             let req = ExplainRequest::why_so(inst.query.clone(), vec![]);
-            let response = svc
-                .submit_with_deadline(req, Duration::from_millis(2))
+            let response = tier
+                .submit_with_deadline(t, req, Duration::from_millis(2))
                 .unwrap()
                 .wait()
                 .unwrap();
@@ -80,10 +67,10 @@ fn hard_instance_under_tight_deadline_is_answered_approximately() {
             assert_sound_brackets(&explanation);
             assert!(!explanation.causes.is_empty());
         }
-        let stats = svc.stats();
+        let stats = tier.stats().aggregate();
         assert_eq!(stats.deadline_misses, 0, "the anytime tier absorbs them");
         assert_eq!(stats.approx_requests, 4);
-        svc.shutdown();
+        tier.shutdown();
     });
 }
 
@@ -92,10 +79,10 @@ fn hard_instance_under_tight_deadline_is_answered_approximately() {
 /// to `DeadlineExceeded` — and the known-ρ probe stays inside it.
 #[test]
 fn expired_deadline_still_yields_sound_greedy_bounds() {
-    with_timeout(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let k = 5;
         let inst = triangle_fan(k);
-        let svc = CausalityService::with_config(
+        let (tier, t) = one_tenant(
             inst.db.clone(),
             ServiceConfig {
                 workers: 1,
@@ -107,14 +94,15 @@ fn expired_deadline_still_yields_sound_greedy_bounds() {
         // budget expires before it is even dequeued.
         let blocker_query = ConjunctiveQuery::parse("blocker :- R(x, y)").unwrap();
         let blocker_req = ExplainRequest::why_so(blocker_query, vec![]);
-        svc.tier().inject_delay({
+        tier.inject_delay({
             let marker = blocker_req.clone();
             move |req| (*req == marker).then_some(Duration::from_millis(120))
         });
 
-        let blocker = svc.submit(blocker_req).unwrap();
-        let doomed = svc
+        let blocker = tier.submit(t, blocker_req).unwrap();
+        let doomed = tier
             .submit_with_deadline(
+                t,
                 ExplainRequest::why_so(inst.query.clone(), vec![]),
                 Duration::from_millis(5),
             )
@@ -139,10 +127,10 @@ fn expired_deadline_still_yields_sound_greedy_bounds() {
         );
         blocker.wait().unwrap().result.unwrap();
 
-        let stats = svc.stats();
+        let stats = tier.stats().aggregate();
         assert_eq!(stats.deadline_misses, 0, "rescued, not missed");
         assert_eq!(stats.approx_requests, 1);
-        svc.shutdown();
+        tier.shutdown();
     });
 }
 
@@ -168,8 +156,8 @@ fn ptime_query() -> ConjunctiveQuery {
 /// deadline, the answer is the exact explanation, bit for bit.
 #[test]
 fn ptime_route_with_deadline_is_bit_identical_to_exact() {
-    with_timeout(|| {
-        let svc = CausalityService::with_config(
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
+        let (tier, t) = one_tenant(
             ptime_database(),
             ServiceConfig {
                 workers: 1,
@@ -180,9 +168,9 @@ fn ptime_route_with_deadline_is_bit_identical_to_exact() {
         );
         let req = ExplainRequest::why_so(ptime_query(), vec![Value::str("a2")]);
 
-        let exact = svc.explain(req.clone()).unwrap().expect_explanation();
-        let deadlined = svc
-            .submit_with_deadline(req, Duration::from_secs(5))
+        let exact = tier.explain(t, req.clone()).unwrap().expect_explanation();
+        let deadlined = tier
+            .submit_with_deadline(t, req, Duration::from_secs(5))
             .unwrap()
             .wait()
             .unwrap()
@@ -191,13 +179,13 @@ fn ptime_route_with_deadline_is_bit_identical_to_exact() {
         assert_eq!(exact.mode, ExplainMode::Exact);
         assert_eq!(exact, deadlined, "PTIME route ignores the deadline");
         assert!(deadlined.causes.iter().all(|c| c.bounds.is_none()));
-        let stats = svc.stats();
+        let stats = tier.stats().aggregate();
         assert_eq!(
             stats.approx_requests, 0,
             "no PTIME request took the anytime path"
         );
         assert_eq!(stats.deadline_misses, 0);
-        svc.shutdown();
+        tier.shutdown();
     });
 }
 
@@ -211,7 +199,7 @@ fn ptime_route_with_deadline_is_bit_identical_to_exact() {
 /// approximate answers, but never zero.
 #[test]
 fn mixed_hard_and_ptime_traffic_takes_each_route() {
-    with_timeout(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         const ROUNDS: usize = 60;
         let inst = dense_triangles(5, 40, 200);
         let tier = ShardedService::new(TierConfig {
@@ -266,9 +254,9 @@ fn mixed_hard_and_ptime_traffic_takes_each_route() {
 /// stage, and the approx counters/export surface the route.
 #[test]
 fn approx_route_is_visible_in_telemetry() {
-    with_timeout(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let inst = triangle_fan(4);
-        let svc = CausalityService::with_config(
+        let (tier, t) = one_tenant(
             inst.db.clone(),
             ServiceConfig {
                 workers: 1,
@@ -276,8 +264,9 @@ fn approx_route_is_visible_in_telemetry() {
                 ..ServiceConfig::default()
             },
         );
-        let explanation = svc
+        let explanation = tier
             .submit_with_deadline(
+                t,
                 ExplainRequest::why_so(inst.query.clone(), vec![]),
                 Duration::from_secs(5),
             )
@@ -287,7 +276,7 @@ fn approx_route_is_visible_in_telemetry() {
             .expect_explanation();
         assert!(matches!(explanation.mode, ExplainMode::Approximate { .. }));
 
-        let traces = svc.tier().recent_traces();
+        let traces = tier.recent_traces();
         assert_eq!(traces.len(), 1);
         let chain: Vec<&str> = traces[0].stages.iter().map(|s| s.stage.as_str()).collect();
         assert_eq!(
@@ -305,13 +294,13 @@ fn approx_route_is_visible_in_telemetry() {
             ],
             "the anytime route records its refinement stage in order"
         );
-        assert_eq!(svc.stats().approx_requests, 1);
-        let prom = svc.tier().export_metrics();
+        assert_eq!(tier.stats().aggregate().approx_requests, 1);
+        let prom = tier.export_metrics();
         assert!(
             prom.contains("approx_requests_total"),
             "approx counters exported:\n{prom}"
         );
-        svc.shutdown();
+        tier.shutdown();
     });
 }
 
@@ -326,7 +315,7 @@ fn approx_route_is_visible_in_telemetry() {
 /// later brackets are computed, which lands near 2.
 #[test]
 fn anytime_answers_return_within_the_deadline_plus_one_step() {
-    with_timeout(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let mut ratios: Vec<f64> = (1..=6)
             .map(|seed| {
                 let inst = dense_triangles(4, 64, seed);

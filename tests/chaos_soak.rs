@@ -9,32 +9,16 @@
 //! wedged shards are quarantined and restarted by the supervisor, and
 //! the tier converges back to `Healthy` once the faults stop.
 
+#[path = "common/timeout.rs"]
+mod timeout;
+
 use causality::prelude::*;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use timeout::with_timeout;
 
 const HARD_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Run `scenario` on a helper thread; panic if it exceeds the timeout.
-fn with_timeout(scenario: impl FnOnce() + Send + 'static) {
-    use std::sync::mpsc::RecvTimeoutError;
-    let (done_tx, done_rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        scenario();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(HARD_TIMEOUT) {
-        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-            if let Err(payload) = runner.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("chaos soak exceeded {HARD_TIMEOUT:?} — self-healing deadlock?")
-        }
-    }
-}
+const TIMED_OUT: &str = "chaos soak timed out — self-healing deadlock?";
 
 fn seed_database() -> Database {
     let mut db = Database::new();
@@ -73,7 +57,7 @@ const SEED: u64 = 0xC4A0_5011;
 
 #[test]
 fn seeded_chaos_soak_heals_with_zero_silent_drops() {
-    with_timeout(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         const SHARDS: usize = 2;
         const OPS: u64 = 80;
         const HORIZON: u64 = 30;
@@ -84,7 +68,6 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
             TierConfig {
                 shards: SHARDS,
                 admission_limit: 32,
-                default_deadline: None,
                 retry: RetryPolicy {
                     max_attempts: 2,
                     base: Duration::from_millis(1),

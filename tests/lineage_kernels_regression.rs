@@ -11,45 +11,26 @@
 //! guards); the debug-profile deadline is proportionally looser so
 //! plain `cargo test` stays reliable.
 
+#[path = "common/timeout.rs"]
+mod timeout;
+
 use causality_core::resp::exact::{min_contingency_from_lineage, min_hitting_set};
 use causality_engine::TupleRef;
 use causality_lineage::{Conjunct, Dnf};
 use std::collections::BTreeSet;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
+use timeout::with_timeout;
 
 const RELEASE_TIMEOUT: Duration = Duration::from_secs(20);
 const DEBUG_TIMEOUT: Duration = Duration::from_secs(180);
+const TIMED_OUT: &str =
+    "lineage kernel suite timed out — quadratic scan reintroduced on the hot path?";
 
 fn hard_timeout() -> Duration {
     if cfg!(debug_assertions) {
         DEBUG_TIMEOUT
     } else {
         RELEASE_TIMEOUT
-    }
-}
-
-/// Run `scenario` on a helper thread; panic if it exceeds the timeout.
-fn with_deadline(scenario: impl FnOnce() + Send + 'static) {
-    use std::sync::mpsc::RecvTimeoutError;
-    let timeout = hard_timeout();
-    let (done_tx, done_rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        scenario();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(timeout) {
-        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-            if let Err(payload) = runner.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            panic!(
-                "lineage kernel suite exceeded {timeout:?} — \
-                 quadratic scan reintroduced on the hot path?"
-            )
-        }
     }
 }
 
@@ -86,7 +67,7 @@ fn clustered_sets(hubs: u32, spokes_per_hub: u32) -> Vec<BTreeSet<TupleRef>> {
 
 #[test]
 fn kernel_suite_completes_under_hard_deadline() {
-    with_deadline(|| {
+    with_timeout(hard_timeout(), TIMED_OUT, || {
         let started = Instant::now();
 
         // 1. Minimization at 30k conjuncts (seed: ~450M subset walks).

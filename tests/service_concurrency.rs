@@ -7,10 +7,17 @@
 //! worker pool / snapshot store shows up as a test failure rather than a
 //! hung CI job.
 
+#[path = "common/tier.rs"]
+mod tier;
+#[path = "common/timeout.rs"]
+mod timeout;
+
 use causality::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
+use tier::one_tenant;
+use timeout::with_timeout;
 
 const WORKERS: usize = 4;
 const WRITERS: usize = 3;
@@ -18,28 +25,7 @@ const READERS: usize = 6;
 const WRITES_PER_WRITER: usize = 15;
 const READS_PER_READER: usize = 25;
 const HARD_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Run `scenario` on a helper thread; panic if it exceeds the timeout.
-fn with_deadline(scenario: impl FnOnce() + Send + 'static) {
-    use std::sync::mpsc::RecvTimeoutError;
-    let (done_tx, done_rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        scenario();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(HARD_TIMEOUT) {
-        // Completed, or panicked (dropping its sender): join either way
-        // and re-raise the real assertion failure with its own message.
-        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-            if let Err(payload) = runner.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("service concurrency scenario exceeded {HARD_TIMEOUT:?} — deadlock?")
-        }
-    }
-}
+const TIMED_OUT: &str = "service concurrency scenario timed out — deadlock?";
 
 fn seed_database() -> Database {
     let mut db = Database::new();
@@ -56,8 +42,8 @@ fn seed_database() -> Database {
 
 #[test]
 fn writers_and_readers_make_progress_without_deadlock() {
-    with_deadline(|| {
-        let svc = Arc::new(CausalityService::with_config(
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
+        let (tier, t) = one_tenant(
             seed_database(),
             ServiceConfig {
                 workers: WORKERS,
@@ -68,7 +54,7 @@ fn writers_and_readers_make_progress_without_deadlock() {
                 rank_parallelism: 2,
                 ..ServiceConfig::default()
             },
-        ));
+        );
         let query = ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap();
         let served = Arc::new(AtomicU64::new(0));
         let max_version_seen = Arc::new(AtomicU64::new(0));
@@ -77,17 +63,19 @@ fn writers_and_readers_make_progress_without_deadlock() {
             // Writers: copy-on-write updates, each publishing a version
             // that adds a fresh joinable pair R(wN_i, bN_i), S(bN_i).
             for w in 0..WRITERS {
-                let svc = Arc::clone(&svc);
+                let tier = &tier;
                 scope.spawn(move || {
                     for i in 0..WRITES_PER_WRITER {
-                        let version = svc.update(|db| {
-                            let r = db.relation_id("R").unwrap();
-                            let s = db.relation_id("S").unwrap();
-                            let x = Value::str(format!("w{w}_{i}"));
-                            let b = Value::str(format!("b{w}_{i}"));
-                            db.insert_endo(r, vec![x, b.clone()]);
-                            db.insert_endo(s, vec![b]);
-                        });
+                        let version = tier
+                            .update(t, |db| {
+                                let r = db.relation_id("R").unwrap();
+                                let s = db.relation_id("S").unwrap();
+                                let x = Value::str(format!("w{w}_{i}"));
+                                let b = Value::str(format!("b{w}_{i}"));
+                                db.insert_endo(r, vec![x, b.clone()]);
+                                db.insert_endo(s, vec![b]);
+                            })
+                            .unwrap();
                         assert!(version >= 2, "published versions are post-seed");
                     }
                 });
@@ -95,7 +83,7 @@ fn writers_and_readers_make_progress_without_deadlock() {
             // Readers: a mix of Why-So, Why-No, and top-k requests against
             // whatever snapshot is current when a worker picks them up.
             for rdr in 0..READERS {
-                let svc = Arc::clone(&svc);
+                let tier = &tier;
                 let query = query.clone();
                 let served = Arc::clone(&served);
                 let max_version_seen = Arc::clone(&max_version_seen);
@@ -108,7 +96,7 @@ fn writers_and_readers_make_progress_without_deadlock() {
                             1 => ExplainRequest::rank_top_k(query.clone(), answer, 2),
                             _ => ExplainRequest::why_no(query.clone(), answer),
                         };
-                        let resp = svc.submit(request).unwrap().wait().unwrap();
+                        let resp = tier.submit(t, request).unwrap().wait().unwrap();
                         let version = resp.snapshot_version;
                         max_version_seen.fetch_max(version, Ordering::SeqCst);
                         let explanation = resp.result.expect("explain computation succeeds");
@@ -127,7 +115,7 @@ fn writers_and_readers_make_progress_without_deadlock() {
         let total = (READERS * READS_PER_READER) as u64;
         assert_eq!(served.load(Ordering::SeqCst), total, "no request lost");
         let final_version = 1 + (WRITERS * WRITES_PER_WRITER) as u64;
-        let stats = svc.stats();
+        let stats = tier.stats().aggregate();
         assert_eq!(
             stats.snapshot_version, final_version,
             "every writer update published a version"
@@ -140,19 +128,19 @@ fn writers_and_readers_make_progress_without_deadlock() {
         );
 
         // Shutdown drains and joins cleanly (a second deadlock hazard).
-        Arc::try_unwrap(svc)
-            .unwrap_or_else(|_| panic!("all scoped users done"))
-            .shutdown();
+        tier.shutdown();
     });
 }
 
-/// The handle's two queueing modes on a one-slot queue: `try_submit`
-/// refuses with `QueueFull`, `submit` blocks until the slot frees.
+/// A full queue below the admission limit. With `queue_capacity: 1`
+/// and the default admission limit, the depth gate passes and the
+/// channel refuses: the caller gets a counted `Overloaded` with a usable
+/// hint, and the refusal is traced.
 #[test]
-fn full_queue_refuses_try_submit_and_blocks_submit() {
-    with_deadline(|| {
+fn full_queue_below_the_admission_limit_is_overloaded() {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         const STALL: Duration = Duration::from_millis(300);
-        let svc = CausalityService::with_config(
+        let (tier, t) = one_tenant(
             seed_database(),
             ServiceConfig {
                 workers: 1,
@@ -161,61 +149,58 @@ fn full_queue_refuses_try_submit_and_blocks_submit() {
                 ..ServiceConfig::default()
             },
         );
-        svc.tier()
-            .inject_delay(|req| (req.answer == vec![Value::str("a2")]).then_some(STALL));
+        tier.inject_delay(|req| (req.answer == vec![Value::str("a2")]).then_some(STALL));
         let query = ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap();
         let req = |a: &str| ExplainRequest::why_so(query.clone(), vec![Value::str(a)]);
 
-        let stalled = svc.submit(req("a2")).unwrap();
-        // The slot holds a2 until the worker takes it, so this returns
-        // once the worker is stalled on a2 — and a3 fills the slot.
-        let queued = svc.submit(req("a3")).unwrap();
-        assert!(matches!(
-            svc.try_submit(req("a4")),
-            Err(ServiceError::QueueFull)
-        ));
-        let started = std::time::Instant::now();
-        let blocked = svc.submit(req("a4")).unwrap();
-        assert!(
-            started.elapsed() >= STALL / 2,
-            "submit waited for the slot, took {:?}",
-            started.elapsed()
-        );
-        for pending in [stalled, queued, blocked] {
+        let stalled = tier.submit(t, req("a2")).unwrap();
+        // The worker draws the first chaos ordinal as it starts on a2,
+        // after taking it off the queue; a3 then fills the one slot.
+        while tier.shard_progress(0) < 1 {
+            std::thread::yield_now();
+        }
+        let queued = tier.submit(t, req("a3")).unwrap();
+        match tier.submit(t, req("a4")) {
+            Err(ServiceError::Overloaded { retry_after }) => {
+                assert!(retry_after >= Duration::from_millis(1), "usable hint")
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        for pending in [stalled, queued] {
             assert!(pending.wait().unwrap().result.is_ok());
         }
 
-        let stats = svc.stats();
-        assert_eq!(stats.requests, 3, "the refused request was not accepted");
-        assert_eq!(stats.admission_rejects, 0, "no admission control");
+        let stats = tier.stats().aggregate();
+        assert_eq!(stats.requests, 2, "the refused request was not accepted");
+        assert_eq!(stats.admission_rejects, 1, "the refusal is counted");
         assert_eq!(stats.queue_depth, 0);
         assert!(
-            svc.tier()
-                .recent_traces()
+            tier.recent_traces()
                 .iter()
-                .any(|trace| trace.outcome == "queue_full"),
+                .any(|trace| trace.outcome == "overloaded"),
             "the refused request left a trace"
         );
-        svc.shutdown();
+        tier.shutdown();
     });
 }
 
 #[test]
 fn pinned_snapshots_survive_heavy_publishing() {
-    with_deadline(|| {
-        let svc = Arc::new(CausalityService::new(seed_database()));
-        let pinned = svc.snapshot();
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
+        let (tier, t) = one_tenant(seed_database(), ServiceConfig::default());
+        let pinned = tier.snapshot(t).unwrap();
         let before = pinned.tuple_count();
 
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let svc = Arc::clone(&svc);
+                let tier = &tier;
                 scope.spawn(move || {
                     for i in 0..20 {
-                        svc.update(|db| {
+                        tier.update(t, |db| {
                             let s = db.relation_id("S").unwrap();
                             db.insert_endo(s, vec![Value::int(1000 + i)]);
-                        });
+                        })
+                        .unwrap();
                     }
                 });
             }
@@ -223,9 +208,9 @@ fn pinned_snapshots_survive_heavy_publishing() {
 
         assert_eq!(pinned.version(), 1);
         assert_eq!(pinned.tuple_count(), before, "pinned snapshot immutable");
-        assert_eq!(svc.stats().snapshot_version, 81);
+        assert_eq!(tier.stats().aggregate().snapshot_version, 81);
         // 20 distinct values inserted by 4 writers each: dedup keeps 20.
-        let s = svc.snapshot().relation_id("S").unwrap();
-        assert_eq!(svc.snapshot().relation(s).len(), 4 + 20);
+        let s = tier.snapshot(t).unwrap().relation_id("S").unwrap();
+        assert_eq!(tier.snapshot(t).unwrap().relation(s).len(), 4 + 20);
     });
 }

@@ -10,31 +10,18 @@
 //! then proves every worker still serves, under a hard timeout so a
 //! regression fails fast instead of hanging CI.
 
+#[path = "common/tier.rs"]
+mod tier;
+#[path = "common/timeout.rs"]
+mod timeout;
+
 use causality::prelude::*;
-use std::sync::{mpsc, Arc};
 use std::time::Duration;
+use tier::one_tenant;
+use timeout::with_timeout;
 
 const HARD_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Run `scenario` on a helper thread; panic if it exceeds the timeout.
-fn with_deadline(scenario: impl FnOnce() + Send + 'static) {
-    use std::sync::mpsc::RecvTimeoutError;
-    let (done_tx, done_rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        scenario();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(HARD_TIMEOUT) {
-        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-            if let Err(payload) = runner.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("panic isolation scenario exceeded {HARD_TIMEOUT:?} — dead pool?")
-        }
-    }
-}
+const TIMED_OUT: &str = "panic isolation scenario timed out — dead pool?";
 
 fn query() -> ConjunctiveQuery {
     ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap()
@@ -55,9 +42,9 @@ fn seed_database() -> Database {
 
 #[test]
 fn pool_survives_panicking_requests() {
-    with_deadline(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         const WORKERS: usize = 3;
-        let svc = Arc::new(CausalityService::with_config(
+        let (tier, t) = one_tenant(
             seed_database(),
             ServiceConfig {
                 workers: WORKERS,
@@ -65,11 +52,10 @@ fn pool_survives_panicking_requests() {
                 batch_max: 4,
                 ..ServiceConfig::default()
             },
-        ));
+        );
         // Chaos hook: every request for the marker answer panics inside
         // the worker that computes it.
-        svc.tier()
-            .inject_fault(|req| req.answer == vec![Value::str("a3")]);
+        tier.inject_fault(|req| req.answer == vec![Value::str("a3")]);
 
         // Twice as many panicking jobs as workers: without isolation the
         // whole pool would be dead after the first wave. Distinct `k`s
@@ -77,11 +63,10 @@ fn pool_survives_panicking_requests() {
         // every single one panics in some worker.
         let poisoned: Vec<_> = (0..2 * WORKERS)
             .map(|k| {
-                svc.submit(ExplainRequest::rank_top_k(
-                    query(),
-                    vec![Value::str("a3")],
-                    k + 1,
-                ))
+                tier.submit(
+                    t,
+                    ExplainRequest::rank_top_k(query(), vec![Value::str("a3")], k + 1),
+                )
                 .expect("submit accepts the request")
             })
             .collect();
@@ -99,15 +84,18 @@ fn pool_survives_panicking_requests() {
         // more concurrent healthy requests than workers, from multiple
         // submitter threads (panics must not have poisoned the queue
         // mutex either).
-        svc.tier().clear_faults();
+        tier.clear_faults();
         std::thread::scope(|scope| {
             for _ in 0..2 {
-                let svc = Arc::clone(&svc);
+                let tier = &tier;
                 scope.spawn(move || {
                     for _ in 0..3 * WORKERS {
                         for answer in ["a2", "a4"] {
-                            let resp = svc
-                                .explain(ExplainRequest::why_so(query(), vec![Value::str(answer)]))
+                            let resp = tier
+                                .explain(
+                                    t,
+                                    ExplainRequest::why_so(query(), vec![Value::str(answer)]),
+                                )
                                 .expect("pool accepts work after the panics");
                             let explanation =
                                 resp.result.expect("healthy requests compute cleanly");
@@ -118,7 +106,7 @@ fn pool_survives_panicking_requests() {
             }
         });
 
-        let stats = svc.stats();
+        let stats = tier.stats().aggregate();
         assert_eq!(
             stats.panics_caught,
             2 * WORKERS as u64,
@@ -130,12 +118,11 @@ fn pool_survives_panicking_requests() {
 
         // A panicking job mixed into a batch with healthy ones only
         // takes down its own response.
-        svc.tier()
-            .inject_fault(|req| req.answer == vec![Value::str("a3")]);
+        tier.inject_fault(|req| req.answer == vec![Value::str("a3")]);
         let mixed: Vec<_> = ["a2", "a3", "a4", "a2"]
             .iter()
             .map(|a| {
-                svc.submit(ExplainRequest::why_so(query(), vec![Value::str(a)]))
+                tier.submit(t, ExplainRequest::why_so(query(), vec![Value::str(a)]))
                     .expect("submit")
             })
             .collect();
@@ -149,18 +136,16 @@ fn pool_survives_panicking_requests() {
         }
 
         // Clean shutdown still drains and joins.
-        Arc::try_unwrap(svc)
-            .unwrap_or_else(|_| panic!("all users done"))
-            .shutdown();
+        tier.shutdown();
     });
 }
 
 #[test]
 fn rank_top_k_served_in_parallel_is_bit_identical() {
-    with_deadline(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         // The served RankTopK path (parallel, pruned) must agree with a
         // direct sequential library ranking.
-        let svc = CausalityService::with_config(
+        let (tier, t) = one_tenant(
             seed_database(),
             ServiceConfig {
                 workers: 2,
@@ -172,12 +157,11 @@ fn rank_top_k_served_in_parallel_is_bit_identical() {
         let q = query();
         for answer in ["a2", "a3", "a4"] {
             for k in 1..=3usize {
-                let served = svc
-                    .explain(ExplainRequest::rank_top_k(
-                        q.clone(),
-                        vec![Value::str(answer)],
-                        k,
-                    ))
+                let served = tier
+                    .explain(
+                        t,
+                        ExplainRequest::rank_top_k(q.clone(), vec![Value::str(answer)], k),
+                    )
                     .unwrap()
                     .expect_explanation();
                 let mut reference = Explainer::new(&db, &q).why(&[Value::str(answer)]).unwrap();
@@ -188,7 +172,7 @@ fn rank_top_k_served_in_parallel_is_bit_identical() {
                 );
             }
         }
-        let stats = svc.stats();
+        let stats = tier.stats().aggregate();
         assert!(stats.rank_tasks >= 1, "fresh rankings were computed");
     });
 }

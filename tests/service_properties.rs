@@ -8,9 +8,13 @@
 //!   set computed by the library directly;
 //! * cache-hit answers are bit-identical to the cold answers.
 
+#[path = "common/tier.rs"]
+mod tier;
+
 use causality::prelude::*;
 use causality_core::causes::{why_no_causes, why_so_causes};
 use proptest::prelude::*;
+use tier::one_tenant;
 
 /// A small random database for q(x) :- R(x,y), S(y) with mixed natures.
 fn rs_database(r_rows: &[(u8, u8, bool)], s_rows: &[(u8, bool)]) -> (Database, ConjunctiveQuery) {
@@ -31,8 +35,8 @@ fn rs_database(r_rows: &[(u8, u8, bool)], s_rows: &[(u8, bool)]) -> (Database, C
     (db, q)
 }
 
-fn small_service(db: Database) -> CausalityService {
-    CausalityService::with_config(
+fn small_service(db: Database) -> (ShardedService, TenantId) {
+    one_tenant(
         db,
         ServiceConfig {
             workers: 2,
@@ -58,11 +62,11 @@ proptest! {
     ) {
         let (db, q) = rs_database(&r_rows, &s_rows);
         let answers = evaluate(&db, &q).unwrap().answers;
-        let svc = small_service(db.clone());
+        let (tier, t) = small_service(db.clone());
         for answer in answers {
             let answer: Vec<Value> = answer.values().to_vec();
             let request = ExplainRequest::why_so(q.clone(), answer.clone());
-            let cold = svc.explain(request.clone()).unwrap();
+            let cold = tier.explain(t, request.clone()).unwrap();
             prop_assert!(!cold.cache_hit);
             let cold = cold.result.expect("why-so computes");
 
@@ -80,7 +84,7 @@ proptest! {
                     "counterfactual iff empty contingency");
             }
 
-            let warm = svc.explain(request).unwrap();
+            let warm = tier.explain(t, request).unwrap();
             prop_assert!(warm.cache_hit);
             prop_assert_eq!(warm.result.expect("cache hit"), cold,
                 "cache-hit answer bit-identical to cold");
@@ -98,9 +102,9 @@ proptest! {
     ) {
         let (db, q) = rs_database(&r_rows, &s_rows);
         let answer = vec![Value::from(i64::from(probe))];
-        let svc = small_service(db.clone());
+        let (tier, t) = small_service(db.clone());
         let request = ExplainRequest::why_no(q.clone(), answer.clone());
-        let cold = svc.explain(request.clone()).unwrap();
+        let cold = tier.explain(t, request.clone()).unwrap();
         let cold = cold.result.expect("why-no computes");
 
         let reference = why_no_causes(&db, &q.ground(&answer)).unwrap();
@@ -112,7 +116,7 @@ proptest! {
             prop_assert_eq!(cause.counterfactual, is_cf);
         }
 
-        let warm = svc.explain(request).unwrap();
+        let warm = tier.explain(t, request).unwrap();
         prop_assert!(warm.cache_hit);
         prop_assert_eq!(warm.result.expect("cache hit"), cold);
     }
@@ -127,12 +131,12 @@ proptest! {
     ) {
         let (db, q) = rs_database(&r_rows, &s_rows);
         let answers = evaluate(&db, &q).unwrap().answers;
-        let svc = small_service(db);
+        let (tier, t) = small_service(db);
         if let Some(answer) = answers.first() {
             let answer: Vec<Value> = answer.values().to_vec();
             let request = ExplainRequest::why_so(q.clone(), answer.clone());
-            svc.explain(request.clone()).unwrap();
-            svc.update(|db| {
+            tier.explain(t, request.clone()).unwrap();
+            tier.update(t, |db| {
                 let r = db.relation_id("R").unwrap();
                 let s = db.relation_id("S").unwrap();
                 db.insert_endo(r, vec![
@@ -140,12 +144,12 @@ proptest! {
                     Value::from(i64::from(extra.1)),
                 ]);
                 db.insert_endo(s, vec![Value::from(i64::from(extra.1))]);
-            });
-            let fresh = svc.explain(request).unwrap();
+            }).unwrap();
+            let fresh = tier.explain(t, request).unwrap();
             prop_assert!(!fresh.cache_hit, "new version misses the cache");
             prop_assert_eq!(fresh.snapshot_version, 2);
             let fresh = fresh.result.expect("computes on new snapshot");
-            let snap = svc.snapshot();
+            let snap = tier.snapshot(t).unwrap();
             let reference = Explainer::new(snap.database(), &q).why(&answer).unwrap();
             prop_assert_eq!(fresh, reference);
         }

@@ -7,34 +7,18 @@
 //! scenarios run under hard timeouts so a supervision deadlock fails
 //! fast instead of hanging CI.
 
+#[path = "common/timeout.rs"]
+mod timeout;
+
 use causality::prelude::*;
 use causality::service::retry::{backoff, JitterRng};
 use proptest::prelude::*;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use timeout::with_timeout;
 
 const HARD_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Run `scenario` on a helper thread; panic if it exceeds the timeout.
-fn with_timeout(scenario: impl FnOnce() + Send + 'static) {
-    use std::sync::mpsc::RecvTimeoutError;
-    let (done_tx, done_rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        scenario();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(HARD_TIMEOUT) {
-        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-            if let Err(payload) = runner.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("self-heal scenario exceeded {HARD_TIMEOUT:?} — supervision deadlock?")
-        }
-    }
-}
+const TIMED_OUT: &str = "self-heal scenario timed out — supervision deadlock?";
 
 fn seed_database() -> Database {
     let mut db = Database::new();
@@ -87,7 +71,7 @@ fn aggressive_supervisor() -> SupervisorConfig {
 /// probes back to `Healthy`.
 #[test]
 fn supervisor_restarts_a_wedged_shard_without_losing_requests() {
-    with_timeout(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let tier = ShardedService::new(TierConfig {
             shards: 1,
             supervisor: aggressive_supervisor(),
@@ -160,7 +144,7 @@ fn supervisor_restarts_a_wedged_shard_without_losing_requests() {
 /// low-water mark.
 #[test]
 fn brownout_serves_certified_answers_inline_and_recovers() {
-    with_timeout(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let tier = ShardedService::new(TierConfig {
             shards: 1,
             admission_limit: 64,
@@ -239,7 +223,7 @@ fn brownout_serves_certified_answers_inline_and_recovers() {
 /// elapses on the `ManualClock`, and a half-open probe closes it again.
 #[test]
 fn circuit_breaker_trips_and_recovers_on_an_injected_clock() {
-    with_timeout(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let clock = Arc::new(ManualClock::new());
         let open_for = Duration::from_millis(200);
         let tier = ShardedService::with_clock(

@@ -4,32 +4,16 @@
 //! in the front-end/dispatch/shard stack fails fast instead of hanging
 //! CI.
 
+#[path = "common/timeout.rs"]
+mod timeout;
+
 use causality::prelude::*;
 use proptest::prelude::*;
-use std::sync::mpsc;
 use std::time::Duration;
+use timeout::with_timeout;
 
 const HARD_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Run `scenario` on a helper thread; panic if it exceeds the timeout.
-fn with_deadline(scenario: impl FnOnce() + Send + 'static) {
-    use std::sync::mpsc::RecvTimeoutError;
-    let (done_tx, done_rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        scenario();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(HARD_TIMEOUT) {
-        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-            if let Err(payload) = runner.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("sharding scenario exceeded {HARD_TIMEOUT:?} — deadlock?")
-        }
-    }
-}
+const TIMED_OUT: &str = "sharding scenario timed out — deadlock?";
 
 fn seed_database() -> Database {
     let mut db = Database::new();
@@ -118,7 +102,7 @@ proptest! {
 /// eviction structurally impossible.
 #[test]
 fn warm_cache_survives_other_tenants_writes() {
-    with_deadline(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let tier = small_tier(2);
         let (alice, bob) = two_tenants_on_different_shards(&tier);
 
@@ -167,7 +151,7 @@ fn warm_cache_survives_other_tenants_writes() {
 /// rejected; nothing blocks, nothing is dropped.
 #[test]
 fn admission_rejects_are_returned_not_dropped() {
-    with_deadline(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let tier = ShardedService::new(TierConfig {
             shards: 1,
             admission_limit: 2,
@@ -215,7 +199,7 @@ fn admission_rejects_are_returned_not_dropped() {
 /// answered, counted, and never occupies a worker with computation.
 #[test]
 fn expired_deadline_is_an_error_not_a_computation() {
-    with_deadline(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         let tier = ShardedService::new(TierConfig {
             shards: 1,
             shard: ServiceConfig {
@@ -268,7 +252,7 @@ fn expired_deadline_is_an_error_not_a_computation() {
 /// normally, uncounted and uncooled.
 #[test]
 fn panicking_one_shard_leaves_the_others_serving() {
-    with_deadline(|| {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
         // Breakers off: this test is about panic *isolation*; eight
         // straight panics would trip the victim tenant's breaker (its
         // own protection is covered in tests/service_selfheal.rs).

@@ -14,9 +14,13 @@
 //!   content stamps, keeps serving hits across writes to relations the
 //!   query never reads.
 
+#[path = "common/tier.rs"]
+mod tier;
+
 use causality::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
+use tier::one_tenant;
 
 /// Build a store over `n_rels` single-column relations `T0..T{n-1}`,
 /// each seeded with a few endogenous tuples.
@@ -130,19 +134,19 @@ proptest! {
         }
         let q = ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap();
         let answer = vec![Value::from(values[0])];
-        let svc = CausalityService::new(db);
+        let (tier, t) = one_tenant(db, ServiceConfig::default());
 
         let req = ExplainRequest::why_so(q, answer);
-        let cold = svc.explain(req.clone()).unwrap();
+        let cold = tier.explain(t, req.clone()).unwrap();
         prop_assert!(!cold.cache_hit);
 
         for i in 0..unrelated_writes {
-            svc.update(move |db| {
+            tier.update(t, move |db| {
                 let u = db.relation_id("Unrelated").unwrap();
                 db.insert_endo(u, vec![Value::from(i as i64)]);
-            });
+            }).unwrap();
         }
-        let warm = svc.explain(req.clone()).unwrap();
+        let warm = tier.explain(t, req.clone()).unwrap();
         prop_assert!(warm.cache_hit, "unrelated writes must not evict the answer");
         prop_assert_eq!(
             warm.result.clone().unwrap(),
@@ -152,11 +156,11 @@ proptest! {
         prop_assert_eq!(warm.snapshot_version, 1 + unrelated_writes as u64);
 
         // A write to a relation the query *does* read must miss.
-        svc.update(|db| {
+        tier.update(t, |db| {
             let s = db.relation_id("S").unwrap();
             db.insert_endo(s, vec![Value::from(999)]);
-        });
-        let miss = svc.explain(req).unwrap();
+        }).unwrap();
+        let miss = tier.explain(t, req).unwrap();
         prop_assert!(!miss.cache_hit, "touching S moves the fingerprint");
     }
 }

@@ -8,14 +8,18 @@
 //! Nothing gates that drift; perfbench's traced run (`--trace 1`)
 //! reports it in release mode as `telemetry.overhead_share`.
 
+#[path = "common/tier.rs"]
+mod tier;
+
 use causality::prelude::*;
 use causality_engine::database::example_2_2;
 use std::time::{Duration, Instant};
+use tier::one_tenant;
 
 const OPS: usize = 400;
 
 fn run_requests(sample_rate: f64) -> (Duration, u64) {
-    let svc = CausalityService::with_config(
+    let (tier, t) = one_tenant(
         example_2_2(),
         ServiceConfig {
             workers: 2,
@@ -31,31 +35,30 @@ fn run_requests(sample_rate: f64) -> (Duration, u64) {
     // Warm the caches so the measured window is the serving overhead,
     // not the first-call index builds.
     for a in answers {
-        svc.explain(ExplainRequest::why_so(q.clone(), vec![Value::str(a)]))
+        tier.explain(t, ExplainRequest::why_so(q.clone(), vec![Value::str(a)]))
             .unwrap();
     }
     let started = Instant::now();
     for i in 0..OPS {
         let a = answers[i % answers.len()];
-        let resp = svc
-            .explain(ExplainRequest::why_so(q.clone(), vec![Value::str(a)]))
+        let resp = tier
+            .explain(t, ExplainRequest::why_so(q.clone(), vec![Value::str(a)]))
             .unwrap();
         assert!(resp.result.is_ok());
     }
     let elapsed = started.elapsed();
-    let sampled = svc
-        .tier()
+    let sampled = tier
         .recent_traces()
         .len()
-        .max(svc.tier().slow_log_records().len()) as u64;
-    let prom = svc.tier().export_metrics();
+        .max(tier.slow_log_records().len()) as u64;
+    let prom = tier.export_metrics();
     let traced_total: u64 = prom
         .lines()
         .find(|l| l.starts_with("causality_traces_sampled_total"))
         .and_then(|l| l.split_whitespace().last())
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    svc.shutdown();
+    tier.shutdown();
     let _ = sampled;
     (elapsed, traced_total)
 }

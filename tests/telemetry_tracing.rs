@@ -2,9 +2,13 @@
 //! stage chains, ring-buffer bounds, slow-log capture, and exporter
 //! output — driven through the public service APIs only.
 
+#[path = "common/tier.rs"]
+mod tier;
+
 use causality::prelude::*;
 use causality_engine::database::example_2_2;
 use std::time::Duration;
+use tier::one_tenant;
 
 fn query() -> ConjunctiveQuery {
     ConjunctiveQuery::parse("q(x) :- R(x, y), S(y)").unwrap()
@@ -23,7 +27,7 @@ fn traced_config(telemetry: TelemetryConfig) -> ServiceConfig {
 /// export says so.
 #[test]
 fn rate_zero_samples_nothing_and_allocates_nothing() {
-    let svc = CausalityService::with_config(
+    let (tier, t) = one_tenant(
         example_2_2(),
         traced_config(TelemetryConfig {
             sample_rate: 0.0,
@@ -31,19 +35,19 @@ fn rate_zero_samples_nothing_and_allocates_nothing() {
         }),
     );
     for _ in 0..20 {
-        let resp = svc
-            .explain(ExplainRequest::why_so(query(), vec![Value::str("a2")]))
+        let resp = tier
+            .explain(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
             .unwrap();
         assert!(resp.result.is_ok());
     }
-    assert!(svc.tier().recent_traces().is_empty(), "no traces retained");
-    assert!(svc.tier().slow_log_records().is_empty());
-    let prom = svc.tier().export_metrics();
+    assert!(tier.recent_traces().is_empty(), "no traces retained");
+    assert!(tier.slow_log_records().is_empty());
+    let prom = tier.export_metrics();
     assert!(
         prom.contains("causality_traces_sampled_total{shard=\"0\"} 0"),
         "sampled counter must be zero:\n{prom}"
     );
-    svc.shutdown();
+    tier.shutdown();
 }
 
 /// Full sampling: a cold request's trace carries the complete ordered
@@ -51,13 +55,12 @@ fn rate_zero_samples_nothing_and_allocates_nothing() {
 /// (cache-hit) request's trace skips the lineage/kernel stages.
 #[test]
 fn full_sampling_records_the_complete_stage_chain() {
-    let svc =
-        CausalityService::with_config(example_2_2(), traced_config(TelemetryConfig::default()));
+    let (tier, t) = one_tenant(example_2_2(), traced_config(TelemetryConfig::default()));
     let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
-    assert!(!svc.explain(req.clone()).unwrap().cache_hit);
-    assert!(svc.explain(req).unwrap().cache_hit);
+    assert!(!tier.explain(t, req.clone()).unwrap().cache_hit);
+    assert!(tier.explain(t, req).unwrap().cache_hit);
 
-    let traces = svc.tier().recent_traces();
+    let traces = tier.recent_traces();
     assert_eq!(traces.len(), 2, "both requests sampled");
     let cold = &traces[0];
     let warm = &traces[1];
@@ -105,14 +108,14 @@ fn full_sampling_records_the_complete_stage_chain() {
     );
     assert!(warm.cache_hit);
     assert!(warm.seq > cold.seq, "per-shard seq increases");
-    svc.shutdown();
+    tier.shutdown();
 }
 
 /// Satellite: the trace ring is bounded — pushing past capacity
 /// overwrites the oldest traces and counts the evictions.
 #[test]
 fn trace_ring_overwrites_oldest_at_capacity() {
-    let svc = CausalityService::with_config(
+    let (tier, t) = one_tenant(
         example_2_2(),
         traced_config(TelemetryConfig {
             trace_ring: 4,
@@ -120,30 +123,30 @@ fn trace_ring_overwrites_oldest_at_capacity() {
         }),
     );
     for _ in 0..10 {
-        svc.explain(ExplainRequest::why_so(query(), vec![Value::str("a2")]))
+        tier.explain(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
             .unwrap();
     }
-    let traces = svc.tier().recent_traces();
+    let traces = tier.recent_traces();
     assert_eq!(traces.len(), 4, "ring holds exactly its capacity");
     let seqs: Vec<u64> = traces.iter().map(|t| t.seq).collect();
     let newest: Vec<u64> = (6..10).collect();
     assert_eq!(seqs, newest, "the oldest six traces were overwritten");
-    let prom = svc.tier().export_metrics();
+    let prom = tier.export_metrics();
     assert!(
         prom.contains("causality_traces_overwritten_total{shard=\"0\"} 6"),
         "evictions counted:\n{prom}"
     );
-    svc.shutdown();
+    tier.shutdown();
 }
 
 /// A request with a generous deadline reports positive slack in its
 /// trace.
 #[test]
 fn deadline_slack_is_positive_under_a_generous_budget() {
-    let svc =
-        CausalityService::with_config(example_2_2(), traced_config(TelemetryConfig::default()));
-    let resp = svc
+    let (tier, t) = one_tenant(example_2_2(), traced_config(TelemetryConfig::default()));
+    let resp = tier
         .submit_with_deadline(
+            t,
             ExplainRequest::why_so(query(), vec![Value::str("a3")]),
             Duration::from_secs(30),
         )
@@ -151,35 +154,35 @@ fn deadline_slack_is_positive_under_a_generous_budget() {
         .wait()
         .unwrap();
     assert!(resp.result.is_ok());
-    let traces = svc.tier().recent_traces();
+    let traces = tier.recent_traces();
     assert_eq!(traces.len(), 1);
     let slack = traces[0].deadline_slack_us.expect("deadline was stamped");
     assert!(slack > 0, "30s budget leaves positive slack, got {slack}");
-    svc.shutdown();
+    tier.shutdown();
 }
 
 /// A latency threshold of zero puts every request in the slow-log, with
 /// the full span breakdown attached.
 #[test]
 fn slow_log_captures_requests_over_the_latency_threshold() {
-    let svc = CausalityService::with_config(
+    let (tier, t) = one_tenant(
         example_2_2(),
         traced_config(TelemetryConfig {
             slow_latency: Some(Duration::ZERO),
             ..TelemetryConfig::default()
         }),
     );
-    svc.explain(ExplainRequest::why_so(query(), vec![Value::str("a2")]))
+    tier.explain(t, ExplainRequest::why_so(query(), vec![Value::str("a2")]))
         .unwrap();
-    let slow = svc.tier().slow_log_records();
+    let slow = tier.slow_log_records();
     assert_eq!(slow.len(), 1, "zero threshold catches everything");
     assert!(
         !slow[0].stages.is_empty(),
         "slow record keeps the breakdown"
     );
-    let jsonl = svc.tier().export_slow_log();
+    let jsonl = tier.export_slow_log();
     assert!(jsonl.contains("\"outcome\":\"ok\""));
-    svc.shutdown();
+    tier.shutdown();
 }
 
 /// The slow-log keeps the outlier with what explains it. On a one-worker
