@@ -10,8 +10,8 @@
 //!              ┌─────────▼─────────┐
 //!              │     front end     │  validate · breaker admit ·
 //!              │                   │  brownout check · deadline stamp ·
-//!              │                   │  admission (queue depth < limit,
-//!              │                   │  else ServiceError::Overloaded)
+//!              │                   │  admission (a full shard queue is
+//!              │                   │  ServiceError::Overloaded)
 //!              └─────────┬─────────┘
 //!              ┌─────────▼─────────┐     ┌──────────────┐
 //!              │     dispatch      │◀────│  supervisor  │ health ticks,
@@ -42,9 +42,7 @@ use crate::stats::{FrontendStats, ServiceStats, StatsCounters};
 use crate::supervisor::{
     assess, HealthState, ShardSignals, ShardTracker, SupervisorConfig, Verdict,
 };
-use crate::worker::{anytime_routable, Job};
-use causality_core::explain::Explainer;
-use causality_core::resp::approx::ApproxBudget;
+use crate::worker::{anytime_routable, compute_isolated, Job, Waiter};
 use causality_engine::{Database, Snapshot, SnapshotStore};
 use causality_telemetry::{
     prometheus_text, traces_jsonl, Counter, MetricsRegistry, RequestTrace, Stage,
@@ -61,16 +59,15 @@ pub struct TierConfig {
     /// shards by name; each shard runs its own worker pool of
     /// `shard.workers` threads, so total workers = `shards × shard.workers`.
     pub shards: usize,
-    /// Per-shard queue-depth limit: a submit finding the target shard's
-    /// queue at (or beyond) this depth is rejected with
-    /// [`ServiceError::Overloaded`] instead of queueing — bounded
-    /// admission keeps tail latency flat when an open-loop client
-    /// outruns the tier.
+    /// Per-shard queue bound. Each shard's queue holds the smaller of
+    /// this and [`ServiceConfig::queue_capacity`] jobs; a submit finding
+    /// it full is rejected with [`ServiceError::Overloaded`] instead of
+    /// queueing — bounded admission keeps tail latency flat when an
+    /// open-loop client outruns the tier.
     pub admission_limit: usize,
-    /// Retry/backoff/hedging policy used by
-    /// [`ShardedService::explain_with_retry`]. Plain
-    /// [`ShardedService::submit`]/[`ShardedService::explain`] never
-    /// retry, so existing single-shot semantics are unchanged.
+    /// Retry/backoff/hedging policy of [`ShardedService::explain`]. The
+    /// default is one attempt without a hedge; [`ShardedService::submit`]
+    /// never retries.
     pub retry: RetryPolicy,
     /// Per-tenant circuit breakers, shared across the tier's shards.
     /// [`BreakerConfig::disabled`] switches them off.
@@ -79,7 +76,8 @@ pub struct TierConfig {
     /// background health thread entirely.
     pub supervisor: SupervisorConfig,
     /// Tier-wide queued-request count at (or above) which the tier
-    /// enters **brownout**: routable NP-hard requests are served inline
+    /// enters **brownout**: routable NP-hard requests are computed on
+    /// the submitting thread, panic-isolated like a worker's computation,
     /// with the zero-budget greedy bracket instead of queueing — a
     /// certified (if coarse) answer, never [`ServiceError::Overloaded`].
     /// `usize::MAX` (the default) disables brownout.
@@ -205,16 +203,13 @@ impl ShardedService {
         };
         let tier_registry = Arc::new(MetricsRegistry::new());
         let breakers = Arc::new(BreakerRegistry::new(cfg.breaker, clock, &tier_registry));
+        let shard_cfg = ServiceConfig {
+            queue_capacity: cfg.shard.queue_capacity.min(cfg.admission_limit),
+            ..cfg.shard
+        };
         let shards: Arc<Vec<Shard>> = Arc::new(
             (0..shard_count)
-                .map(|i| {
-                    Shard::spawn(
-                        cfg.shard,
-                        cfg.admission_limit,
-                        &format!("shard{i}"),
-                        Arc::clone(&breakers),
-                    )
-                })
+                .map(|i| Shard::spawn(shard_cfg, &format!("shard{i}"), Arc::clone(&breakers)))
                 .collect(),
         );
         let stop = Arc::new(AtomicBool::new(false));
@@ -263,13 +258,12 @@ impl ShardedService {
 
     /// Submit through admission control, with no deadline.
     ///
-    /// Never blocks: past the shard's queue-depth limit, or with its
-    /// queue full, the request is rejected with
-    /// [`ServiceError::Overloaded`] (and counted), which is the
-    /// backpressure signal of an open-loop front end. No retries:
+    /// Never blocks: with the shard's queue full, the request is
+    /// rejected with [`ServiceError::Overloaded`] (and counted), which is
+    /// the backpressure signal of an open-loop front end. No retries:
     /// transient rejects surface to the caller, who can use
     /// [`ServiceError::retry_after_hint`] or switch to
-    /// [`ShardedService::explain_with_retry`].
+    /// [`ShardedService::explain`] with a [`RetryPolicy`].
     pub fn submit(
         &self,
         tenant: TenantId,
@@ -319,12 +313,22 @@ impl ShardedService {
             return Err(ServiceError::CircuitOpen { retry_after });
         }
         // Brownout: with the tier past its high-water mark, a routable
-        // NP-hard request takes the certified zero-budget bracket inline
-        // instead of joining a backlogged queue. The caller still gets a
-        // response through its normal channel.
+        // NP-hard request skips the backlogged queue. The shard's
+        // computation runs here, with a deadline that has already passed,
+        // which yields the certified zero-budget bracket; errors and
+        // caught panics come back from the submit.
         if self.brownout_active() && anytime_routable(&request) {
-            let response = self.brownout_response(shard, tenant, &request)?;
-            let _ = tx.send(response);
+            let snapshot = self.store(tenant)?.current();
+            let index_cache = shard.core.index_cache_for(tenant.key(), &snapshot);
+            let expired = Some(Instant::now());
+            let (explanation, _timing) =
+                compute_isolated(&shard.core, &snapshot, &index_cache, &request, expired)?;
+            self.fe.brownout_served.inc();
+            let _ = tx.send(ExplainResponse {
+                result: Ok(explanation),
+                snapshot_version: snapshot.version(),
+                cache_hit: false,
+            });
             return Ok(());
         }
         // A retried submission's trace starts at the backoff wait so the
@@ -354,15 +358,14 @@ impl ShardedService {
             }
             tb.begin(Stage::ShardQueue);
         }
-        let job = Job {
+        let waiter = Waiter {
             tenant: tenant.key(),
-            request,
             deadline,
             enqueued,
             tx,
             trace,
         };
-        shard.enqueue(job)
+        shard.enqueue(Job { request, waiter })
     }
 
     /// Update and read the brownout state from the tier-wide queued
@@ -397,48 +400,17 @@ impl ShardedService {
         active
     }
 
-    /// Serve a routable request inline on the caller's thread with the
-    /// zero-budget anytime bracket — the brownout degradation path.
-    fn brownout_response(
-        &self,
-        shard: &Shard,
-        tenant: TenantId,
-        request: &ExplainRequest,
-    ) -> Result<ExplainResponse, ServiceError> {
-        let snapshot = self.store(tenant)?.current();
-        let index_cache = shard.core.index_cache_for(tenant.key(), &snapshot);
-        let explainer = Explainer::new(snapshot.database(), &request.query)
-            .with_method(request.method)
-            .with_index_cache(index_cache);
-        let (explanation, _timing) =
-            explainer.why_anytime(&request.answer, ApproxBudget::zero())?;
-        self.fe.brownout_served.inc();
-        Ok(ExplainResponse {
-            result: Ok(explanation),
-            snapshot_version: snapshot.version(),
-            cache_hit: false,
-        })
-    }
-
-    /// Submit and wait: the blocking convenience call. Single-shot — see
-    /// [`ShardedService::explain_with_retry`] for the resilient variant.
-    pub fn explain(
-        &self,
-        tenant: TenantId,
-        request: ExplainRequest,
-    ) -> Result<ExplainResponse, ServiceError> {
-        self.submit(tenant, request)?.wait()
-    }
-
-    /// Submit and wait with the tier's [`RetryPolicy`]: transient
-    /// failures ([`ServiceError::is_retryable`]) are retried up to
-    /// `max_attempts` times under seeded full-jitter exponential backoff
-    /// (an [`ServiceError::Overloaded`] hint floors the wait), retries
-    /// re-route away from unhealthy shards, and — when
-    /// [`RetryPolicy::hedge_after`] is set — a response outstanding past
+    /// Submit and wait, under the tier's [`RetryPolicy`]. The default
+    /// policy makes one attempt. With more, transient failures
+    /// ([`ServiceError::is_retryable`]) are retried up to `max_attempts`
+    /// times under seeded full-jitter exponential backoff (an
+    /// [`ServiceError::Overloaded`] hint floors the wait), and retries
+    /// re-route away from unhealthy shards. When
+    /// [`RetryPolicy::hedge_after`] is set, a response outstanding past
     /// that budget is hedged onto a healthy sibling shard, first answer
-    /// wins. Terminal errors surface immediately.
-    pub fn explain_with_retry(
+    /// wins. Terminal errors surface immediately, and a job dropped
+    /// unanswered comes back as [`ServiceError::Disconnected`].
+    pub fn explain(
         &self,
         tenant: TenantId,
         request: ExplainRequest,
@@ -468,10 +440,11 @@ impl ShardedService {
         }
     }
 
-    /// One submit-and-wait attempt of [`ShardedService::explain_with_retry`]:
-    /// route (away from an unhealthy home on retries), submit, and wait —
+    /// One submit-and-wait attempt of [`ShardedService::explain`]: route
+    /// (away from an unhealthy home on retries), submit, and wait —
     /// hedging onto a sibling if the response is slower than
-    /// [`RetryPolicy::hedge_after`].
+    /// [`RetryPolicy::hedge_after`]. The wait holds no sender, so a job
+    /// dropped unanswered disconnects it.
     fn attempt(
         &self,
         tenant: TenantId,
@@ -487,34 +460,31 @@ impl ShardedService {
             }
         }
         let (tx, rx) = mpsc::channel();
-        self.submit_routed(
-            tenant.on_shard(target),
-            request.clone(),
-            None,
-            tx.clone(),
-            retry_span,
-        )?;
+        let routed = tenant.on_shard(target);
         let Some(hedge_after) = self.cfg.retry.hedge_after else {
+            self.submit_routed(routed, request, None, tx, retry_span)?;
             return rx.recv().map_err(|_| ServiceError::Disconnected);
         };
-        match rx.recv_timeout(hedge_after) {
-            Ok(response) => Ok(response),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Tail hedge: mirror the request onto a healthy sibling
-                // sharing the same response channel; first answer wins,
-                // the loser's send lands in a dropped receiver.
-                if let Some(sibling) = self.reroute_target(tenant, target) {
-                    if self
-                        .submit_routed(tenant.on_shard(sibling), request, None, tx, None)
-                        .is_ok()
-                    {
-                        self.fe.hedges.inc();
-                    }
-                }
-                rx.recv().map_err(|_| ServiceError::Disconnected)
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::Disconnected),
+        self.submit_routed(routed, request.clone(), None, tx.clone(), retry_span)?;
+        if let Ok(response) = rx.recv_timeout(hedge_after) {
+            return Ok(response);
         }
+        // Tail hedge: mirror the request onto a healthy sibling sharing
+        // the same response channel; first answer wins, the loser's send
+        // lands in a dropped receiver. Without a sibling the spare sender
+        // is dropped before the wait.
+        match self.reroute_target(tenant, target) {
+            Some(sibling) => {
+                if self
+                    .submit_routed(tenant.on_shard(sibling), request, None, tx, None)
+                    .is_ok()
+                {
+                    self.fe.hedges.inc();
+                }
+            }
+            None => drop(tx),
+        }
+        rx.recv().map_err(|_| ServiceError::Disconnected)
     }
 
     /// Pick a healthy shard other than `avoid` for a retry or hedge of
@@ -830,6 +800,7 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerState;
     use crate::clock::ManualClock;
+    use causality_core::explain::Explainer;
     use causality_engine::database::example_2_2;
     use causality_engine::{tup, ConjunctiveQuery, Schema, Value};
     use std::sync::atomic::AtomicBool;
@@ -1121,7 +1092,7 @@ mod tests {
         let hook_armed = Arc::clone(&armed);
         tier.inject_fault(move |_| hook_armed.swap(false, Ordering::Relaxed));
         let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
-        let resp = tier.explain_with_retry(t, req).unwrap();
+        let resp = tier.explain(t, req).unwrap();
         assert!(resp.result.is_ok(), "retry recovered the answer");
         let fe = tier.stats().frontend;
         assert_eq!(fe.retries, 1, "exactly one backoff-retry");
@@ -1142,6 +1113,66 @@ mod tests {
         assert!(matches!(resp.result, Err(ServiceError::Panicked(_))));
         assert_eq!(tier.stats().frontend.retries, 0);
         tier.shutdown();
+    }
+
+    /// A job dropped unanswered resolves `explain` to `Disconnected`,
+    /// with and without a hedge: while it waits, `explain` holds no
+    /// sender of its own. On one shard a hedge has no sibling to go to.
+    #[test]
+    fn explain_never_waits_on_its_own_sender() {
+        for hedge_after in [None, Some(Duration::from_millis(5))] {
+            let tier = Arc::new(ShardedService::new(TierConfig {
+                shards: 1,
+                retry: RetryPolicy {
+                    max_attempts: 2,
+                    hedge_after,
+                    ..RetryPolicy::default()
+                },
+                breaker: BreakerConfig::disabled(),
+                supervisor: SupervisorConfig::disabled(),
+                shard: ServiceConfig {
+                    workers: 1,
+                    batch_max: 1,
+                    ..ServiceConfig::default()
+                },
+                ..TierConfig::default()
+            }));
+            let t = tier.add_tenant("t", example_2_2()).unwrap();
+            let req = |a: &str| ExplainRequest::why_so(query(), vec![Value::str(a)]);
+            // The only worker stalls inside the hook until released.
+            let released = Arc::new(AtomicBool::new(false));
+            let hold = Arc::clone(&released);
+            tier.inject_fault(move |_| {
+                while !hold.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                false
+            });
+            let blocker = tier.submit(t, req("a2")).unwrap();
+            while tier.shard_progress(0) < 1 {
+                std::thread::yield_now();
+            }
+            let (done_tx, done_rx) = mpsc::channel();
+            let caller = Arc::clone(&tier);
+            let waiting = std::thread::spawn(move || {
+                let _ = done_tx.send(caller.explain(t, req("a3")));
+            });
+            // Take the accepted request off the queue and drop it.
+            let job = lock_unpoisoned(tier.shards[0].receiver())
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the second request was queued");
+            drop(job);
+            let outcome = done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("explain still waits (hedge {hedge_after:?})"));
+            assert!(
+                matches!(outcome, Err(ServiceError::Disconnected)),
+                "hedge {hedge_after:?}: {outcome:?}"
+            );
+            waiting.join().unwrap();
+            released.store(true, Ordering::Release);
+            assert!(blocker.wait().unwrap().result.is_ok());
+        }
     }
 
     fn one_worker_tier(cache_capacity: usize) -> (ShardedService, TenantId) {

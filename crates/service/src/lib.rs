@@ -14,10 +14,9 @@
 //!
 //! * **front end** ([`ShardedService`]) — validates requests, stamps
 //!   per-request deadline budgets, and applies bounded admission: a
-//!   submit that finds its target shard's queue at the configured depth
-//!   is rejected with [`ServiceError::Overloaded`] instead of queueing,
-//!   so tail latency stays flat when an open-loop client outruns the
-//!   tier;
+//!   submit that finds its target shard's queue full is rejected with
+//!   [`ServiceError::Overloaded`] instead of queueing, so tail latency
+//!   stays flat when an open-loop client outruns the tier;
 //! * **dispatch** ([`TenantId`], `dispatch` module) — routes each
 //!   tenant, stably by name, to one of [`TierConfig::shards`] shards;
 //! * **shards** (`shard` + `worker` modules) — each shard owns its
@@ -59,9 +58,10 @@
 //!   they provably cannot enter the top k — bit-identical to the first
 //!   k of the full ranking, with [`ServiceStats::rank_tasks`] /
 //!   [`ServiceStats::topk_pruned`] accounting;
-//! * failure isolation — every fresh computation runs behind a
+//! * failure isolation — every fresh computation, a worker's or a
+//!   brownout one on the submitting thread, runs behind a
 //!   `catch_unwind` boundary, so a panicking job resolves to
-//!   [`ServiceError::Panicked`] instead of killing its worker (counted
+//!   [`ServiceError::Panicked`] instead of killing its thread (counted
 //!   in [`ServiceStats::panics_caught`]); service mutexes recover from
 //!   poisoning, and [`ShardedService::inject_fault`] /
 //!   [`ShardedService::inject_delay`] let tests panic or stall chosen
@@ -104,16 +104,19 @@
 //!   from live signals (panic streaks, queue stalls, deadline-miss
 //!   rate), restarts a quarantined shard's worker pool **on the same
 //!   queue** (loss-free by construction) and probes it back to healthy;
-//!   [`ShardedService::explain_with_retry`] retries transient failures
+//!   [`ShardedService::explain`] follows the tier's [`RetryPolicy`]
+//!   (one attempt by default), retrying transient failures
 //!   ([`ServiceError::is_retryable`]) under seeded full-jitter backoff
 //!   with optional tail-latency hedging, re-routing away from unhealthy
 //!   shards; per-tenant circuit breakers ([`BreakerConfig`]) shed a
 //!   tenant whose requests keep dying before they can occupy queues;
 //!   and past a configurable high-water mark the tier *browns out*,
-//!   serving routable NP-hard requests inline with the certified
-//!   zero-budget bracket instead of rejecting them. Deterministic chaos
-//!   soaks drive all of it via seeded [`FaultPlan`]s
-//!   ([`ShardedService::install_fault_plan`]).
+//!   computing routable NP-hard requests on the submitting thread with
+//!   the certified zero-budget bracket instead of queueing them — the
+//!   same panic-isolated computation a worker runs, chaos hook
+//!   included, so a caught panic comes back from the submit as
+//!   [`ServiceError::Panicked`]. Deterministic chaos soaks drive all of
+//!   it via seeded [`FaultPlan`]s ([`ShardedService::install_fault_plan`]).
 //!
 //! # Example
 //!

@@ -14,7 +14,7 @@ use std::time::Duration;
 /// When and how the front end retries retryable failures.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Total submission attempts (1 = no retries).
+    /// Total submission attempts (1 = no retries, the default).
     pub max_attempts: u32,
     /// Base backoff; attempt `n` waits up to `base * 2^n`.
     pub base: Duration,
@@ -31,7 +31,7 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            max_attempts: 3,
+            max_attempts: 1,
             base: Duration::from_millis(2),
             cap: Duration::from_millis(200),
             jitter_seed: 0x9e37_79b9_7f4a_7c15,

@@ -10,8 +10,10 @@
 //! via the [`dispatch`](crate::dispatch) layer and applies admission
 //! control and deadline budgets at the front end.
 //!
-//! A request enters a shard through one function, `Shard::enqueue`. A
-//! queue at its admission limit, or a full channel, rejects the request
+//! A request enters a shard through one function, `Shard::enqueue`. The
+//! shard's one bounded channel holds the smaller of the tier's
+//! [`admission_limit`](crate::TierConfig::admission_limit) and
+//! [`ServiceConfig::queue_capacity`]; a full channel rejects the request
 //! with a counted [`ServiceError::Overloaded`].
 //!
 //! Within a shard, multiple tenants can coexist soundly because both
@@ -74,7 +76,9 @@ pub(crate) type RelFingerprint = Vec<(RelId, RelVersion)>;
 pub struct ServiceConfig {
     /// Worker threads evaluating requests.
     pub workers: usize,
-    /// Bound of the request queue. Past it, a
+    /// Bound of the request queue. The smaller of this and
+    /// [`TierConfig::admission_limit`](crate::TierConfig::admission_limit)
+    /// bounds the queue; past it, a
     /// [`ShardedService`](crate::ShardedService) submit is rejected with
     /// [`ServiceError::Overloaded`].
     pub queue_capacity: usize,
@@ -92,9 +96,9 @@ pub struct ServiceConfig {
     /// `workers × rank_parallelism`, so size the two together against
     /// the machine.
     pub rank_parallelism: usize,
-    /// Request tracing and slow-log configuration (sampling rate, ring
-    /// capacities, slow thresholds). Sampling defaults to 1.0 — every
-    /// request traced; set `sample_rate: 0.0` to disable tracing
+    /// Request tracing and slow-log configuration (sampling rate,
+    /// trace-ring capacity, slow thresholds). Sampling defaults to 1.0 —
+    /// every request traced; set `sample_rate: 0.0` to disable tracing
     /// entirely (no per-request allocation).
     pub telemetry: TelemetryConfig,
 }
@@ -131,8 +135,6 @@ impl ServiceConfig {
 /// State shared between a shard's handle and its workers.
 pub(crate) struct ShardCore {
     pub(crate) cfg: ServiceConfig,
-    /// Queue-depth limit enforced by [`Shard::enqueue`].
-    pub(crate) admission_limit: usize,
     /// Snapshot stores of the tenants routed to this shard.
     pub(crate) tenants: RwLock<HashMap<TenantKey, Arc<SnapshotStore>>>,
     pub(crate) stats: StatsCounters,
@@ -164,8 +166,9 @@ pub(crate) struct ShardCore {
     /// atomic before touching the hook mutex, so chaos-free serving
     /// never pays for the injection point.
     pub(crate) chaos_armed: AtomicBool,
-    /// Current run of panicking computations without an intervening
-    /// completion; the supervisor quarantines past a threshold.
+    /// Current run of panicking worker computations without an
+    /// intervening completion; the supervisor quarantines past a
+    /// threshold. Brownout computations do not count.
     pub(crate) consecutive_panics: AtomicU64,
     /// Live health classification, written by the supervisor and read by
     /// routing (fallback selection avoids unhealthy shards).
@@ -254,7 +257,7 @@ impl ShardCore {
     /// error's outcome label, so rejected requests show up in the trace
     /// ring and slow-log too, and return the error.
     fn refuse(&self, job: Job, err: ServiceError) -> Result<(), ServiceError> {
-        if let Some(mut tb) = job.trace {
+        if let Some(mut tb) = job.waiter.trace {
             tb.set_outcome(err.outcome_label());
             self.telemetry.record(tb.finish());
         }
@@ -347,21 +350,15 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Spawn a shard with `cfg.workers` threads. `admission_limit` is
-    /// the queue-depth bound of [`Shard::enqueue`], `name` labels the
-    /// worker threads, and `breakers` are the tier's circuit breakers,
-    /// which the workers report outcomes to.
-    pub(crate) fn spawn(
-        cfg: ServiceConfig,
-        admission_limit: usize,
-        name: &str,
-        breakers: Arc<BreakerRegistry>,
-    ) -> Self {
+    /// Spawn a shard with `cfg.workers` threads and a channel of
+    /// `cfg.queue_capacity` jobs. `name` labels the worker threads, and
+    /// `breakers` are the tier's circuit breakers, which the workers
+    /// report outcomes to.
+    pub(crate) fn spawn(cfg: ServiceConfig, name: &str, breakers: Arc<BreakerRegistry>) -> Self {
         let cfg = cfg.sanitized();
         let registry = Arc::new(MetricsRegistry::new());
         let core = Arc::new(ShardCore {
             cfg,
-            admission_limit,
             tenants: RwLock::new(HashMap::new()),
             stats: StatsCounters::new(&registry),
             telemetry: Telemetry::new(cfg.telemetry, &registry),
@@ -446,14 +443,11 @@ impl Shard {
     }
 
     /// Put `job` on the queue: the one way a request enters a shard.
-    /// Bounded admission: at the shard's `admission_limit`, or with the
-    /// channel full, the job is refused with a counted
-    /// [`ServiceError::Overloaded`] carrying a retry-after hint. A
-    /// refused job's trace is finalized with the error's outcome label.
+    /// Bounded admission: with the channel full, the job is refused with
+    /// a counted [`ServiceError::Overloaded`] carrying a retry-after
+    /// hint. A refused job's trace is finalized with the error's outcome
+    /// label.
     pub(crate) fn enqueue(&self, job: Job) -> Result<(), ServiceError> {
-        if self.core.stats.queue_depth.get() as usize >= self.core.admission_limit {
-            return self.core.refuse(job, self.core.overloaded());
-        }
         let Some(tx) = self.sender() else {
             return self.core.refuse(job, ServiceError::Disconnected);
         };
@@ -464,12 +458,17 @@ impl Shard {
         };
         self.core.stats.queue_depth.dec(1);
         let (err, job) = match refused {
-            // The channel filling below the depth limit is still "past
-            // the queue-depth limit" to a caller.
             TrySendError::Full(job) => (self.core.overloaded(), job),
             TrySendError::Disconnected(job) => (ServiceError::Disconnected, job),
         };
         self.core.refuse(*job, err)
+    }
+
+    /// The queue's receiving end, for tests that take a job off the
+    /// queue themselves.
+    #[cfg(test)]
+    pub(crate) fn receiver(&self) -> &Mutex<Receiver<Box<Job>>> {
+        &self.rx
     }
 
     /// Stop accepting work, drain the queue, and join every worker

@@ -34,13 +34,20 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One queued unit of work: a request bound to a tenant, carrying its
-/// enqueue instant (for the latency histogram) and an optional deadline.
+/// One queued unit of work: a request and the waiter its response goes
+/// to.
 pub(crate) struct Job {
-    /// Which tenant's snapshot store serves this request.
-    pub tenant: TenantKey,
     /// The request itself.
     pub request: ExplainRequest,
+    /// Who waits for the response, and on whose behalf.
+    pub waiter: Waiter,
+}
+
+/// The per-waiter part of a [`Job`]: it stays whole when coalescing
+/// groups jobs by `(tenant, request)`.
+pub(crate) struct Waiter {
+    /// Which tenant's snapshot store serves this request.
+    pub tenant: TenantKey,
     /// If set, the instant past which the job must not *start*: a worker
     /// draining an expired job responds [`ServiceError::DeadlineExceeded`]
     /// instead of computing. (A computation already underway runs to
@@ -54,16 +61,6 @@ pub(crate) struct Job {
     /// The trace under construction when the request was sampled;
     /// unsampled requests carry `None` and pay nothing further.
     pub trace: Option<Box<TraceBuilder>>,
-}
-
-/// The per-waiter remainder of a [`Job`] after coalescing detaches the
-/// shared `(tenant, request)` group key.
-struct JobTail {
-    tenant: TenantKey,
-    enqueued: Instant,
-    deadline: Option<Instant>,
-    tx: Sender<ExplainResponse>,
-    trace: Option<Box<TraceBuilder>>,
 }
 
 /// Whether the hardness router may send this request down the anytime
@@ -89,8 +86,8 @@ pub(crate) fn anytime_routable(request: &ExplainRequest) -> bool {
 /// circuit breaker, and finishing the job's trace (outcome label,
 /// respond stage, explanation attributes). A requester that dropped its
 /// handle is not an error.
-fn respond(core: &ShardCore, tail: JobTail, response: ExplainResponse) {
-    if let Some(mut tb) = tail.trace {
+fn respond(core: &ShardCore, waiter: Waiter, response: ExplainResponse) {
+    if let Some(mut tb) = waiter.trace {
         tb.begin(Stage::Respond);
         let outcome = match &response.result {
             Ok(_) => "ok",
@@ -115,9 +112,9 @@ fn respond(core: &ShardCore, tail: JobTail, response: ExplainResponse) {
         response.result,
         Err(ServiceError::Panicked(_)) | Err(ServiceError::Core(_))
     );
-    core.breakers.record(tail.tenant, breaker_success);
-    core.stats.latency.record(tail.enqueued.elapsed());
-    let _ = tail.tx.send(response);
+    core.breakers.record(waiter.tenant, breaker_success);
+    core.stats.latency.record(waiter.enqueued.elapsed());
+    let _ = waiter.tx.send(response);
 }
 
 /// One worker thread's life: drain batches off the shared queue until
@@ -162,10 +159,10 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
     let now = Instant::now();
     let mut live: Vec<Job> = Vec::with_capacity(batch.len());
     for mut job in batch {
-        if let Some(tb) = job.trace.as_deref_mut() {
+        if let Some(tb) = job.waiter.trace.as_deref_mut() {
             tb.begin(Stage::WorkerDequeue);
         }
-        match job.deadline {
+        match job.waiter.deadline {
             // An expired *hard* instance is rescued rather than failed:
             // the anytime path degrades gracefully to its zero-budget
             // greedy bounds, so a routable request never turns into
@@ -176,13 +173,7 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                 core.stats.deadline_misses.inc();
                 respond(
                     core,
-                    JobTail {
-                        tenant: job.tenant,
-                        enqueued: job.enqueued,
-                        deadline: job.deadline,
-                        tx: job.tx,
-                        trace: job.trace,
-                    },
+                    job.waiter,
                     ExplainResponse {
                         result: Err(ServiceError::DeadlineExceeded),
                         snapshot_version: 0,
@@ -198,21 +189,14 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
     // order. Tenants never coalesce with each other: identical queries
     // over different tenants' databases are different computations.
     let mut order: Vec<(TenantKey, ExplainRequest)> = Vec::new();
-    let mut groups: HashMap<(TenantKey, ExplainRequest), Vec<JobTail>> = HashMap::new();
+    let mut groups: HashMap<(TenantKey, ExplainRequest), Vec<Waiter>> = HashMap::new();
     for job in live {
-        let tenant = job.tenant;
-        let key = (job.tenant, job.request);
+        let key = (job.waiter.tenant, job.request);
         let entry = groups.entry(key.clone()).or_default();
         if entry.is_empty() {
             order.push(key);
         }
-        entry.push(JobTail {
-            tenant,
-            enqueued: job.enqueued,
-            deadline: job.deadline,
-            tx: job.tx,
-            trace: job.trace,
-        });
+        entry.push(job.waiter);
     }
 
     for (tenant, request) in order {
@@ -223,10 +207,10 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
             // Unreachable through the public API (tenants are registered
             // before their id is handed out and never removed), but a
             // stale id must get an error, not a hang.
-            for tail in senders {
+            for waiter in senders {
                 respond(
                     core,
-                    tail,
+                    waiter,
                     ExplainResponse {
                         result: Err(ServiceError::InvalidRequest(
                             "unknown tenant for this shard".to_string(),
@@ -276,13 +260,31 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                     .flatten();
                 let computed = compute_isolated(core, &snapshot, &index_cache, &request, deadline);
                 let compute_end = Instant::now();
+                // Only computations run by workers feed the panic streak
+                // that drives quarantine.
+                if matches!(computed, Err(ServiceError::Panicked(_))) {
+                    core.consecutive_panics.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    core.consecutive_panics.store(0, Ordering::Relaxed);
+                }
                 let (computed, timing) = match computed {
                     Ok((explanation, timing)) => {
-                        // Approximate explanations are never cached: a
-                        // later deadline-free request must not inherit a
-                        // bracket, and a cached exact entry is strictly
-                        // better for everyone.
-                        if let (Some(key), ExplainMode::Exact) = (key, explanation.mode) {
+                        if let ExplainMode::Approximate {
+                            bounds,
+                            refinements,
+                            ..
+                        } = explanation.mode
+                        {
+                            core.stats.approx_requests.inc();
+                            core.stats.approx_refinements.add(refinements as u64);
+                            core.stats
+                                .bound_width
+                                .record_us((bounds.width() * 1_000_000.0) as u64);
+                        } else if let Some(key) = key {
+                            // Approximate explanations are never cached: a
+                            // later deadline-free request must not inherit
+                            // a bracket, and a cached exact entry is
+                            // strictly better for everyone.
                             lock_unpoisoned(&core.resp_cache).insert(key, explanation.clone());
                         }
                         (Ok(explanation), Some((compute_end, timing)))
@@ -292,8 +294,8 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                 (computed, timing, false)
             }
         };
-        for (i, mut tail) in senders.into_iter().enumerate() {
-            if let Some(tb) = tail.trace.as_deref_mut() {
+        for (i, mut waiter) in senders.into_iter().enumerate() {
+            if let Some(tb) = waiter.trace.as_deref_mut() {
                 if !cache_hit && i > 0 {
                     tb.mark_coalesced();
                 }
@@ -332,7 +334,7 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
             }
             respond(
                 core,
-                tail,
+                waiter,
                 ExplainResponse {
                     result: result.clone(),
                     snapshot_version: version,
@@ -343,12 +345,14 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
     }
 }
 
-/// [`compute`] behind a panic boundary. A panicking job must cost
+/// [`compute`] behind a panic boundary, consulting the shard's chaos
+/// hook first: the one way a shard computes an answer, on a worker or,
+/// in brownout, on the submitting thread. A panicking job must cost
 /// exactly one response, not the worker (and with it the whole pool —
 /// every worker shares the queue mutex a dying thread would poison):
 /// the panic is caught, counted, and converted into
 /// [`ServiceError::Panicked`] for the requester.
-fn compute_isolated(
+pub(crate) fn compute_isolated(
     core: &ShardCore,
     snapshot: &Snapshot,
     index_cache: &Arc<SharedIndexCache>,
@@ -382,17 +386,10 @@ fn compute_isolated(
         }
         compute(core, snapshot, index_cache, request, deadline)
     }));
-    match guarded {
-        Ok(result) => {
-            core.consecutive_panics.store(0, Ordering::Relaxed);
-            result
-        }
-        Err(payload) => {
-            core.stats.panics_caught.inc();
-            core.consecutive_panics.fetch_add(1, Ordering::Relaxed);
-            Err(ServiceError::Panicked(panic_message(payload.as_ref())))
-        }
-    }
+    guarded.unwrap_or_else(|payload| {
+        core.stats.panics_caught.inc();
+        Err(ServiceError::Panicked(panic_message(payload.as_ref())))
+    })
 }
 
 /// Best-effort rendering of a caught panic payload (panics carry a
@@ -427,20 +424,7 @@ fn compute(
                 max_steps: u64::MAX,
                 deadline,
             };
-            let (explanation, timing) = explainer.why_anytime(&request.answer, budget)?;
-            core.stats.approx_requests.inc();
-            if let ExplainMode::Approximate {
-                bounds,
-                refinements,
-                ..
-            } = explanation.mode
-            {
-                core.stats.approx_refinements.add(refinements as u64);
-                core.stats
-                    .bound_width
-                    .record_us((bounds.width() * 1_000_000.0) as u64);
-            }
-            Ok((explanation, timing))
+            Ok(explainer.why_anytime(&request.answer, budget)?)
         }
         ExplainKind::WhySo => Ok(explainer.why_timed(&request.answer)?),
         ExplainKind::WhyNo => Ok(explainer.why_not_timed(&request.answer)?),

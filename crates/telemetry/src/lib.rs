@@ -7,7 +7,7 @@
 //!   [`Histogram`]): named atomics handed out as shared handles, with a
 //!   Prometheus-text exporter that exposes full histogram bucket
 //!   vectors.
-//! - **Tracing** ([`TraceBuilder`], [`Span`], [`Stage`]): per-request
+//! - **Tracing** ([`TraceBuilder`], [`Stage`]): per-request
 //!   span chains measured against a single origin instant so timestamps
 //!   stay monotone across the frontend→worker thread hop, sampled by a
 //!   deterministic fixed-point [`Sampler`] and retained in a bounded
@@ -33,7 +33,7 @@ pub use metrics::{
     prometheus_text, quantile_us, Counter, Gauge, Histogram, MetricKind, MetricSample,
     MetricsRegistry, LATENCY_BUCKETS,
 };
-pub use trace::{RequestTrace, Sampler, Span, Stage, StageSpan, TraceBuilder, TraceRing};
+pub use trace::{RequestTrace, Sampler, Stage, StageSpan, TraceBuilder, TraceRing};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,8 +50,6 @@ pub struct TelemetryConfig {
     pub sample_rate: f64,
     /// Per-shard capacity of the recent-trace ring.
     pub trace_ring: usize,
-    /// Per-shard capacity of the slow-log ring.
-    pub slow_ring: usize,
     /// Traces at least this slow enter the slow-log.
     pub slow_latency: Option<Duration>,
     /// Traces finishing with less deadline slack than this (including
@@ -65,7 +63,6 @@ impl Default for TelemetryConfig {
         Self {
             sample_rate: 1.0,
             trace_ring: 256,
-            slow_ring: 64,
             slow_latency: None,
             slow_slack: None,
         }
@@ -95,6 +92,9 @@ impl TelemetryConfig {
     }
 }
 
+/// Per-shard capacity of the slow-log ring.
+const SLOW_RING: usize = 64;
+
 /// Per-shard telemetry hub: owns the sampler, trace sequence, the
 /// recent-trace and slow-log rings, and the counters describing them.
 #[derive(Debug)]
@@ -120,7 +120,7 @@ impl Telemetry {
             sampler: Sampler::new(cfg.sample_rate),
             seq: AtomicU64::new(0),
             ring: TraceRing::new(cfg.trace_ring),
-            slow: TraceRing::new(cfg.slow_ring),
+            slow: TraceRing::new(SLOW_RING),
             sampled: registry.counter("traces_sampled_total"),
             overwritten: registry.counter("traces_overwritten_total"),
             slow_records: registry.counter("slow_log_records_total"),

@@ -3,8 +3,7 @@
 //! A trace is a sequence of [`StageSpan`]s measured against a single
 //! origin [`Instant`] captured when the request enters the frontend, so
 //! stage timestamps stay monotone even as the request hops between the
-//! submitting thread and a shard worker thread. Within one thread the
-//! RAII [`Span`] guard is the convenient API; across the queue hop the
+//! submitting thread and a shard worker thread. Across the queue hop the
 //! builder's explicit [`TraceBuilder::begin`] / [`TraceBuilder::finish`]
 //! calls let one side open a stage and the other close it.
 
@@ -339,41 +338,6 @@ impl TraceBuilder {
     }
 }
 
-/// RAII guard that times a stage within a single thread: entering closes
-/// any open stage and records this one on drop.
-#[derive(Debug)]
-pub struct Span<'a> {
-    builder: &'a mut TraceBuilder,
-    stage: Stage,
-    start: Instant,
-}
-
-impl<'a> Span<'a> {
-    /// Starts timing `stage` against `builder`'s origin.
-    pub fn enter(builder: &'a mut TraceBuilder, stage: Stage) -> Self {
-        let start = Instant::now();
-        let start_us = builder.offset_us(start);
-        builder.close_open(start_us);
-        Self {
-            builder,
-            stage,
-            start,
-        }
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let dur = self.start.elapsed();
-        let start_us = self.builder.offset_us(self.start);
-        self.builder.stages.push(StageSpan {
-            stage: self.stage,
-            start_us,
-            dur_us: dur.as_micros().min(u128::from(u64::MAX)) as u64,
-        });
-    }
-}
-
 /// Deterministic fixed-point sampler: a shared accumulator advances by
 /// `rate * 2^16` per request and a request is sampled whenever the
 /// accumulator crosses a whole-unit boundary. Rate 1.0 samples every
@@ -494,20 +458,6 @@ mod tests {
             assert!(pair[0].start_us <= pair[1].start_us);
         }
         assert_eq!(trace.seq, 7);
-    }
-
-    #[test]
-    fn span_guard_records_on_drop() {
-        let mut tb = TraceBuilder::new(Instant::now(), 0);
-        tb.begin(Stage::WorkerDequeue);
-        {
-            let _span = Span::enter(&mut tb, Stage::SnapshotPin);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let trace = tb.finish();
-        let pin = trace.stage(Stage::SnapshotPin).expect("span recorded");
-        assert!(pin.dur_us >= 1_000, "slept 2ms, got {}µs", pin.dur_us);
-        assert!(trace.stage(Stage::WorkerDequeue).is_some());
     }
 
     #[test]

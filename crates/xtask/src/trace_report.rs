@@ -409,7 +409,7 @@ mod tests {
         use causality_engine::database::example_2_2;
         use causality_engine::{ConjunctiveQuery, Value};
         use causality_service::{
-            ExplainRequest, ServiceConfig, ServiceError, ShardedService, TierConfig,
+            ExplainRequest, RetryPolicy, ServiceConfig, ServiceError, ShardedService, TierConfig,
         };
         use causality_telemetry::TelemetryConfig;
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -418,6 +418,10 @@ mod tests {
         let tier = ShardedService::new(TierConfig {
             shards: 1,
             admission_limit: 2,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                ..RetryPolicy::default()
+            },
             shard: ServiceConfig {
                 workers: 1,
                 batch_max: 1,
@@ -460,8 +464,7 @@ mod tests {
         // One panic, then a backed-off retry that succeeds.
         let fired = AtomicBool::new(false);
         tier.inject_fault(move |_| !fired.swap(true, Ordering::Relaxed));
-        let retried =
-            tier.explain_with_retry(easy, ExplainRequest::why_so(q.clone(), answer("a3")));
+        let retried = tier.explain(easy, ExplainRequest::why_so(q.clone(), answer("a3")));
         retried.unwrap().result.unwrap();
         // Stalled work past an admission limit of 2: rejects, and slow
         // requests for the slow log.

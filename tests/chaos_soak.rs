@@ -1,13 +1,14 @@
 //! Seeded chaos soak, sized for the standard test job. A deterministic
 //! [`FaultPlan`] — panic bursts, worker stalls, cache poisoning,
 //! submission bursts, clock skew — is replayed against a two-shard tier
-//! driven entirely through `explain_with_retry`, and the run asserts
-//! the self-healing contract: zero silent drops (every submission comes
-//! back as an answer or a retryable reject with a retry-after hint),
-//! every answer is the right one (the soak's writes join nothing, so
-//! each must equal the `Explainer`'s answer on the seed database), the
-//! wedged shards are quarantined and restarted by the supervisor, and
-//! the tier converges back to `Healthy` once the faults stop.
+//! driven entirely through `explain` under a two-attempt, hedged retry
+//! policy, and the run asserts the self-healing contract: zero silent
+//! drops (every submission comes back as an answer or a retryable
+//! reject with a retry-after hint), every answer is the right one (the
+//! soak's writes join nothing, so each must equal the `Explainer`'s
+//! answer on the seed database), the wedged shards are quarantined and
+//! restarted by the supervisor, and the tier converges back to
+//! `Healthy` once the faults stop.
 
 #[path = "common/timeout.rs"]
 mod timeout;
@@ -152,7 +153,7 @@ fn seeded_chaos_soak_heals_with_zero_silent_drops() {
             .unwrap();
             let req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
             submitted += 1;
-            let was_rejected = match tier.explain_with_retry(tenant, req) {
+            let was_rejected = match tier.explain(tenant, req) {
                 Ok(resp) => match resp.result {
                     Ok(explanation) => {
                         assert_eq!(explanation, expected, "wrong answer to request {i}");

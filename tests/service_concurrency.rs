@@ -133,9 +133,9 @@ fn writers_and_readers_make_progress_without_deadlock() {
 }
 
 /// A full queue below the admission limit. With `queue_capacity: 1`
-/// and the default admission limit, the depth gate passes and the
-/// channel refuses: the caller gets a counted `Overloaded` with a usable
-/// hint, and the refusal is traced.
+/// under the default admission limit, the capacity is the smaller bound
+/// and the channel refuses: the caller gets a counted `Overloaded` with
+/// a usable hint, and the refusal is traced.
 #[test]
 fn full_queue_below_the_admission_limit_is_overloaded() {
     with_timeout(HARD_TIMEOUT, TIMED_OUT, || {

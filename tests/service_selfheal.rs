@@ -190,6 +190,39 @@ fn brownout_serves_certified_answers_inline_and_recovers() {
         assert!(!explanation.causes.is_empty());
         assert!(!resp.cache_hit);
         assert_eq!(tier.stats().frontend.brownout_served, 1);
+        assert_eq!(
+            tier.stats().aggregate().approx_requests,
+            0,
+            "approx_requests counts worker answers only"
+        );
+
+        // The brownout answer is the zero-budget anytime answer on the
+        // same snapshot: same causes, same brackets, no refinement.
+        let snapshot = tier.snapshot(hard).unwrap();
+        assert_eq!(resp.snapshot_version, snapshot.version());
+        let (zero, _timing) = Explainer::new(snapshot.database(), &tri_query)
+            .why_anytime(&[], ApproxBudget::zero())
+            .unwrap();
+        assert_eq!(
+            explanation.causes, zero.causes,
+            "the same tuples, rho, bounds and contingencies"
+        );
+        let (
+            ExplainMode::Approximate {
+                bounds,
+                refinements,
+                ..
+            },
+            ExplainMode::Approximate {
+                bounds: zero_bounds,
+                ..
+            },
+        ) = (explanation.mode, zero.mode)
+        else {
+            panic!("expected two approximate answers");
+        };
+        assert_eq!(bounds, zero_bounds, "the same rho_max bracket");
+        assert_eq!(refinements, 0, "a passed deadline refines nothing");
 
         for blocker in blockers {
             blocker.wait().unwrap().result.unwrap();
@@ -213,6 +246,64 @@ fn brownout_serves_certified_answers_inline_and_recovers() {
             "only the browned-out request degraded"
         );
         assert!(fe.brownout_us > 0, "the brownout window was accounted");
+        tier.shutdown();
+    });
+}
+
+/// A brownout computation is the shard's panic-isolated computation: a
+/// fault armed on the hard request fires on the submitting thread, comes
+/// back as `Panicked`, is counted, and leaves the caller serving.
+#[test]
+fn a_panic_in_a_brownout_computation_is_caught_and_returned() {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            brownout_high_water: 2,
+            brownout_low_water: 0,
+            supervisor: SupervisorConfig::disabled(),
+            shard: ServiceConfig {
+                workers: 1,
+                batch_max: 1,
+                ..ServiceConfig::default()
+            },
+            ..TierConfig::default()
+        });
+        let easy = tier.add_tenant("easy", seed_database()).unwrap();
+        let (tri_db, tri_query) = triangle_tenant();
+        let hard = tier.add_tenant("triangle", tri_db).unwrap();
+
+        // One hook does both jobs: it stalls the blockers inside the
+        // hook, which keeps the queue past the high-water mark, and it
+        // panics the hard request, whose answer is empty.
+        tier.inject_fault(|req| {
+            if req.answer == vec![Value::str("a2")] {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            req.answer.is_empty()
+        });
+        let easy_req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
+        let blockers: Vec<_> = (0..3)
+            .map(|_| tier.submit(easy, easy_req.clone()).unwrap())
+            .collect();
+
+        let hard_req = ExplainRequest::why_so(tri_query, vec![]);
+        match tier.explain(hard, hard_req.clone()) {
+            Err(ServiceError::Panicked(msg)) => {
+                assert!(msg.contains("fault injected"), "got: {msg}")
+            }
+            other => panic!("expected Panicked from the submit, got {other:?}"),
+        }
+        let stats = tier.stats();
+        assert_eq!(stats.aggregate().panics_caught, 1);
+        assert_eq!(stats.frontend.brownout_served, 0, "no answer was served");
+
+        // The calling thread survived, and the next request is served.
+        for blocker in blockers {
+            blocker.wait().unwrap().result.unwrap();
+        }
+        tier.clear_faults();
+        let served = tier.explain(hard, hard_req).unwrap();
+        assert_eq!(served.result.unwrap().mode, ExplainMode::Exact);
         tier.shutdown();
     });
 }
