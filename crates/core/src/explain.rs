@@ -44,7 +44,9 @@ pub enum ExplainMode {
         /// Bracket on the explanation's ρ_max (the per-cause brackets
         /// live on [`ExplainedCause::bounds`]).
         bounds: RhoBounds,
-        /// Wall-clock µs the anytime solves consumed.
+        /// Wall-clock µs after the last cause's bracket: the refinement
+        /// phase, with the answer's assembly. The brackets before it are
+        /// the rest of [`ExplainTiming::solve_us`].
         budget_spent_us: u64,
         /// Completed refinement levels across all causes.
         refinements: u32,
@@ -211,16 +213,17 @@ impl<'a> Explainer<'a> {
     ///
     /// The solve runs in two phases on one packed kernel for the whole
     /// request (see [`crate::resp::approx`]). First every cause gets its
-    /// budget-free greedy bracket, so each one is sound whatever the
-    /// budget. Then what is left of the budget goes to refinement, cause
-    /// by cause in order: the step budget is split evenly across the
-    /// causes and the deadline (if any) is shared, so a refinement that
-    /// starts after the deadline returns its bracket at once. With
-    /// [`ApproxBudget::zero`] the result is the polynomial greedy
+    /// budget-free bracket, so each one is sound whatever the budget.
+    /// Then what is left of the budget goes to refinement, cause by cause
+    /// in order: the step budget is split evenly across the causes and
+    /// the deadline (if any) is shared, so a refinement that starts after
+    /// the deadline returns its bracket at once. With
+    /// [`ApproxBudget::zero`] the result is the polynomial search-free
     /// bracket; with [`ApproxBudget::unlimited`] every bracket collapses
     /// to the exact ρ. Without a deadline each cause's outcome equals
     /// [`crate::resp::approx::anytime_min_contingency`] under its share
-    /// of the steps.
+    /// of the steps. [`ExplainTiming::solve_us`] covers both phases, and
+    /// the mode's `budget_spent_us` the second one alone.
     pub fn why_anytime(
         &self,
         answer: &[Value],
@@ -241,6 +244,7 @@ impl<'a> Explainer<'a> {
             .iter()
             .map(|&t| kernel.bracket(arena.id(t).expect("actual cause is interned")))
             .collect();
+        let refine_started = Instant::now();
         let per_cause = ApproxBudget {
             max_steps: budget.max_steps / causes.actual.len().max(1) as u64,
             deadline: budget.deadline,
@@ -287,7 +291,9 @@ impl<'a> Explainer<'a> {
                 )
                 .then(a.tuple.cmp(&b.tuple))
         });
-        let solve_us = solve_started.elapsed().as_micros() as u64;
+        let solve_ended = Instant::now();
+        let solve_us = (solve_ended - solve_started).as_micros() as u64;
+        let refine_us = (solve_ended - refine_started).as_micros() as u64;
 
         // Bracket on ρ_max: the max of the per-cause brackets.
         let bounds =
@@ -306,7 +312,7 @@ impl<'a> Explainer<'a> {
             lineage_conjuncts: phin.conjuncts().len(),
             mode: ExplainMode::Approximate {
                 bounds,
-                budget_spent_us: solve_us,
+                budget_spent_us: refine_us,
                 refinements,
             },
         };

@@ -10,11 +10,15 @@
 //! - Any **feasible** contingency of size `g` proves `ρ ≥ 1/(1+g)` —
 //!   the greedy hitting set supplies one in polynomial time, so a
 //!   sound lower bound exists even at budget zero.
-//! - Any **lower bound** `b ≤ |Γ_min|` proves `ρ ≤ 1/(1+b)`. Two such
-//!   bounds are always available without search: a greedy packing of
-//!   pairwise-disjoint residual sets, and the classic set-cover
-//!   guarantee `g ≤ (ln n + 1)·|Γ_min|` (so `|Γ_min| ≥ ⌈g/(ln n+1)⌉`),
-//!   where `n` counts the residual sets of the witness.
+//! - Any **lower bound** `b ≤ |Γ_min|` proves `ρ ≤ 1/(1+b)`. Three such
+//!   bounds are always available without search, where `n` counts the
+//!   residual sets of the witness: a greedy packing of pairwise-disjoint
+//!   residual sets; the **degree bound** `⌈n/Δ⌉`, since no element lies
+//!   in more than `Δ` of the sets; and the classic set-cover guarantee
+//!   `g ≤ (ln n + 1)·|Γ_min|` (so `|Γ_min| ≥ ⌈g/(ln n+1)⌉`) for a
+//!   witness whose greedy set `g` was computed. The search prunes every
+//!   node on the larger of the packing and degree bounds over the sets
+//!   still open.
 //!
 //! Whether `t` is a cause *at all* is decided exactly — membership in
 //! the minimized lineage and witness feasibility are polynomial checks
@@ -43,8 +47,12 @@
 //! reused buffers, the greedy keeps incremental element counts, and the
 //! search runs on word slices with no per-node allocation.
 //!
-//! 1. **Bracket** (budget-free): the greedy contingency and the
-//!    certified size floor for one cause.
+//! 1. **Bracket** (budget-free): the certified size floor and a greedy
+//!    contingency for one cause. Every witness gets its packing and
+//!    degree floor; one whose floor already reaches the best contingency
+//!    so far cannot beat it and skips its greedy. When the best
+//!    contingency is no larger than the smallest floor the bracket has
+//!    collapsed without search.
 //! 2. **Refine** (budgeted): the iterative deepening above. A refinement
 //!    whose budget is already spent returns its bracket at once.
 //!
@@ -52,8 +60,11 @@
 //! [`crate::explain::Explainer::why_anytime`] brackets every cause
 //! before it refines any, so a deadline is spent on refinement only.
 //! The seed per-witness kernel survives in [`oracle`] as the
-//! differential baseline: at every clock-free budget the two return
-//! bit-identical [`AnytimeOutcome`]s.
+//! differential baseline, with its packing and `ln n + 1` floors only.
+//! At every clock-free budget the packed kernel's bracket lies inside
+//! the seed kernel's, at budget zero both return the same greedy
+//! contingency, and at an unlimited budget both reach the same certified
+//! minimum while the packed kernel expands no more search nodes.
 
 pub mod oracle;
 
@@ -120,7 +131,7 @@ pub struct ApproxBudget {
 }
 
 impl ApproxBudget {
-    /// No refinement at all: greedy + packing + ln(n)+1 bounds only.
+    /// No refinement at all: the greedy set and the search-free floors only.
     pub fn zero() -> ApproxBudget {
         ApproxBudget {
             max_steps: 0,
@@ -267,7 +278,7 @@ pub(crate) struct Bracket {
 /// residual sets `c ∖ w` are written into a reused buffer, the greedy
 /// keeps incremental element counts, and the search runs on word
 /// slices, so neither phase allocates per residual set or per search
-/// node. Outcomes are bit-identical to the seed kernel in [`oracle`].
+/// node. Its brackets lie inside the seed kernel's in [`oracle`].
 pub(crate) struct AnytimeKernel {
     /// `u64` words per row.
     words: usize,
@@ -330,8 +341,9 @@ impl AnytimeKernel {
     }
 
     /// The budget-free phase: greedy feasible contingency plus certified
-    /// size lower bound per witness, decided exactly for cause-ness.
-    /// `None` iff `v` is not a cause.
+    /// size lower bound per witness, decided exactly for cause-ness. A
+    /// witness whose floor already reaches the best contingency skips its
+    /// greedy. `None` iff `v` is not a cause.
     pub(crate) fn bracket(&mut self, v: u32) -> Option<Bracket> {
         let words = self.words;
         self.split(v);
@@ -349,6 +361,19 @@ impl AnytimeKernel {
                 // happen in a minimized DNF, mirrored from `exact`).
                 continue;
             }
+            self.counts.fill(0);
+            let most = sets
+                .chunks_exact(words)
+                .map(|s| tally(&mut self.counts, s))
+                .max()
+                .unwrap_or(0);
+            let floor = packing_bound(sets, words, &mut self.blocked).max(degree_bound(n, most));
+            // The witness's greedy set is at least its minimum, hence its
+            // floor: one whose floor reaches the best cannot beat it.
+            if best.as_ref().is_some_and(|b| floor >= b.len()) {
+                witnesses.push((w, floor));
+                continue;
+            }
             greedy_hitting_set(
                 sets,
                 words,
@@ -356,9 +381,8 @@ impl AnytimeKernel {
                 &mut self.covered,
                 &mut self.chosen,
             );
-            let packing = packing_bound(sets, words, &mut self.blocked);
             let harmonic = (self.chosen.len() as f64 / harmonic_bound(n)).ceil() as usize;
-            witnesses.push((w, packing.max(harmonic).max(usize::from(n > 0))));
+            witnesses.push((w, floor.max(harmonic)));
             if best.as_ref().is_none_or(|b| self.chosen.len() < b.len()) {
                 best = Some(self.chosen.clone());
             }
@@ -432,6 +456,7 @@ impl AnytimeKernel {
                         limit: level,
                         mask: &mut self.mask,
                         blocked: &mut self.blocked,
+                        counts: &mut self.counts,
                         chosen: &mut self.chosen,
                         tracker: &mut tracker,
                     };
@@ -510,8 +535,9 @@ fn or_into(acc: &mut [u64], s: &[u64]) {
 
 /// Greedy hitting set: repeatedly pick the most frequent element among
 /// uncovered sets (ties toward the smallest id, as in the exact
-/// solver's seed), keeping the counts incrementally. Feasibility is
-/// guaranteed for non-empty input sets.
+/// solver's seed), keeping the counts incrementally. `counts` enters
+/// holding every element's count over `sets` (the degree bound's tally)
+/// and is used up. Feasibility is guaranteed for non-empty input sets.
 fn greedy_hitting_set(
     sets: &[u64],
     words: usize,
@@ -519,12 +545,6 @@ fn greedy_hitting_set(
     covered: &mut Vec<bool>,
     chosen: &mut Vec<u32>,
 ) {
-    counts.fill(0);
-    for s in sets.chunks_exact(words) {
-        for e in elems(s) {
-            counts[e] += 1;
-        }
-    }
     let mut uncovered = sets.len() / words;
     covered.clear();
     covered.resize(uncovered, false);
@@ -548,6 +568,23 @@ fn greedy_hitting_set(
             }
         }
     }
+}
+
+/// Add the elements of `s` to `counts`; the largest count it touched.
+fn tally(counts: &mut [u32], s: &[u64]) -> u32 {
+    elems(s)
+        .map(|e| {
+            counts[e] += 1;
+            counts[e]
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// The degree bound: when no element lies in more than `most` of `n`
+/// sets, every hitting set needs at least `⌈n / most⌉` elements.
+fn degree_bound(n: usize, most: u32) -> usize {
+    n.div_ceil(most.max(1) as usize)
 }
 
 /// Greedy packing of pairwise-disjoint sets: each packed set needs its
@@ -574,6 +611,7 @@ struct Search<'a> {
     limit: usize,
     mask: &'a mut [u64],
     blocked: &'a mut [u64],
+    counts: &'a mut [u32],
     chosen: &'a mut Vec<u32>,
     tracker: &'a mut BudgetTracker,
 }
@@ -584,10 +622,11 @@ impl Search<'_> {
             return Err(());
         }
         // One pass finds the uncovered sets, the first smallest of them
-        // (the pivot) and the packing bound over them.
+        // (the pivot), and the packing and degree bounds over them.
         let sets = self.sets;
         self.blocked.fill(0);
-        let mut lb = 0usize;
+        self.counts.fill(0);
+        let (mut packing, mut open, mut most) = (0usize, 0usize, 0u32);
         let mut pivot: Option<usize> = None;
         for (i, s) in sets.chunks_exact(self.words).enumerate() {
             if intersects(s, self.mask) {
@@ -597,13 +636,16 @@ impl Search<'_> {
                 pivot = Some(i);
             }
             if !intersects(s, self.blocked) {
-                lb += 1;
+                packing += 1;
                 or_into(self.blocked, s);
             }
+            open += 1;
+            most = most.max(tally(self.counts, s));
         }
         let Some(pivot) = pivot else {
             return Ok(true);
         };
+        let lb = packing.max(degree_bound(open, most));
         if self.chosen.len() + lb > self.limit {
             return Ok(false);
         }
@@ -741,6 +783,35 @@ mod tests {
                 out.bounds
             );
         }
+    }
+
+    /// The degree bound prunes where packing cannot: the ten pairs over
+    /// five elements pack only two disjoint pairs, but no element lies
+    /// in more than four of them, so the search for a hitting set of
+    /// size 2 is refuted at its root, in one step.
+    #[test]
+    fn degree_bound_refutes_a_level_at_the_search_root() {
+        let sets: Vec<u64> = (0..5)
+            .flat_map(|a| (a + 1..5).map(move |b| 1 << a | 1 << b))
+            .collect();
+        let sizes = vec![2; sets.len()];
+        let (mut mask, mut blocked, mut counts) = (vec![0], vec![0], vec![0; 64]);
+        let mut chosen = Vec::new();
+        let mut tracker = BudgetTracker::new(ApproxBudget::unlimited());
+        let found = Search {
+            sets: &sets,
+            sizes: &sizes,
+            words: 1,
+            limit: 2,
+            mask: &mut mask,
+            blocked: &mut blocked,
+            counts: &mut counts,
+            chosen: &mut chosen,
+            tracker: &mut tracker,
+        }
+        .run();
+        assert_eq!(found, Ok(false));
+        assert_eq!(tracker.steps, 1);
     }
 
     #[test]

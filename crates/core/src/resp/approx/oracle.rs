@@ -2,13 +2,18 @@
 //! oracle.
 //!
 //! The production kernel lives in [`super`] (one packed lineage per
-//! request, residual sets computed into reused word buffers). This
-//! module preserves the original implementation **verbatim** — one
-//! heap [`VarSet`] per residual set, a greedy that recounts element
-//! frequencies on every pick, and three buffers per search node — so
-//! that `tests/approx_differential.rs` can assert the packed kernel's
-//! [`AnytimeOutcome`]s are bit-identical to it at every clock-free
-//! budget.
+//! request, residual sets computed into reused word buffers, the degree
+//! bound, and no greedy on a witness whose floor cannot beat the best).
+//! This module preserves the original implementation **verbatim** — one
+//! heap [`VarSet`] per residual set, a greedy on every witness that
+//! recounts element frequencies on every pick, three buffers per search
+//! node, and only the packing and `ln n + 1` floors — so that
+//! `tests/approx_differential.rs` can check the packed kernel against
+//! it at every clock-free budget: the packed bracket lies inside this
+//! one, at budget zero both return the same greedy contingency, and at
+//! an unlimited budget both reach the same certified minimum and
+//! contingency length, the packed kernel expanding no more search
+//! nodes.
 //!
 //! Nothing on a serving path calls into this module; do not optimise it.
 
@@ -133,8 +138,9 @@ fn depth_limited(
     Ok(false)
 }
 
-/// The seed [`super::anytime_min_contingency`]: the same contract and,
-/// at every clock-free budget, the same [`AnytimeOutcome`].
+/// The seed [`super::anytime_min_contingency`]: the same contract, with
+/// brackets no tighter than the packed kernel's at every clock-free
+/// budget.
 pub fn anytime_min_contingency(phin: &BitDnf, v: u32, budget: ApproxBudget) -> AnytimeOutcome {
     if !phin.mentions(v) || phin.is_tautology() {
         return AnytimeOutcome::not_a_cause();

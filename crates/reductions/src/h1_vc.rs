@@ -93,8 +93,10 @@ pub fn flat_triples(h: &TripartiteHypergraph) -> (usize, Vec<(usize, usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causality_core::resp::approx::{anytime_min_contingency, ApproxBudget, RhoBounds};
     use causality_core::resp::exact::why_so_responsibility_exact;
     use causality_graph::cover::min_hypergraph_cover_3p;
+    use causality_lineage::minimized_n_lineage;
 
     /// The Fig. 6 example hypergraph: R={r1,r2,r3}, S={s1,s2,s3},
     /// T={t1,t2}, edges per the W relation of Fig. 6(b).
@@ -142,6 +144,12 @@ mod tests {
         );
     }
 
+    /// Theorem 4.1 end to end, exactly and anytime: on random
+    /// hypergraphs the witness's minimum contingency is a minimum cover,
+    /// its zero-budget anytime bracket contains `1/(1 + |cover|)`, and an
+    /// unlimited budget collapses the bracket onto that value. Up to 8
+    /// edges over 3 + 3 + 3 vertices overlap, so vertices of degree > 1
+    /// exercise the degree bound.
     #[test]
     fn random_instances_match_cover_oracle() {
         let mut seed = 0xABCDu64;
@@ -151,9 +159,9 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for _ in 0..10 {
-            let sizes = (2 + (next() % 2) as usize, 2, 2);
-            let m = 1 + (next() % 4) as usize;
+        for _ in 0..20 {
+            let sizes = (3, 3, 3);
+            let m = 1 + (next() % 8) as usize;
             let edges: Vec<(usize, usize, usize)> = (0..m)
                 .map(|_| {
                     (
@@ -174,6 +182,20 @@ mod tests {
                 "edges {:?}",
                 h.edges
             );
+            let rho = 1.0 / (1.0 + cover.len() as f64);
+            let (arena, phin) = minimized_n_lineage(&inst.db, &inst.query, None).unwrap();
+            let v = arena
+                .id(inst.witness)
+                .expect("the witness is in the lineage");
+            let zero = anytime_min_contingency(&phin, v, ApproxBudget::zero());
+            assert!(
+                zero.bounds.contains(rho),
+                "edges {:?}: {rho} outside {:?}",
+                h.edges,
+                zero.bounds
+            );
+            let full = anytime_min_contingency(&phin, v, ApproxBudget::unlimited());
+            assert_eq!(full.bounds, RhoBounds::exact(rho), "edges {:?}", h.edges);
         }
     }
 }

@@ -42,7 +42,7 @@ use crate::stats::{FrontendStats, ServiceStats, StatsCounters};
 use crate::supervisor::{
     assess, HealthState, ShardSignals, ShardTracker, SupervisorConfig, Verdict,
 };
-use crate::worker::{anytime_routable, compute_isolated, Job, Waiter};
+use crate::worker::{anytime_routable, serve_expired, Job, Waiter};
 use causality_engine::{Database, Snapshot, SnapshotStore};
 use causality_telemetry::{
     prometheus_text, traces_jsonl, Counter, MetricsRegistry, RequestTrace, Stage,
@@ -77,9 +77,10 @@ pub struct TierConfig {
     pub supervisor: SupervisorConfig,
     /// Tier-wide queued-request count at (or above) which the tier
     /// enters **brownout**: routable NP-hard requests are computed on
-    /// the submitting thread, panic-isolated like a worker's computation,
-    /// with the zero-budget greedy bracket instead of queueing — a
-    /// certified (if coarse) answer, never [`ServiceError::Overloaded`].
+    /// the submitting thread, panic-isolated and answered like a
+    /// worker's computation, with the zero-budget bracket instead of
+    /// queueing — a certified (if coarse) answer, never
+    /// [`ServiceError::Overloaded`].
     /// `usize::MAX` (the default) disables brownout.
     pub brownout_high_water: usize,
     /// Tier-wide queued-request count at (or below) which an active
@@ -289,9 +290,9 @@ impl ShardedService {
     }
 
     /// The one submission path every entry point funnels through:
-    /// validation, breaker admission, the brownout check, trace start
-    /// (with the PR 9 `retry` span when this is a backed-off retry), job
-    /// construction, and the enqueue onto shard `tenant.shard()` (a
+    /// validation, breaker admission, trace start (with a `retry` span
+    /// when this is a backed-off retry), the waiter, and then either the
+    /// brownout answer or the enqueue onto shard `tenant.shard()` (a
     /// retry or hedge passes a rerouted [`TenantId::on_shard`]).
     fn submit_routed(
         &self,
@@ -311,25 +312,6 @@ impl ShardedService {
         // invalid request, it never reaches a shard).
         if let Admit::No(retry_after) = self.breakers.admit(tenant.key()) {
             return Err(ServiceError::CircuitOpen { retry_after });
-        }
-        // Brownout: with the tier past its high-water mark, a routable
-        // NP-hard request skips the backlogged queue. The shard's
-        // computation runs here, with a deadline that has already passed,
-        // which yields the certified zero-budget bracket; errors and
-        // caught panics come back from the submit.
-        if self.brownout_active() && anytime_routable(&request) {
-            let snapshot = self.store(tenant)?.current();
-            let index_cache = shard.core.index_cache_for(tenant.key(), &snapshot);
-            let expired = Some(Instant::now());
-            let (explanation, _timing) =
-                compute_isolated(&shard.core, &snapshot, &index_cache, &request, expired)?;
-            self.fe.brownout_served.inc();
-            let _ = tx.send(ExplainResponse {
-                result: Ok(explanation),
-                snapshot_version: snapshot.version(),
-                cache_hit: false,
-            });
-            return Ok(());
         }
         // A retried submission's trace starts at the backoff wait so the
         // `retry` span (the wait itself) fits inside the trace window.
@@ -352,19 +334,29 @@ impl ShardedService {
         }
         let enqueued = Instant::now();
         let deadline = deadline.map(|budget| enqueued + budget);
-        if let Some(tb) = trace.as_deref_mut() {
-            if let Some(deadline) = deadline {
-                tb.set_deadline(deadline);
-            }
-            tb.begin(Stage::ShardQueue);
+        if let (Some(tb), Some(deadline)) = (trace.as_deref_mut(), deadline) {
+            tb.set_deadline(deadline);
         }
-        let waiter = Waiter {
+        let mut waiter = Waiter {
             tenant: tenant.key(),
             deadline,
             enqueued,
             tx,
             trace,
         };
+        // Brownout: with the tier past its high-water mark, a routable
+        // NP-hard request skips the backlogged queue and is answered here
+        // with the certified zero-budget bracket; a failed computation
+        // comes back from the submit.
+        if self.brownout_active() && anytime_routable(&request) {
+            let snapshot = self.store(tenant)?.current();
+            serve_expired(&shard.core, &snapshot, &request, waiter)?;
+            self.fe.brownout_served.inc();
+            return Ok(());
+        }
+        if let Some(tb) = waiter.trace.as_deref_mut() {
+            tb.begin(Stage::ShardQueue);
+        }
         shard.enqueue(Job { request, waiter })
     }
 

@@ -114,7 +114,10 @@
 //!   computing routable NP-hard requests on the submitting thread with
 //!   the certified zero-budget bracket instead of queueing them — the
 //!   same panic-isolated computation a worker runs, chaos hook
-//!   included, so a caught panic comes back from the submit as
+//!   included, delivered as a worker's answer is (breaker, trace ring;
+//!   the latency histogram the supervisor reads as worker progress
+//!   counts worker answers only), while a caught panic counts against
+//!   the tenant's breaker and comes back from the submit as
 //!   [`ServiceError::Panicked`]. Deterministic chaos soaks drive all of
 //!   it via seeded [`FaultPlan`]s ([`ShardedService::install_fault_plan`]).
 //!

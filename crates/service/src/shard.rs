@@ -27,7 +27,7 @@ use crate::lru::LruCache;
 use crate::request::{ExplainRequest, ServiceError};
 use crate::stats::StatsCounters;
 use crate::supervisor::HealthCell;
-use crate::worker::{worker_loop, Job};
+use crate::worker::{worker_loop, Job, Waiter};
 use causality_core::explain::Explanation;
 use causality_engine::{RelId, RelVersion, SharedIndexCache, Snapshot, SnapshotStore};
 use causality_telemetry::{MetricsRegistry, Telemetry, TelemetryConfig};
@@ -253,11 +253,12 @@ impl ShardCore {
     }
 
     /// Refuse a job that never made it into the queue (admission reject
-    /// or disconnected shard): finalize its trace with the
-    /// error's outcome label, so rejected requests show up in the trace
-    /// ring and slow-log too, and return the error.
-    fn refuse(&self, job: Job, err: ServiceError) -> Result<(), ServiceError> {
-        if let Some(mut tb) = job.waiter.trace {
+    /// or disconnected shard) or whose brownout computation failed:
+    /// finalize its trace with the error's outcome label, so refused
+    /// requests show up in the trace ring and slow-log too, and return
+    /// the error.
+    pub(crate) fn refuse(&self, waiter: Waiter, err: ServiceError) -> Result<(), ServiceError> {
+        if let Some(mut tb) = waiter.trace {
             tb.set_outcome(err.outcome_label());
             self.telemetry.record(tb.finish());
         }
@@ -449,7 +450,7 @@ impl Shard {
     /// label.
     pub(crate) fn enqueue(&self, job: Job) -> Result<(), ServiceError> {
         let Some(tx) = self.sender() else {
-            return self.core.refuse(job, ServiceError::Disconnected);
+            return self.core.refuse(job.waiter, ServiceError::Disconnected);
         };
         self.core.stats.queue_depth.inc();
         let Err(refused) = tx.try_send(Box::new(job)) else {
@@ -461,7 +462,7 @@ impl Shard {
             TrySendError::Full(job) => (self.core.overloaded(), job),
             TrySendError::Disconnected(job) => (ServiceError::Disconnected, job),
         };
-        self.core.refuse(*job, err)
+        self.core.refuse(job.waiter, err)
     }
 
     /// The queue's receiving end, for tests that take a job off the

@@ -126,7 +126,8 @@ pub struct ShardSignals {
     pub consecutive_panics: u64,
     /// Current queue depth (level, not delta).
     pub queue_depth: u64,
-    /// Requests completed since the last tick.
+    /// Requests the shard's workers completed since the last tick
+    /// (brownout answers, computed on submitting threads, do not count).
     pub completed: u64,
     /// Deadline misses since the last tick.
     pub deadline_misses: u64,

@@ -9,11 +9,12 @@
 //! Each pull drains up to `batch_max` queued jobs into a **batch**;
 //! within a batch, jobs are grouped by `(tenant, request)` and each
 //! distinct group is evaluated exactly once against a single pinned
-//! snapshot of that tenant's store. Every response — success, error,
-//! deadline miss — is recorded in the shard's submit→response latency
-//! histogram, and a sampled job's [`TraceBuilder`] is carried through the
-//! batch so the worker-side stages (dequeue, snapshot pin, lineage,
-//! kernel solve, respond) land in the same trace the frontend started.
+//! snapshot of that tenant's store. Every worker response — success,
+//! error, deadline miss — is recorded in the shard's submit→response
+//! latency histogram, and a sampled job's [`TraceBuilder`] is carried
+//! through the batch so the worker-side stages (dequeue, snapshot pin,
+//! lineage, kernel solve, respond) land in the same trace the frontend
+//! started.
 //!
 //! Each fresh computation runs behind a panic boundary, and inside it
 //! the shard's one chaos hook, when armed, picks the stall, panic or
@@ -81,12 +82,20 @@ pub(crate) fn anytime_routable(request: &ExplainRequest) -> bool {
         )
 }
 
-/// Send `response` for a job accepted at `enqueued`, recording the
-/// submit→response latency, reporting the outcome to the tenant's
-/// circuit breaker, and finishing the job's trace (outcome label,
-/// respond stage, explanation attributes). A requester that dropped its
-/// handle is not an error.
+/// Send a worker's `response`, recording its submit→response latency
+/// first. The histogram counts worker answers only: the supervisor reads
+/// its count as the shard's progress, and the retry-after hint its mean
+/// as the shard's drain rate.
 fn respond(core: &ShardCore, waiter: Waiter, response: ExplainResponse) {
+    core.stats.latency.record(waiter.enqueued.elapsed());
+    deliver(core, waiter, response);
+}
+
+/// Send `response`, reporting the outcome to the tenant's circuit
+/// breaker and finishing the job's trace (outcome label, respond stage,
+/// explanation attributes). A requester that dropped its handle is not
+/// an error.
+fn deliver(core: &ShardCore, waiter: Waiter, response: ExplainResponse) {
     if let Some(mut tb) = waiter.trace {
         tb.begin(Stage::Respond);
         let outcome = match &response.result {
@@ -105,16 +114,16 @@ fn respond(core: &ShardCore, waiter: Waiter, response: ExplainResponse) {
         }
         core.telemetry.record(tb.finish());
     }
-    // Only failures that indict the tenant's own traffic open its
-    // breaker; load shedding and deadline misses are tier states, not
-    // evidence against the tenant.
-    let breaker_success = !matches!(
-        response.result,
-        Err(ServiceError::Panicked(_)) | Err(ServiceError::Core(_))
-    );
-    core.breakers.record(waiter.tenant, breaker_success);
-    core.stats.latency.record(waiter.enqueued.elapsed());
+    let indicted = response.result.as_ref().is_err_and(indicts_tenant);
+    core.breakers.record(waiter.tenant, !indicted);
     let _ = waiter.tx.send(response);
+}
+
+/// Whether a failed answer counts against its tenant's circuit breaker.
+/// Only failures of the tenant's own traffic do; load shedding and
+/// deadline misses are tier states, not evidence against the tenant.
+fn indicts_tenant(err: &ServiceError) -> bool {
+    matches!(err, ServiceError::Panicked(_) | ServiceError::Core(_))
 }
 
 /// One worker thread's life: drain batches off the shared queue until
@@ -300,36 +309,8 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                     tb.mark_coalesced();
                 }
                 tb.record_span(Stage::SnapshotPin, pin_started, pin_dur);
-                // The explainer reports where its time went; anchor the
-                // lineage and solve spans back from the computation's end
-                // so any untimed overhead (chaos-hook delays, panic
-                // recovery) falls in the gap before them and offsets stay
-                // monotone.
-                if let Some((compute_end, timing)) = timing {
-                    let ExplainTiming {
-                        lineage_us,
-                        solve_us,
-                    } = timing;
-                    // On the anytime path the refinement's share of the
-                    // solve time gets its own `approx_refine` span at the
-                    // tail of the compute window.
-                    let approx_us = match result.as_ref().ok().map(|e| e.mode) {
-                        Some(ExplainMode::Approximate {
-                            budget_spent_us, ..
-                        }) => Some(budget_spent_us.min(solve_us)),
-                        _ => None,
-                    };
-                    let refine_dur = Duration::from_micros(approx_us.unwrap_or(0));
-                    let solve_dur = Duration::from_micros(solve_us - approx_us.unwrap_or(0));
-                    let lineage_dur = Duration::from_micros(lineage_us);
-                    let refine_start = compute_end.checked_sub(refine_dur).unwrap_or(compute_end);
-                    let solve_start = refine_start.checked_sub(solve_dur).unwrap_or(refine_start);
-                    let lineage_start = solve_start.checked_sub(lineage_dur).unwrap_or(solve_start);
-                    tb.record_span(Stage::LineageIntern, lineage_start, lineage_dur);
-                    tb.record_span(Stage::KernelSolve, solve_start, solve_dur);
-                    if approx_us.is_some() {
-                        tb.record_span(Stage::ApproxRefine, refine_start, refine_dur);
-                    }
+                if let (Some((compute_end, timing)), Ok(explanation)) = (timing, &result) {
+                    record_compute_spans(tb, compute_end, timing, explanation.mode);
                 }
             }
             respond(
@@ -341,6 +322,76 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                     cache_hit,
                 },
             );
+        }
+    }
+}
+
+/// Charge one computation's reported timing to a trace: the lineage and
+/// kernel-solve spans, then on the anytime route the refinement
+/// (`budget_spent_us`) as an `approx_refine` span at the tail. The spans
+/// are anchored back from `compute_end`, so any untimed overhead
+/// (chaos-hook delays, panic recovery) falls in the gap before them and
+/// offsets stay monotone.
+fn record_compute_spans(
+    tb: &mut TraceBuilder,
+    compute_end: Instant,
+    timing: ExplainTiming,
+    mode: ExplainMode,
+) {
+    let ExplainTiming {
+        lineage_us,
+        solve_us,
+    } = timing;
+    let approx_us = match mode {
+        ExplainMode::Approximate {
+            budget_spent_us, ..
+        } => Some(budget_spent_us.min(solve_us)),
+        ExplainMode::Exact => None,
+    };
+    let refine_dur = Duration::from_micros(approx_us.unwrap_or(0));
+    let solve_dur = Duration::from_micros(solve_us - approx_us.unwrap_or(0));
+    let lineage_dur = Duration::from_micros(lineage_us);
+    let refine_start = compute_end.checked_sub(refine_dur).unwrap_or(compute_end);
+    let solve_start = refine_start.checked_sub(solve_dur).unwrap_or(refine_start);
+    let lineage_start = solve_start.checked_sub(lineage_dur).unwrap_or(solve_start);
+    tb.record_span(Stage::LineageIntern, lineage_start, lineage_dur);
+    tb.record_span(Stage::KernelSolve, solve_start, solve_dur);
+    if approx_us.is_some() {
+        tb.record_span(Stage::ApproxRefine, refine_start, refine_dur);
+    }
+}
+
+/// Serve `request` on the calling thread with a deadline that has
+/// already passed, which yields the certified zero-budget bracket: the
+/// brownout path. The answer is delivered as a worker's is, with the
+/// computation's spans, so the tenant's breaker and the trace ring see
+/// it; the shard's latency histogram does not, since no worker made
+/// progress. A failed computation counts against the tenant's breaker
+/// by the workers' rule and is returned instead of sent.
+pub(crate) fn serve_expired(
+    core: &ShardCore,
+    snapshot: &Snapshot,
+    request: &ExplainRequest,
+    mut waiter: Waiter,
+) -> Result<(), ServiceError> {
+    let index_cache = core.index_cache_for(waiter.tenant, snapshot);
+    let expired = Some(Instant::now());
+    match compute_isolated(core, snapshot, &index_cache, request, expired) {
+        Ok((explanation, timing)) => {
+            if let Some(tb) = waiter.trace.as_deref_mut() {
+                record_compute_spans(tb, Instant::now(), timing, explanation.mode);
+            }
+            let response = ExplainResponse {
+                result: Ok(explanation),
+                snapshot_version: snapshot.version(),
+                cache_hit: false,
+            };
+            deliver(core, waiter, response);
+            Ok(())
+        }
+        Err(err) => {
+            core.breakers.record(waiter.tenant, !indicts_tenant(&err));
+            core.refuse(waiter, err)
         }
     }
 }

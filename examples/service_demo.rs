@@ -249,9 +249,9 @@ fn main() {
             budget_spent_us,
             refinements,
         } => println!(
-            "answered approximately: anytime solves spent {budget_spent_us} µs \
-             across {} cause(s), {refinements} refinement level(s); max-ρ \
-             cause certified in [{:.4}, {:.4}]",
+            "answered approximately: {} cause(s) bracketed, then \
+             {budget_spent_us} µs of refinement ({refinements} level(s)) and \
+             assembly; max-ρ cause certified in [{:.4}, {:.4}]",
             answer.causes.len(),
             bounds.lower,
             bounds.upper

@@ -251,11 +251,14 @@ fn mixed_hard_and_ptime_traffic_takes_each_route() {
 }
 
 /// The anytime route is observable: the trace grows an `approx_refine`
-/// stage, and the approx counters/export surface the route.
+/// stage, and the approx counters/export surface the route. The trace
+/// names the phases: `kernel_solve` is the brackets (non-zero on a
+/// dense triangle tenant), and `approx_refine` the time after them, the
+/// answer's `budget_spent_us`.
 #[test]
 fn approx_route_is_visible_in_telemetry() {
     with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
-        let inst = triangle_fan(4);
+        let inst = dense_triangles(4, 64, 7);
         let (tier, t) = one_tenant(
             inst.db.clone(),
             ServiceConfig {
@@ -274,7 +277,12 @@ fn approx_route_is_visible_in_telemetry() {
             .wait()
             .unwrap()
             .expect_explanation();
-        assert!(matches!(explanation.mode, ExplainMode::Approximate { .. }));
+        let ExplainMode::Approximate {
+            budget_spent_us, ..
+        } = explanation.mode
+        else {
+            panic!("expected an approximate answer: {:?}", explanation.mode);
+        };
 
         let traces = tier.recent_traces();
         assert_eq!(traces.len(), 1);
@@ -294,6 +302,9 @@ fn approx_route_is_visible_in_telemetry() {
             ],
             "the anytime route records its refinement stage in order"
         );
+        let span = |stage| traces[0].stage(stage).expect("anytime stage").dur_us;
+        assert!(span(Stage::KernelSolve) > 0, "the brackets are timed");
+        assert_eq!(span(Stage::ApproxRefine), budget_spent_us);
         assert_eq!(tier.stats().aggregate().approx_requests, 1);
         let prom = tier.export_metrics();
         assert!(

@@ -13,17 +13,27 @@
 //! * **known-ρ end to end** — the `datagen::hard_instances` families
 //!   (triangle fan, self-join star) route through `Explainer::why_anytime`
 //!   and bracket/collapse onto their by-construction responsibilities;
-//! * **bit identity** — the packed kernel returns exactly the seed
-//!   per-witness kernel's `AnytimeOutcome` (`approx::oracle`) at zero,
-//!   step, expired-deadline and unlimited budgets, on narrow and
-//!   multi-word lineages and on dense triangles;
+//! * **inside the seed oracle** — against the seed per-witness kernel
+//!   (`approx::oracle`, packing and ln n + 1 floors only) at zero, step,
+//!   expired-deadline and unlimited budgets, on narrow and multi-word
+//!   lineages and on dense triangles: cause-ness agrees, the packed
+//!   bracket lies inside the oracle's and its `lower` is witnessed by a
+//!   feasible contingency, the zero and expired budgets take no step
+//!   and no refinement and return the oracle's greedy contingency, and
+//!   at an unlimited budget both reach the same certified minimum and
+//!   contingency length with the packed kernel expanding no more search
+//!   nodes;
+//! * **a count that catches a lost bound** — on the benchmark's dense
+//!   triangles a zero-budget `why_anytime` collapses at least 200 of 238
+//!   brackets, and at an unlimited budget the packed kernel expands at
+//!   most a tenth of the oracle's search nodes;
 //! * **the two-phase schedule is invisible without a clock** —
 //!   `why_anytime` under a step budget is the explanation assembled
-//!   from per-cause seed solves, and under an expired deadline it is
-//!   the zero-budget explanation.
+//!   from per-cause `anytime_min_contingency` solves, and under an
+//!   expired deadline it is the zero-budget explanation.
 //!
 //! Same discipline as `tests/lineage_bitset_differential.rs`: random
-//! DNFs drawn small, seed oracle retained as ground truth.
+//! DNFs drawn small, seed oracle retained as the baseline.
 
 use causality::datagen::hard_instances::{dense_triangles, triangle_fan};
 use causality::prelude::*;
@@ -67,16 +77,59 @@ fn identity_budgets() -> [ApproxBudget; 7] {
     ]
 }
 
-/// The packed kernel's outcome equals the seed kernel's in every field:
-/// bounds, contingency and its order, certified size, refinements,
-/// steps and history.
-fn assert_matches_oracle(phin: &BitDnf, v: u32) {
+/// Whether `gamma` is a contingency for `v`: with `gamma` removed some
+/// conjunct still holds and contains `v`, and with `v` removed too none
+/// does.
+fn is_contingency(phin: &BitDnf, v: u32, gamma: &[u32]) -> bool {
+    let hit = |c: &VarSet| gamma.iter().any(|&g| c.contains(g as usize));
+    let v = v as usize;
+    phin.conjuncts().iter().any(|c| c.contains(v) && !hit(c))
+        && phin.conjuncts().iter().all(|c| c.contains(v) || hit(c))
+}
+
+/// The packed kernel against the seed kernel (`approx::oracle`) at every
+/// identity budget. Cause-ness agrees, the packed bracket lies inside
+/// the oracle's, and its `lower` is witnessed by a contingency of the
+/// matching size. The zero and expired budgets take no step and no
+/// refinement, and return the oracle's greedy contingency. At an
+/// unlimited budget both kernels reach the same
+/// certified minimum and contingency length, and the packed kernel
+/// expands no more search nodes.
+fn assert_inside_oracle(phin: &BitDnf, v: u32) {
     for budget in identity_budgets() {
+        let packed = anytime_min_contingency(phin, v, budget);
+        let seed = oracle::anytime_min_contingency(phin, v, budget);
+        let at = format!("v={v} budget={budget:?}\npacked {packed:?}\nseed {seed:?}");
         assert_eq!(
-            anytime_min_contingency(phin, v, budget),
-            oracle::anytime_min_contingency(phin, v, budget),
-            "v={v} budget={budget:?}"
+            packed.contingency.is_some(),
+            seed.contingency.is_some(),
+            "{at}"
         );
+        assert!(
+            seed.bounds.lower <= packed.bounds.lower && packed.bounds.upper <= seed.bounds.upper,
+            "{at}"
+        );
+        if let Some(gamma) = &packed.contingency {
+            assert!(is_contingency(phin, v, gamma), "{at}");
+            assert_eq!(
+                packed.bounds,
+                RhoBounds::from_sizes(gamma.len(), packed.certified_min_size),
+                "{at}"
+            );
+        }
+        if budget.max_steps == 0 || budget.deadline.is_some() {
+            assert_eq!((packed.steps_used, packed.refinements), (0, 0), "{at}");
+            assert_eq!(packed.contingency, seed.contingency, "{at}");
+        }
+        if budget.max_steps == u64::MAX && budget.deadline.is_none() {
+            assert_eq!(packed.certified_min_size, seed.certified_min_size, "{at}");
+            assert_eq!(
+                packed.contingency.map(|g| g.len()),
+                seed.contingency.map(|g| g.len()),
+                "{at}"
+            );
+            assert!(packed.steps_used <= seed.steps_used, "{at}");
+        }
     }
 }
 
@@ -89,8 +142,8 @@ fn minimized_lineage(db: &Database, query: &ConjunctiveQuery) -> (LineageArena, 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Bit identity on arena-interned lineages (at most 30 variables,
-    /// so one word).
+    /// The packed kernel inside the seed oracle on arena-interned
+    /// lineages (at most 30 variables, so one word).
     #[test]
     fn packed_kernel_matches_the_seed_oracle(
         raw in prop::collection::vec(
@@ -99,12 +152,12 @@ proptest! {
         let (arena, bits) = LineageArena::from_dnf(&dnf_of(&raw));
         let phin = bits.minimized();
         for v in 0..arena.len() as u32 + 2 {
-            assert_matches_oracle(&phin, v);
+            assert_inside_oracle(&phin, v);
         }
     }
 
-    /// Bit identity on multi-word lineages: ids up to 129 spread over
-    /// three words, and conjuncts of different widths, so rows must be
+    /// The packed kernel inside the seed oracle on multi-word lineages:
+    /// ids up to 129 spread over three words, and conjuncts of different widths, so rows must be
     /// padded to the widest one. Probes every mentioned id plus ids on
     /// and past the word boundaries.
     #[test]
@@ -115,7 +168,7 @@ proptest! {
             .minimized();
         let mentioned = phin.variables();
         for v in mentioned.iter().map(|v| v as u32).chain([63, 64, 129, 300]) {
-            assert_matches_oracle(&phin, v);
+            assert_inside_oracle(&phin, v);
         }
     }
 
@@ -289,17 +342,53 @@ fn exact_paths_carry_no_bounds() {
     assert!(expl.causes.iter().all(|c| c.bounds.is_none()));
 }
 
-/// Bit identity on the benchmark's NP-hard instances: every cause of
-/// `dense_triangles(4, 64, s)` at every identity budget.
+/// The packed kernel inside the seed oracle on the benchmark's NP-hard
+/// instances: every cause of `dense_triangles(4, 64, s)` at every
+/// identity budget.
 #[test]
 fn packed_kernel_matches_the_seed_oracle_on_dense_triangles() {
     for seed in [1, 7, 23] {
         let inst = dense_triangles(4, 64, seed);
         let (_, phin) = minimized_lineage(&inst.db, &inst.query);
         for v in phin.variables().iter() {
-            assert_matches_oracle(&phin, v as u32);
+            assert_inside_oracle(&phin, v as u32);
         }
     }
+}
+
+/// A witness whose floor reaches the best contingency skips its greedy
+/// but does not end the pass. On this multi-word lineage, for v = 103, a
+/// witness with a lower floor and a shorter greedy set comes after a
+/// higher-floor one in conjunct order; a pass that stopped at the higher
+/// floor would return a contingency one longer than the seed kernel's.
+#[test]
+fn a_skipped_witness_does_not_end_the_greedy_pass() {
+    let raw: [&[usize]; 22] = [
+        &[109, 114],
+        &[103, 95, 26],
+        &[92, 117],
+        &[57, 49],
+        &[2, 79, 97],
+        &[117, 67, 82, 103],
+        &[105],
+        &[54],
+        &[39, 70, 53, 121],
+        &[103, 92],
+        &[88],
+        &[29, 64, 115],
+        &[27, 73, 120],
+        &[36, 58, 64],
+        &[48, 95, 35, 63],
+        &[20],
+        &[95, 93],
+        &[73, 34],
+        &[79],
+        &[32],
+        &[117, 110, 82],
+        &[20, 54, 91],
+    ];
+    let phin = BitDnf::new(raw.iter().map(|c| c.iter().copied().collect()).collect()).minimized();
+    assert_inside_oracle(&phin, 103);
 }
 
 /// `why_anytime` with its one timing field zeroed, so explanations
@@ -314,8 +403,10 @@ fn untimed(mut explanation: Explanation) -> Explanation {
     explanation
 }
 
-/// The explanation the one-phase `why_anytime` built: one seed-kernel
-/// solve per cause under `budget`, rendered and ranked the same way.
+/// The explanation the one-phase `why_anytime` built: one packed-kernel
+/// solve per cause (`anytime_min_contingency`, which packs the lineage
+/// for that one call) under an even share of `steps`, rendered and
+/// ranked the same way.
 fn assembled_explanation(db: &Database, query: &ConjunctiveQuery, steps: u64) -> Explanation {
     let (arena, phin) = minimized_lineage(db, query);
     let causes = arena.tuples_of(&phin.variables());
@@ -324,7 +415,7 @@ fn assembled_explanation(db: &Database, query: &ConjunctiveQuery, steps: u64) ->
     let mut explained: Vec<ExplainedCause> = causes
         .iter()
         .map(|&t| {
-            let out = oracle::anytime_min_contingency(&phin, arena.id(t).unwrap(), share);
+            let out = anytime_min_contingency(&phin, arena.id(t).unwrap(), share);
             refinements += out.refinements;
             let render = |t: TupleRef| format!("{}{}", db.relation(t.rel).name(), db.tuple(t));
             ExplainedCause {
@@ -372,8 +463,8 @@ fn assembled_explanation(db: &Database, query: &ConjunctiveQuery, steps: u64) ->
 }
 
 /// Without a clock the two-phase schedule changes nothing: under a step
-/// budget `why_anytime` equals the per-cause seed solves under an even
-/// share of the steps, from the greedy bracket to full collapse.
+/// budget `why_anytime` equals the per-cause solves under an even share
+/// of the steps, from the budget-free bracket to full collapse.
 #[test]
 fn why_anytime_under_a_step_budget_equals_per_cause_solves() {
     for inst in [dense_triangles(4, 64, 2), dense_triangles(4, 64, 5)] {
@@ -420,4 +511,43 @@ fn why_anytime_past_its_deadline_equals_the_zero_budget_answer() {
         );
         assert_eq!(untimed(expired), untimed(zero));
     }
+}
+
+/// The degree bound and the skipped greedy runs, counted on the
+/// benchmark's instances `dense_triangles(4, 64, s)`: a zero-budget
+/// `why_anytime` collapses at least 200 of the 238 brackets (8 with
+/// only the packing and ln n + 1 floors), and at an unlimited budget the
+/// packed kernel expands at most a tenth of the seed oracle's search
+/// nodes (equal, 47 360, without the degree bound).
+#[test]
+fn dense_triangle_brackets_collapse_with_few_search_nodes() {
+    let (mut brackets, mut collapsed) = (0, 0);
+    let (mut packed_steps, mut seed_steps) = (0u64, 0u64);
+    for seed in [1, 2, 5, 7, 23] {
+        let inst = dense_triangles(4, 64, seed);
+        let (explanation, _) = Explainer::new(&inst.db, &inst.query)
+            .why_anytime(&[], ApproxBudget::zero())
+            .unwrap();
+        brackets += explanation.causes.len();
+        collapsed += explanation
+            .causes
+            .iter()
+            .filter(|c| c.bounds.expect("anytime cause").is_exact())
+            .count();
+        let (_, phin) = minimized_lineage(&inst.db, &inst.query);
+        for v in phin.variables().iter().map(|v| v as u32) {
+            packed_steps += anytime_min_contingency(&phin, v, ApproxBudget::unlimited()).steps_used;
+            seed_steps +=
+                oracle::anytime_min_contingency(&phin, v, ApproxBudget::unlimited()).steps_used;
+        }
+    }
+    assert_eq!(brackets, 238, "causes over the five instances");
+    assert!(
+        collapsed >= 200,
+        "{collapsed} of {brackets} brackets collapsed at budget zero"
+    );
+    assert!(
+        packed_steps * 10 <= seed_steps,
+        "search nodes at an unlimited budget: packed {packed_steps}, seed {seed_steps}"
+    );
 }

@@ -223,6 +223,16 @@ fn brownout_serves_certified_answers_inline_and_recovers() {
         };
         assert_eq!(bounds, zero_bounds, "the same rho_max bracket");
         assert_eq!(refinements, 0, "a passed deadline refines nothing");
+        // The answer was sent as a worker's is: the trace ring holds it,
+        // with its computation's spans and no queue wait.
+        let traces = tier.recent_traces();
+        let inline = traces
+            .iter()
+            .find(|t| t.stage(Stage::ApproxRefine).is_some())
+            .expect("the brownout answer is traced");
+        assert_eq!(inline.outcome, "ok");
+        assert!(inline.stage(Stage::KernelSolve).is_some());
+        assert!(inline.stage(Stage::ShardQueue).is_none());
 
         for blocker in blockers {
             blocker.wait().unwrap().result.unwrap();
@@ -304,6 +314,142 @@ fn a_panic_in_a_brownout_computation_is_caught_and_returned() {
         tier.clear_faults();
         let served = tier.explain(hard, hard_req).unwrap();
         assert_eq!(served.result.unwrap().mode, ExplainMode::Exact);
+        tier.shutdown();
+    });
+}
+
+/// Brownout failures reach the tenant's circuit breaker: with
+/// `failure_threshold: 2`, two panicking brownout computations trip it,
+/// and the tenant's next submit is shed with `CircuitOpen`.
+#[test]
+fn panicking_brownout_computations_trip_the_tenant_breaker() {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
+        let open_for = Duration::from_secs(60);
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            brownout_high_water: 2,
+            brownout_low_water: 0,
+            breaker: BreakerConfig {
+                failure_threshold: 2,
+                open_for,
+                half_open_probes: 1,
+            },
+            supervisor: SupervisorConfig::disabled(),
+            shard: ServiceConfig {
+                workers: 1,
+                batch_max: 1,
+                ..ServiceConfig::default()
+            },
+            ..TierConfig::default()
+        });
+        let easy = tier.add_tenant("easy", seed_database()).unwrap();
+        let (tri_db, tri_query) = triangle_tenant();
+        let hard = tier.add_tenant("triangle", tri_db).unwrap();
+
+        // The first blocker stalls the worker, outside the chaos lock,
+        // long enough that the two blockers queued behind it hold the
+        // tier in brownout for the whole scenario. Once the worker is in
+        // that stall, the hook is swapped for one that panics the hard
+        // request (its answer is empty) every time it is computed.
+        tier.inject_delay(|req| {
+            (req.answer == vec![Value::str("a2")]).then_some(Duration::from_secs(1))
+        });
+        let easy_req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
+        let blockers: Vec<_> = (0..3)
+            .map(|_| tier.submit(easy, easy_req.clone()).unwrap())
+            .collect();
+        while tier.shard_progress(0) < 1 {
+            std::thread::yield_now();
+        }
+        tier.inject_fault(|req| req.answer.is_empty());
+
+        let hard_req = ExplainRequest::why_so(tri_query, vec![]);
+        for attempt in 0..2 {
+            match tier.submit(hard, hard_req.clone()).err() {
+                Some(ServiceError::Panicked(_)) => {}
+                other => panic!("attempt {attempt}: expected Panicked, got {other:?}"),
+            }
+        }
+        match tier.submit(hard, hard_req).err() {
+            Some(ServiceError::CircuitOpen { retry_after }) => {
+                assert!(retry_after > Duration::ZERO && retry_after <= open_for);
+            }
+            other => panic!("expected CircuitOpen, got {other:?}"),
+        }
+        let stats = tier.stats();
+        assert_eq!(stats.frontend.breaker_trips, 1);
+        assert_eq!(stats.aggregate().panics_caught, 2);
+        assert_eq!(stats.frontend.brownout_served, 0);
+
+        // The other tenant's breaker stays closed: its blockers are served.
+        for blocker in blockers {
+            blocker.wait().unwrap().result.unwrap();
+        }
+        tier.shutdown();
+    });
+}
+
+/// Brownout answers are not worker progress: a shard whose workers keep
+/// wedging is quarantined and its pool restarted again and again while
+/// the tier answers a stream of NP-hard requests inline, many per
+/// supervisor tick, and every queued request is still answered.
+#[test]
+fn a_wedged_shard_is_restarted_while_brownout_answers_inline() {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
+        const WEDGE: Duration = Duration::from_secs(1);
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            brownout_high_water: 2,
+            brownout_low_water: 0,
+            supervisor: aggressive_supervisor(),
+            shard: ServiceConfig {
+                workers: 1,
+                batch_max: 1,
+                ..ServiceConfig::default()
+            },
+            ..TierConfig::default()
+        });
+        let easy = tier.add_tenant("easy", seed_database()).unwrap();
+        let (tri_db, tri_query) = triangle_tenant();
+        let hard = tier.add_tenant("triangle", tri_db).unwrap();
+
+        // Every blocker wedges the worker that takes it, so each restarted
+        // pool wedges on the next one, and the blockers still queued hold
+        // the tier in brownout through a dozen restarts or more.
+        tier.inject_delay(|req| (req.answer == vec![Value::str("a2")]).then_some(WEDGE));
+        let easy_req = ExplainRequest::why_so(query(), vec![Value::str("a2")]);
+        let blockers: Vec<_> = (0..16)
+            .map(|_| tier.submit(easy, easy_req.clone()).unwrap())
+            .collect();
+
+        // After the first inline answer, inline answers arrive back to
+        // back until the supervisor restarts the pool once more.
+        let hard_req = ExplainRequest::why_so(tri_query, vec![]);
+        tier.explain(hard, hard_req.clone())
+            .unwrap()
+            .result
+            .unwrap();
+        let stats = tier.stats();
+        assert_eq!(stats.frontend.brownout_served, 1, "{stats:?}");
+        let restarts = stats.aggregate().shard_restarts;
+        let started = Instant::now();
+        while tier.stats().aggregate().shard_restarts == restarts {
+            assert!(
+                started.elapsed() < WEDGE / 2,
+                "the wedged shard was not restarted: {:?}",
+                tier.stats()
+            );
+            tier.explain(hard, hard_req.clone())
+                .unwrap()
+                .result
+                .unwrap();
+        }
+        assert!(tier.stats().aggregate().shard_quarantines >= 1);
+
+        for blocker in blockers {
+            blocker.wait().unwrap().result.unwrap();
+        }
+        assert_eq!(tier.stats().aggregate().queue_depth, 0);
         tier.shutdown();
     });
 }
