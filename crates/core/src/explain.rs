@@ -48,8 +48,14 @@ pub enum ExplainMode {
         /// phase, with the answer's assembly. The brackets before it are
         /// the rest of [`ExplainTiming::solve_us`].
         budget_spent_us: u64,
-        /// Completed refinement levels across all causes.
+        /// Completed refinement levels across all causes. A cause that
+        /// takes a shorter contingency from the repair table may need
+        /// fewer levels, or none.
         refinements: u32,
+        /// Causes whose bracket the request's repair table closed with
+        /// no per-cause work: exact at `1/B`, where `B` is the global
+        /// floor on every hitting set of the lineage.
+        settled: u32,
     },
 }
 
@@ -212,18 +218,25 @@ impl<'a> Explainer<'a> {
     /// certified lower bound, and causes are ranked by that bound.
     ///
     /// The solve runs in two phases on one packed kernel for the whole
-    /// request (see [`crate::resp::approx`]). First every cause gets its
-    /// budget-free bracket, so each one is sound whatever the budget.
+    /// request (see [`crate::resp::approx`]), which keeps the request's
+    /// repair table: every hitting set of the lineage found for one
+    /// cause certifies a contingency for each of its necessary members.
+    /// First every cause gets its budget-free bracket, so each one is
+    /// sound whatever the budget: a cause whose table contingency meets
+    /// the lineage's global floor is settled exactly with no per-cause
+    /// work, and every other bracket starts from its table contingency.
     /// Then what is left of the budget goes to refinement, cause by cause
     /// in order: the step budget is split evenly across the causes and
     /// the deadline (if any) is shared, so a refinement that starts after
-    /// the deadline returns its bracket at once. With
+    /// the deadline returns its bracket at once. Each cause first takes
+    /// the table's contingency when it is shorter, and a solution the
+    /// search finds goes back into the table. With
     /// [`ApproxBudget::zero`] the result is the polynomial search-free
     /// bracket; with [`ApproxBudget::unlimited`] every bracket collapses
-    /// to the exact ρ. Without a deadline each cause's outcome equals
-    /// [`crate::resp::approx::anytime_min_contingency`] under its share
-    /// of the steps. [`ExplainTiming::solve_us`] covers both phases, and
-    /// the mode's `budget_spent_us` the second one alone.
+    /// to the exact ρ. Without a deadline each cause's bracket lies inside
+    /// the one [`crate::resp::approx::anytime_min_contingency`] gives
+    /// under its share of the steps. [`ExplainTiming::solve_us`] covers
+    /// both phases, and the mode's `budget_spent_us` the second one alone.
     pub fn why_anytime(
         &self,
         answer: &[Value],
@@ -237,13 +250,15 @@ impl<'a> Explainer<'a> {
         let lineage_us = lineage_started.elapsed().as_micros() as u64;
 
         let solve_started = Instant::now();
-        // Phase one: every cause's budget-free bracket.
+        // Phase one: every cause's budget-free bracket, settled from the
+        // repair table where it can be.
         let mut kernel = AnytimeKernel::new(&phin);
         let brackets: Vec<_> = causes
             .actual
             .iter()
-            .map(|&t| kernel.bracket(arena.id(t).expect("actual cause is interned")))
+            .map(|&t| kernel.shared_bracket(arena.id(t).expect("actual cause is interned")))
             .collect();
+        let settled = brackets.iter().flatten().filter(|b| b.is_settled()).count() as u32;
         let refine_started = Instant::now();
         let per_cause = ApproxBudget {
             max_steps: budget.max_steps / causes.actual.len().max(1) as u64,
@@ -255,7 +270,7 @@ impl<'a> Explainer<'a> {
         let mut rendered: Vec<Option<String>> = vec![None; arena.len()];
         // Phase two: refinement on what is left of the budget.
         for (&t, bracket) in causes.actual.iter().zip(brackets) {
-            let out = kernel.refine(bracket, per_cause);
+            let out = kernel.shared_refine(bracket, per_cause);
             refinements += out.refinements;
             let contingency = out
                 .contingency
@@ -314,6 +329,7 @@ impl<'a> Explainer<'a> {
                 bounds,
                 budget_spent_us: refine_us,
                 refinements,
+                settled,
             },
         };
         Ok((

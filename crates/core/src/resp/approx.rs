@@ -59,12 +59,44 @@
 //! [`anytime_min_contingency`] runs both phases for one cause;
 //! [`crate::explain::Explainer::why_anytime`] brackets every cause
 //! before it refines any, so a deadline is spent on refinement only.
+//!
+//! Within one request the causes share their work through the lineage's
+//! hitting sets (Bertossi & Salimi, arXiv 1412.4311 and 1507.00257): a
+//! contingency `Γ` of `t` makes `H = Γ ∪ {t}` hit every conjunct
+//! (Def. 2.3), and `ρ(t) = 1/min{|H| : H a minimal hitting set, t ∈ H}`.
+//!
+//! - **Global floor.** The packing and degree bounds over *all* rows
+//!   give `B ≤ |H|` for every hitting set, so every contingency of every
+//!   cause has at least `B − 1` members. Each bracket's certified floor
+//!   is raised to it.
+//! - **Repair table.** When a row meets `H` in exactly one member `s`,
+//!   `s` is necessary in `H`, and `H ∖ {s}` is a contingency of `s`: it
+//!   misses that row, which contains `s`, and with `s` it hits every row.
+//!   The kernel offers every bracket's best contingency and every
+//!   refinement's solution this way, and keeps per variable the shortest
+//!   such contingency. Each offered set is stored once, and only if it
+//!   improved an entry; nothing is stored per member.
+//! - **Settled and seeded brackets.** In phase one a cause whose table
+//!   entry already has `B − 1` members is *settled*: its bracket is
+//!   exact at `1/B` with no per-cause work. Every other cause is
+//!   bracketed *seeded* with its table contingency as the best so far,
+//!   so a witness whose floor reaches it skips its greedy. In phase two
+//!   a cause first takes the table's contingency when it is shorter,
+//!   which may collapse its bracket before any search.
+//!
 //! The seed per-witness kernel survives in [`oracle`] as the
 //! differential baseline, with its packing and `ln n + 1` floors only.
-//! At every clock-free budget the packed kernel's bracket lies inside
-//! the seed kernel's, at budget zero both return the same greedy
+//! At every clock-free budget the packed kernel's per-cause bracket lies
+//! inside the seed kernel's, at budget zero both return the same greedy
 //! contingency, and at an unlimited budget both reach the same certified
-//! minimum while the packed kernel expands no more search nodes.
+//! minimum while the packed kernel expands no more search nodes. In
+//! turn, each bracket `why_anytime` returns under `steps(N)` lies inside
+//! the per-cause [`anytime_min_contingency`] bracket under
+//! `steps(N / causes)`. A seed can only shorten the best contingency, a
+//! higher floor only skips levels, and a witness skipped in a seeded
+//! bracket has a floor no level below the best contingency reaches. So
+//! each refinement level searches a subset of the per-cause witnesses,
+//! in the same order, and reaches every level with no more steps spent.
 
 pub mod oracle;
 
@@ -261,14 +293,24 @@ impl BudgetTracker {
 pub(crate) struct Bracket {
     /// The cause's arena variable.
     v: u32,
-    /// The shortest per-witness greedy contingency (the first one on
-    /// ties); witnesses the bracket's `lower`.
+    /// The shortest contingency found: the seed, or a per-witness greedy
+    /// set shorter than everything before it (the first one on ties);
+    /// witnesses the bracket's `lower`.
     best: Vec<u32>,
     /// Certified lower bound on `|Γ_min|`.
     certified: usize,
     /// The feasible witnesses in conjunct order, each with the certified
-    /// lower bound on its own minimum hitting set.
+    /// lower bound on its own minimum hitting set. Empty iff the repair
+    /// table settled the bracket.
     witnesses: Vec<(usize, usize)>,
+}
+
+impl Bracket {
+    /// Whether the repair table closed this bracket with no per-cause
+    /// work (see [`AnytimeKernel::shared_bracket`]).
+    pub(crate) fn is_settled(&self) -> bool {
+        self.witnesses.is_empty()
+    }
 }
 
 /// The per-request packed anytime kernel.
@@ -278,12 +320,30 @@ pub(crate) struct Bracket {
 /// residual sets `c ∖ w` are written into a reused buffer, the greedy
 /// keeps incremental element counts, and the search runs on word
 /// slices, so neither phase allocates per residual set or per search
-/// node. Its brackets lie inside the seed kernel's in [`oracle`].
+/// node. Its per-cause brackets lie inside the seed kernel's in
+/// [`oracle`].
+///
+/// Beside the rows the kernel keeps the request's **global floor** and
+/// **repair table**, which [`AnytimeKernel::shared_bracket`] and
+/// [`AnytimeKernel::shared_refine`] read and feed; the per-cause
+/// [`AnytimeKernel::bracket`] and [`AnytimeKernel::refine`] ignore them.
 pub(crate) struct AnytimeKernel {
     /// `u64` words per row.
     words: usize,
     /// The lineage, one `words`-wide row per conjunct, in conjunct order.
     rows: Vec<u64>,
+    /// The global floor `B`: the larger of the packing and degree bounds
+    /// over every row, so every hitting set of the lineage has at least
+    /// `B` members and every contingency of every cause at least `B − 1`.
+    floor: usize,
+    /// The repair table: per arena variable, the shortest contingency an
+    /// offered hitting set certifies, as its size and the index of that
+    /// set in `starts`.
+    table: Vec<Option<(usize, usize)>>,
+    /// The offered hitting sets that improved some table entry, end to
+    /// end; set `i` is `repairs[starts[i]..starts[i + 1]]`.
+    repairs: Vec<u32>,
+    starts: Vec<usize>,
     // Scratch, reused across causes and witnesses.
     others: Vec<usize>,
     residuals: Vec<u64>,
@@ -311,17 +371,28 @@ impl AnytimeKernel {
                 row[e / 64] |= 1 << (e % 64);
             }
         }
+        let (mut counts, mut blocked) = (vec![0; words * 64], vec![0; words]);
+        let most = rows
+            .chunks_exact(words)
+            .map(|row| tally(&mut counts, row))
+            .max()
+            .unwrap_or(0);
+        let floor = packing_bound(&rows, words, &mut blocked).max(degree_bound(phin.len(), most));
         AnytimeKernel {
             words,
             rows,
+            floor,
+            table: vec![None; words * 64],
+            repairs: Vec::new(),
+            starts: vec![0],
             others: Vec::new(),
             residuals: Vec::new(),
             sizes: Vec::new(),
-            counts: vec![0; words * 64],
+            counts,
             covered: Vec::new(),
             chosen: Vec::new(),
             mask: vec![0; words],
-            blocked: vec![0; words],
+            blocked,
         }
     }
 
@@ -341,15 +412,16 @@ impl AnytimeKernel {
     }
 
     /// The budget-free phase: greedy feasible contingency plus certified
-    /// size lower bound per witness, decided exactly for cause-ness. A
-    /// witness whose floor already reaches the best contingency skips its
-    /// greedy. `None` iff `v` is not a cause.
-    pub(crate) fn bracket(&mut self, v: u32) -> Option<Bracket> {
+    /// size lower bound per witness, decided exactly for cause-ness. The
+    /// best contingency starts at `seed` (a contingency of `v`, if one is
+    /// known), and a witness whose floor already reaches the best
+    /// contingency skips its greedy. `None` iff `v` is not a cause.
+    pub(crate) fn bracket(&mut self, v: u32, seed: Option<Vec<u32>>) -> Option<Bracket> {
         let words = self.words;
         self.split(v);
         let n = self.others.len();
         self.residuals.resize(n * words, 0);
-        let mut best: Option<Vec<u32>> = None;
+        let mut best = seed;
         let mut witnesses = Vec::new();
         for w in 0..self.rows.len() / words {
             if !self.contains(w, v) {
@@ -484,6 +556,111 @@ impl AnytimeKernel {
             history,
         }
     }
+
+    /// Phase one for one cause of a request. A cause whose repair-table
+    /// contingency already meets the global floor `B − 1` is settled: its
+    /// bracket is exact with no per-cause work. Any other cause runs
+    /// [`AnytimeKernel::bracket`] seeded with the table's contingency,
+    /// its certified floor is raised to `B − 1`, and a contingency
+    /// shorter than the seed is offered to the table.
+    pub(crate) fn shared_bracket(&mut self, v: u32) -> Option<Bracket> {
+        let floor = self.floor.saturating_sub(1);
+        let seed = match self.repair(v) {
+            Some(best) if best.len() == floor => {
+                return Some(Bracket {
+                    v,
+                    best,
+                    certified: floor,
+                    witnesses: Vec::new(),
+                });
+            }
+            seed => seed,
+        };
+        let seeded = seed.as_ref().map(Vec::len);
+        let mut bracket = self.bracket(v, seed)?;
+        bracket.certified = bracket.certified.max(floor);
+        if seeded.is_none_or(|len| bracket.best.len() < len) {
+            self.offer(v, &bracket.best);
+        }
+        Some(bracket)
+    }
+
+    /// Phase two for one cause of a request: take the repair table's
+    /// contingency when it is shorter than the bracket's, which may
+    /// collapse the bracket, then [`AnytimeKernel::refine`] and offer a
+    /// solution the search found to the table.
+    pub(crate) fn shared_refine(
+        &mut self,
+        mut bracket: Option<Bracket>,
+        budget: ApproxBudget,
+    ) -> AnytimeOutcome {
+        let Some(b) = bracket.as_mut() else {
+            return AnytimeOutcome::not_a_cause();
+        };
+        let v = b.v;
+        if self.table[v as usize].is_some_and(|(len, _)| len < b.best.len()) {
+            b.best = self.repair(v).expect("a table entry");
+        }
+        let before = b.best.len();
+        let out = self.refine(bracket, budget);
+        if let Some(gamma) = out.contingency.as_deref().filter(|g| g.len() < before) {
+            self.offer(v, gamma);
+        }
+        out
+    }
+
+    /// The contingency of `v` that the repair table holds: the offered
+    /// hitting set with `v` taken out.
+    fn repair(&self, v: u32) -> Option<Vec<u32>> {
+        let (_, set) = (*self.table.get(v as usize)?)?;
+        let members = &self.repairs[self.starts[set]..self.starts[set + 1]];
+        Some(members.iter().copied().filter(|&e| e != v).collect())
+    }
+
+    /// Offer the hitting set `H = gamma ∪ {v}`, where `gamma` is a
+    /// contingency of `v`. The single member `s` of a row that `H` hits
+    /// exactly once is necessary in `H`, so `H ∖ {s}` is a contingency of
+    /// `s`: it misses that row, and with `s` it hits every row. One pass
+    /// over the rows records each such `s` whose table entry is longer;
+    /// `H` is stored once, and only if it improved an entry.
+    fn offer(&mut self, v: u32, gamma: &[u32]) {
+        self.mask.fill(0);
+        for &e in gamma.iter().chain([&v]) {
+            self.mask[e as usize / 64] |= 1 << (e % 64);
+        }
+        let (len, set) = (gamma.len(), self.starts.len() - 1);
+        let mut improved = false;
+        for row in self.rows.chunks_exact(self.words) {
+            let Some(s) = single_hit(row, &self.mask) else {
+                continue;
+            };
+            if self.table[s].is_none_or(|(best, _)| len < best) {
+                self.table[s] = Some((len, set));
+                improved = true;
+            }
+        }
+        if improved {
+            self.repairs.extend_from_slice(gamma);
+            self.repairs.push(v);
+            self.starts.push(self.repairs.len());
+        }
+    }
+}
+
+/// The one element of `row ∩ set` when there is exactly one.
+fn single_hit(row: &[u64], set: &[u64]) -> Option<usize> {
+    let mut hit = None;
+    for (i, (&r, &s)) in row.iter().zip(set).enumerate() {
+        let both = r & s;
+        if both == 0 {
+            continue;
+        }
+        if hit.is_some() || both & (both - 1) != 0 {
+            return None;
+        }
+        hit = Some(i * 64 + both.trailing_zeros() as usize);
+    }
+    hit
 }
 
 /// Write `c ∖ witness` for every row `c` in `others` into `out`, one
@@ -674,7 +851,7 @@ impl Search<'_> {
 /// bracket collapses and `contingency` is a true minimum contingency.
 pub fn anytime_min_contingency(phin: &BitDnf, v: u32, budget: ApproxBudget) -> AnytimeOutcome {
     let mut kernel = AnytimeKernel::new(phin);
-    let bracket = kernel.bracket(v);
+    let bracket = kernel.bracket(v, None);
     kernel.refine(bracket, budget)
 }
 
@@ -812,6 +989,62 @@ mod tests {
         .run();
         assert_eq!(found, Ok(false));
         assert_eq!(tracker.steps, 1);
+    }
+
+    /// Shared brackets over three disjoint pairs {a_i, b_i}: the global
+    /// floor is 3, so every contingency has 2 members. The greedy set of
+    /// the first cause, a0, makes a hitting set that meets each pair once,
+    /// in a0, a1 and a2, which settles a1 and a2 at exactly 2 with no
+    /// per-cause work; the b's are bracketed. On the other lineages every
+    /// shared bracket contains the exact minimum, and a settled one
+    /// equals it.
+    #[test]
+    fn the_repair_table_settles_exact_brackets() {
+        let pairs = dnf_of(&[&[(0, 0), (1, 0)], &[(0, 1), (1, 1)], &[(0, 2), (1, 2)]]);
+        let history = dnf_of(&[
+            &[(0, 0), (1, 1), (1, 2)],
+            &[(0, 0), (1, 3)],
+            &[(1, 1), (1, 4), (1, 5)],
+            &[(1, 2), (1, 5), (1, 6)],
+            &[(1, 3), (1, 6), (1, 7)],
+            &[(1, 4), (1, 7)],
+        ]);
+        let a = |i| TupleRef::new(0, i);
+        let cases = [
+            (pairs, vec![a(1), a(2)]),
+            (fan(6), vec![]),
+            (history, vec![]),
+        ];
+        for (phi, want) in cases {
+            let (arena, bits) = LineageArena::from_dnf(&phi);
+            let phin = bits.minimized();
+            let mut kernel = AnytimeKernel::new(&phin);
+            let mut settled = Vec::new();
+            for v in 0..arena.len() as u32 {
+                let exact = exact::min_contingency_bits(&phin, v).expect("cause").len();
+                let b = kernel.shared_bracket(v).expect("cause");
+                assert!(b.certified <= exact && exact <= b.best.len(), "v={v}");
+                if b.is_settled() {
+                    assert_eq!((b.certified, b.best.len()), (exact, exact), "v={v}");
+                    settled.push(arena.resolve(v));
+                }
+            }
+            if !want.is_empty() {
+                assert_eq!(settled, want);
+            }
+        }
+    }
+
+    /// A row certifies a member only when the hitting set meets it in
+    /// exactly that one member: two members in one word, or one in each
+    /// of two words, certify neither.
+    #[test]
+    fn single_hit_needs_exactly_one_member() {
+        assert_eq!(single_hit(&[0b0110], &[0b0100]), Some(2));
+        assert_eq!(single_hit(&[0b0110], &[0b0110]), None);
+        assert_eq!(single_hit(&[0b0110], &[0b1001]), None);
+        assert_eq!(single_hit(&[1, 2], &[0, 2]), Some(65));
+        assert_eq!(single_hit(&[1, 2], &[1, 2]), None);
     }
 
     #[test]

@@ -569,7 +569,7 @@ impl ShardedService {
         for (i, shard) in self.shards.iter().enumerate() {
             let hook = Arc::clone(&hook);
             *lock_unpoisoned(&shard.core.chaos) =
-                Some(Box::new(move |request, ordinal| hook(i, request, ordinal)));
+                Some(Arc::new(move |request, ordinal| hook(i, request, ordinal)));
             shard.core.chaos_armed.store(true, Ordering::Release);
         }
     }

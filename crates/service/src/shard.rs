@@ -60,7 +60,10 @@ pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// [`ShardedService::inject_fault`](crate::ShardedService::inject_fault),
 /// [`ShardedService::inject_delay`](crate::ShardedService::inject_delay)
 /// and [`ShardedService::install_fault_plan`](crate::ShardedService::install_fault_plan).
-pub(crate) type ChaosHook = Box<dyn Fn(&ExplainRequest, u64) -> FaultAction + Send + Sync>;
+///
+/// Shared, so a computation clones it out of the shard's lock and calls
+/// it with the lock released.
+pub(crate) type ChaosHook = Arc<dyn Fn(&ExplainRequest, u64) -> FaultAction + Send + Sync>;
 
 /// Identifies one tenant's snapshot store within a shard.
 pub(crate) type TenantKey = u64;

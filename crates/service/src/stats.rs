@@ -328,6 +328,9 @@ counters! {
     /// each one provably tightened a ρ bracket before the budget ran
     /// out.
     approx_refinements: "approx_refinements_total", Reset;
+    /// Causes of approx requests whose bracket the request's repair
+    /// table closed exactly, with no per-cause bracket or refinement.
+    approx_settled: "approx_settled_total", Reset;
     /// Worker-pool restarts performed by the supervisor (PR 9). A
     /// lifecycle counter: never reset by `snapshot_and_reset`.
     shard_restarts: "shard_restarts_total", Lifecycle;

@@ -281,11 +281,13 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                         if let ExplainMode::Approximate {
                             bounds,
                             refinements,
+                            settled,
                             ..
                         } = explanation.mode
                         {
                             core.stats.approx_requests.inc();
                             core.stats.approx_refinements.add(refinements as u64);
+                            core.stats.approx_settled.add(settled as u64);
                             core.stats
                                 .bound_width
                                 .record_us((bounds.width() * 1_000_000.0) as u64);
@@ -416,9 +418,11 @@ pub(crate) fn compute_isolated(
         if core.chaos_armed.load(Ordering::Acquire) {
             // One hook call with one ordinal draw, so every fault kind a
             // seeded plan schedules for this request fires on it. The
-            // lock is released before the stall or the panic.
-            let action = lock_unpoisoned(&core.chaos)
-                .as_ref()
+            // lock is released before the hook runs, and so before the
+            // stall or the panic: a hook that blocks holds up only its
+            // own computation.
+            let hook = lock_unpoisoned(&core.chaos).clone();
+            let action = hook
                 .map(|hook| hook(request, core.ordinal.fetch_add(1, Ordering::Relaxed)))
                 .unwrap_or_default();
             if let Some(stall) = action.stall {

@@ -248,10 +248,12 @@ fn main() {
             bounds,
             budget_spent_us,
             refinements,
+            settled,
         } => println!(
-            "answered approximately: {} cause(s) bracketed, then \
-             {budget_spent_us} µs of refinement ({refinements} level(s)) and \
-             assembly; max-ρ cause certified in [{:.4}, {:.4}]",
+            "answered approximately: {} cause(s) bracketed ({settled} settled \
+             by the repair table), then {budget_spent_us} µs of refinement \
+             ({refinements} level(s)) and assembly; max-ρ cause certified in \
+             [{:.4}, {:.4}]",
             answer.causes.len(),
             bounds.lower,
             bounds.upper
@@ -275,9 +277,10 @@ fn main() {
     }
     let stats = anytime.stats().aggregate();
     println!(
-        "\nstats: {} approximate answer(s), {} deadline miss(es) — the \
-         anytime tier absorbs what would otherwise be a timeout",
-        stats.approx_requests, stats.deadline_misses
+        "\nstats: {} approximate answer(s), {} cause(s) settled by the \
+         repair table, {} deadline miss(es) — the anytime tier absorbs what \
+         would otherwise be a timeout",
+        stats.approx_requests, stats.approx_settled, stats.deadline_misses
     );
     anytime.shutdown();
 }

@@ -318,6 +318,56 @@ fn a_panic_in_a_brownout_computation_is_caught_and_returned() {
     });
 }
 
+/// A chaos hook that blocks holds up only its own computation: the
+/// shard's hook lock is released before the hook runs, so while one
+/// worker's hook sleeps for 500 ms, the other worker answers a second
+/// question, whose hook call returns at once.
+#[test]
+fn a_blocking_chaos_hook_stalls_only_its_own_computation() {
+    with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
+        let tier = ShardedService::new(TierConfig {
+            shards: 1,
+            shard: ServiceConfig {
+                workers: 2,
+                batch_max: 1,
+                ..ServiceConfig::default()
+            },
+            ..TierConfig::default()
+        });
+        let tenant = tier.add_tenant("t", seed_database()).unwrap();
+        let (entered, in_hook) = std::sync::mpsc::sync_channel(1);
+        tier.inject_fault(move |req| {
+            if req.answer == vec![Value::str("a2")] {
+                let _ = entered.send(());
+                std::thread::sleep(Duration::from_millis(500));
+            }
+            false
+        });
+        let blocker = tier
+            .submit(
+                tenant,
+                ExplainRequest::why_so(query(), vec![Value::str("a2")]),
+            )
+            .unwrap();
+        in_hook.recv().unwrap();
+        let asked = Instant::now();
+        let other = tier
+            .submit(
+                tenant,
+                ExplainRequest::why_so(query(), vec![Value::str("a3")]),
+            )
+            .unwrap();
+        other.wait().unwrap().result.unwrap();
+        let waited = asked.elapsed();
+        assert!(
+            waited < Duration::from_millis(250),
+            "the second question waited {waited:?} for the blocker's hook"
+        );
+        blocker.wait().unwrap().result.unwrap();
+        tier.shutdown();
+    });
+}
+
 /// Brownout failures reach the tenant's circuit breaker: with
 /// `failure_threshold: 2`, two panicking brownout computations trip it,
 /// and the tenant's next submit is shed with `CircuitOpen`.
