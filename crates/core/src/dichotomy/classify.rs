@@ -99,6 +99,8 @@ impl DichotomyTag {
     /// treated as endogenous — the hard direction — so the tag reports
     /// the worst-case complexity the request could have exhibited.
     pub fn of_why_so(q: &ConjunctiveQuery) -> DichotomyTag {
+        #[cfg(test)]
+        CLASSIFIED.with(|n| n.set(n.get() + 1));
         let needs_marks = q
             .atoms()
             .iter()
@@ -120,6 +122,13 @@ impl DichotomyTag {
             .map(|c| c.tag())
             .unwrap_or(DichotomyTag::Unclassified)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`DichotomyTag::of_why_so`] calls on this thread, for tests that
+    /// count classifier runs.
+    pub(crate) static CLASSIFIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Classify the Why-So responsibility complexity of a Boolean marked

@@ -149,6 +149,8 @@ pub struct Explainer<'a> {
     method: Method,
     parallelism: usize,
     cache: Arc<SharedIndexCache>,
+    /// The query's dichotomy tag, when the caller already knows it.
+    dichotomy: Option<DichotomyTag>,
 }
 
 impl<'a> Explainer<'a> {
@@ -160,6 +162,7 @@ impl<'a> Explainer<'a> {
             method: Method::Auto,
             parallelism: 1,
             cache: Arc::new(SharedIndexCache::new()),
+            dichotomy: None,
         }
     }
 
@@ -175,6 +178,27 @@ impl<'a> Explainer<'a> {
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism.max(1);
         self
+    }
+
+    /// Take `tag` as the dichotomy verdict of every Why-So call instead
+    /// of classifying the grounded query on each one. The tag is a
+    /// function of the ungrounded query: every answer grounds the same
+    /// head variables, and the classifier never reads a constant. It must
+    /// still come from [`DichotomyTag::of_why_so`] on *a* grounding of
+    /// this explainer's query, since grounding changes it; the explainer
+    /// does not check. A serving layer that memoizes the tag per query
+    /// passes it here.
+    pub fn with_dichotomy(mut self, tag: DichotomyTag) -> Self {
+        self.dichotomy = Some(tag);
+        self
+    }
+
+    /// The dichotomy tag of `grounded`, this explainer's query grounded
+    /// with some answer: the one [`Explainer::with_dichotomy`] gave, or
+    /// the classifier's.
+    fn dichotomy_of(&self, grounded: &ConjunctiveQuery) -> DichotomyTag {
+        self.dichotomy
+            .unwrap_or_else(|| DichotomyTag::of_why_so(grounded))
     }
 
     /// Share an externally owned index cache (e.g. the one long-lived
@@ -243,7 +267,7 @@ impl<'a> Explainer<'a> {
         budget: ApproxBudget,
     ) -> Result<(Explanation, ExplainTiming), CoreError> {
         let grounded = self.query.try_ground(answer)?;
-        let tag = DichotomyTag::of_why_so(&grounded);
+        let tag = self.dichotomy_of(&grounded);
         let lineage_started = Instant::now();
         let (arena, phin) = minimized_n_lineage(self.db, &grounded, Some(&self.cache))?;
         let causes = causes_from_minimized_whyso(&arena, &phin);
@@ -364,7 +388,7 @@ impl<'a> Explainer<'a> {
         top_k: Option<usize>,
     ) -> Result<(Explanation, RankStats), CoreError> {
         let grounded = self.query.try_ground(answer)?;
-        let tag = DichotomyTag::of_why_so(&grounded);
+        let tag = self.dichotomy_of(&grounded);
         let cfg = RankConfig {
             method: self.method,
             parallelism: self.parallelism,
@@ -692,6 +716,40 @@ mod tests {
             assert_eq!(c.counterfactual, e.counterfactual);
         }
         assert_eq!(full.rho_max(), 1.0, "R(1,2) is counterfactual");
+    }
+
+    /// A tag handed to the explainer replaces the classifier on every
+    /// Why-So entry point, and the explanations stay the same.
+    #[test]
+    fn a_given_dichotomy_tag_replaces_the_classifier() {
+        use crate::dichotomy::classify::CLASSIFIED;
+        let classified = || CLASSIFIED.with(|n| n.get());
+        let mut db = Database::new();
+        let r = db.add_relation(Schema::new("R", &["x", "y"]));
+        let s = db.add_relation(Schema::new("S", &["y", "z"]));
+        let t = db.add_relation(Schema::new("T", &["z", "x"]));
+        db.insert_endo(r, tup![1, 2]);
+        for i in 0..3 {
+            db.insert_endo(s, tup![2, 10 + i]);
+            db.insert_endo(t, tup![10 + i, 1]);
+        }
+        let hard = q("h2 :- R(x, y), S(y, z), T(z, x)");
+
+        let plain = Explainer::new(&db, &hard);
+        let before = classified();
+        let (anytime, _) = plain.why_anytime(&[], ApproxBudget::zero()).unwrap();
+        let exact = plain.why(&[]).unwrap();
+        let (top, _) = plain.why_top_k(&[], 2).unwrap();
+        assert_eq!(classified() - before, 3, "one classifier run per call");
+
+        let tagged = Explainer::new(&db, &hard).with_dichotomy(DichotomyTag::NpHard);
+        let before = classified();
+        let (tagged_anytime, _) = tagged.why_anytime(&[], ApproxBudget::zero()).unwrap();
+        assert_eq!(tagged.why(&[]).unwrap(), exact);
+        assert_eq!(tagged.why_top_k(&[], 2).unwrap().0, top);
+        assert_eq!(classified(), before, "no classifier run");
+        assert_eq!(tagged_anytime.causes, anytime.causes);
+        assert_eq!(tagged_anytime.dichotomy, DichotomyTag::NpHard);
     }
 
     #[test]

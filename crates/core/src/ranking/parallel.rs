@@ -14,8 +14,9 @@
 //!   form ([`LineageArena`] + [`BitDnf`]); workers borrow the same
 //!   conjunct bitsets (`&VarSet` slices) in place — zero per-candidate
 //!   cloning — and, when Algorithm 1 ranks the causes, they share one
-//!   junction network (one `FlowPlan` per ranking): each cause changes
-//!   only capacities, on its own copy.
+//!   junction network (one `FlowPlan` per ranking, built from the atom
+//!   tuples the lineage's search emitted, so the query is evaluated
+//!   once): each cause changes only capacities, on its own copy.
 //! * **Counterfactual read-off** — a candidate that occurs in every
 //!   conjunct of the minimized lineage is counterfactual (Theorem 3.2),
 //!   and Def. 2.3 fixes its answer: ρ = 1 with Γ = ∅, the only
@@ -55,11 +56,11 @@ use crate::causes::causes_from_minimized_whyso;
 use crate::error::CoreError;
 use crate::ranking::{elapsed_us, sort_ranked, Method, RankedCause};
 use crate::resp::exact::responsibility_from_bits;
-use crate::resp::flow::FlowPlan;
+use crate::resp::flow::{FlowPlan, FlowShape, ValuationTuples};
 use crate::resp::{self, Responsibility};
 use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, TupleRef};
 use causality_graph::maxflow::FlowAlgorithm;
-use causality_lineage::{minimized_n_lineage, BitDnf, LineageArena, VarSet};
+use causality_lineage::{minimized_n_lineage_tee, BitDnf, LineageArena, VarSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -146,8 +147,8 @@ struct Candidate {
 /// Rank the Why-So causes of a Boolean query by responsibility,
 /// descending (ties broken by tuple identity), on `cfg.parallelism`
 /// threads, optionally truncated (and pruned) to the top `k`. The
-/// optional [`SharedIndexCache`] lets the lineage evaluation and the
-/// flow network's evaluation reuse one set of join indexes.
+/// optional [`SharedIndexCache`] lets the ranking's one evaluation reuse
+/// join indexes built by earlier calls.
 ///
 /// Counterfactual causes are read off the lineage (ρ = 1, Γ = ∅) under
 /// every method. The rest are solved on one Algorithm 1 network built
@@ -176,8 +177,13 @@ pub fn rank_why_so_parallel(
     // form, feeds the candidate screen, the upper bounds, and (for the
     // exact method) every per-cause solve. Workers borrow the same
     // `BitDnf` conjunct slice — zero per-candidate cloning.
+    // The same search keeps every valuation's atom tuples, from which
+    // Algorithm 1's network is built without a second evaluation.
     let lineage_started = std::time::Instant::now();
-    let (arena, phin) = minimized_n_lineage(db, q, cache)?;
+    let mut valuations = ValuationTuples::new(q.atoms().len());
+    let (arena, phin) = minimized_n_lineage_tee(db, q, cache, |atom_tuples| {
+        valuations.push(atom_tuples);
+    })?;
     let causes = causes_from_minimized_whyso(&arena, &phin);
     let lineage_us = elapsed_us(lineage_started);
     let solve_started = std::time::Instant::now();
@@ -207,7 +213,7 @@ pub fn rank_why_so_parallel(
     // is stable, so the order is deterministic).
     candidates.sort_by(|a, b| b.upper_bound.total_cmp(&a.upper_bound));
 
-    let plan = flow_plan(db, q, cfg, cache, &candidates)?;
+    let plan = flow_plan(db, q, cfg, &valuations, &candidates)?;
     let threads = cfg.parallelism.max(1).min(candidates.len().max(1));
     let shared = RankShared {
         candidates: &candidates,
@@ -338,13 +344,14 @@ fn flow_plan(
     db: &Database,
     q: &ConjunctiveQuery,
     cfg: &RankConfig,
-    cache: Option<&SharedIndexCache>,
+    valuations: &ValuationTuples,
     candidates: &[Candidate],
 ) -> Result<Option<FlowPlan>, CoreError> {
     if candidates.is_empty() || cfg.top_k == Some(0) {
         return Ok(None);
     }
-    let plan = || FlowPlan::new(db, q, FlowAlgorithm::Dinic, cache);
+    let plan =
+        || FlowShape::of(db, q).map(|shape| shape.plan(db, FlowAlgorithm::Dinic, valuations));
     match cfg.method {
         Method::Exact => Ok(None),
         Method::Flow => plan().map(Some),
@@ -656,7 +663,7 @@ mod tests {
     fn packing_bound_is_sound_on_example() {
         let db = example_2_2();
         let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a4")]);
-        let (arena, phin) = minimized_n_lineage(&db, &query, None).unwrap();
+        let (arena, phin) = causality_lineage::minimized_n_lineage(&db, &query, None).unwrap();
         let mut scratch = VarSet::new();
         for t in arena.tuples_of(&phin.variables()) {
             let v = arena.id(t).unwrap();

@@ -22,12 +22,17 @@
 //! The network depends only on the query and the database: nodes and
 //! edges are created in valuation order, never in an order that depends
 //! on `t`, and `t` changes only capacities (its own edge to 0, the rest
-//! of each witness path to ∞). So a `FlowPlan` marks the query, certifies
-//! weak linearity, evaluates and builds the network **once**, and then
-//! solves any number of tuples on per-call copies of the capacities: the
-//! ranker shares one plan across all of a ranking's causes, and the
-//! single-tuple functions below are a plan of one. The seed per-tuple
-//! implementation survives in [`oracle`] as the differential baseline.
+//! of each witness path to ∞). So a `FlowShape` marks the query and
+//! certifies weak linearity once, a `FlowPlan` builds the network once
+//! from the valuations' atom tuples, and the plan then solves any number
+//! of tuples on per-call copies of the capacities. The ranker shares one
+//! plan across all of a ranking's causes, and builds it from the same
+//! evaluation as the lineage (its lineage step keeps every valuation's
+//! atom tuples); a junction's key is read from the tuples, each boundary
+//! variable at a body position that holds it. The single-tuple functions
+//! below are a plan of one, fed by their own evaluation. The seed
+//! per-tuple implementation survives in [`oracle`] as the differential
+//! baseline.
 
 pub mod oracle;
 
@@ -36,11 +41,12 @@ use crate::dichotomy::weaken::weakly_linear_certificate;
 use crate::error::CoreError;
 use crate::resp::Responsibility;
 use causality_engine::{
-    evaluate, evaluate_with_cache, ConjunctiveQuery, Database, Nature, SharedIndexCache, TupleRef,
+    for_each_valuation, ConjunctiveQuery, Database, EndoMask, Nature, SharedIndexCache, TupleRef,
     Value, VarId,
 };
 use causality_graph::maxflow::{EdgeHandle, FlowAlgorithm, FlowNetwork, INF};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::ControlFlow;
 
 /// Diagnostic statistics of one Algorithm 1 run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -87,9 +93,10 @@ pub fn why_so_responsibility_flow_with(
     solve_one(db, q, t, algo, None)
 }
 
-/// A plan of one. A self-join is reported before `NotEndogenous`
-/// ([`FlowPlan::new`] checks it first), which is before every other
-/// query-level error.
+/// A plan of one: the query-level checks, then one evaluation through
+/// the sink, then the network. A self-join is reported before
+/// `NotEndogenous` ([`FlowShape::of`] checks it first), which is before
+/// every other query-level error; evaluation errors come last.
 fn solve_one(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -100,41 +107,66 @@ fn solve_one(
     if !q.has_self_join() && !db.is_endogenous(t) {
         return Err(CoreError::NotEndogenous);
     }
-    Ok(FlowPlan::new(db, q, algo, cache)?.solve(t))
+    let shape = FlowShape::of(db, q)?;
+    let mut valuations = ValuationTuples::new(q.atoms().len());
+    for_each_valuation(db, q, EndoMask::All, cache, |atom_tuples, _| {
+        valuations.push(atom_tuples);
+        ControlFlow::Continue(())
+    })?;
+    Ok(shape.plan(db, algo, &valuations).solve(t))
 }
 
-/// Algorithm 1's junction network for one query over one database,
-/// built once and solved for any number of tuples.
-///
-/// The network holds every endogenous edge at capacity 1 and every
-/// exogenous edge at ∞; [`FlowPlan::solve`] applies one tuple's
-/// capacities to its own copy, so concurrent solves can share one
-/// `&FlowPlan`.
-pub(crate) struct FlowPlan {
-    algo: FlowAlgorithm,
-    net: FlowNetwork,
-    /// The endogenous tuple of each edge, by handle (`None` for a merged
-    /// exogenous edge); translates a min-cut back into tuples.
-    edge_tuple: Vec<Option<TupleRef>>,
-    /// Each endogenous tuple's edge and the indices of the valuation
-    /// paths through it.
-    by_tuple: HashMap<TupleRef, (EdgeHandle, Vec<usize>)>,
-    /// Every valuation's path as sorted edge handles, in valuation
-    /// order. Empty exactly when the query is false.
-    paths: Vec<Vec<EdgeHandle>>,
+/// Every valuation's atom tuples, flat and in valuation order, exogenous
+/// tuples included: the evaluator's emission as Algorithm 1's network
+/// reads it. The ranking fills it from the same search that builds the
+/// lineage, so a ranking evaluates its query once.
+#[derive(Debug, Default)]
+pub(crate) struct ValuationTuples {
+    /// Atoms per valuation.
+    atoms: usize,
+    /// Valuations pushed (a body of no atoms still has one).
+    count: usize,
+    tuples: Vec<TupleRef>,
 }
 
-impl FlowPlan {
-    /// Everything of Algorithm 1 that depends only on the query and the
-    /// database: the self-join check, marking, the weak-linearity
-    /// certificate, one evaluation and the junction network. Errors are
-    /// query-level: they hold for every tuple.
-    pub(crate) fn new(
-        db: &Database,
-        q: &ConjunctiveQuery,
-        algo: FlowAlgorithm,
-        cache: Option<&SharedIndexCache>,
-    ) -> Result<FlowPlan, CoreError> {
+impl ValuationTuples {
+    /// An empty list for a body of `atoms` atoms.
+    pub(crate) fn new(atoms: usize) -> Self {
+        ValuationTuples {
+            atoms,
+            ..ValuationTuples::default()
+        }
+    }
+
+    /// Append one valuation's atom tuples, in body-atom order.
+    pub(crate) fn push(&mut self, atom_tuples: &[TupleRef]) {
+        debug_assert_eq!(atom_tuples.len(), self.atoms);
+        self.tuples.extend_from_slice(atom_tuples);
+        self.count += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[TupleRef]> {
+        (0..self.count).map(|i| &self.tuples[i * self.atoms..(i + 1) * self.atoms])
+    }
+}
+
+/// Everything of Algorithm 1 that depends only on the query (and the
+/// database's endo/exo partition): the self-join check, marking, the
+/// weak-linearity certificate's linear order, and where each junction
+/// key's values are read. Errors are query-level: they hold for every
+/// tuple.
+pub(crate) struct FlowShape {
+    /// The witness linear order, as body-atom indices.
+    order: Vec<usize>,
+    /// Per junction between consecutive atoms of the order: each shared
+    /// (weakened) variable's source, the first body atom holding it and
+    /// its position there. A valuation binds the variable to that
+    /// atom's tuple's value at that position.
+    boundaries: Vec<Vec<(usize, usize)>>,
+}
+
+impl FlowShape {
+    pub(crate) fn of(db: &Database, q: &ConjunctiveQuery) -> Result<FlowShape, CoreError> {
         if q.has_self_join() {
             return Err(CoreError::SelfJoin {
                 query: q.to_string(),
@@ -147,43 +179,56 @@ impl FlowPlan {
         })?;
         let order = cert.linear_order;
         let weakened = cert.weakened;
-
-        let result = match cache {
-            Some(c) => evaluate_with_cache(db, q, c)?,
-            None => evaluate(db, q)?,
+        let source = |v: VarId| {
+            q.atoms()
+                .iter()
+                .enumerate()
+                .find_map(|(a, atom)| {
+                    let pos = atom.terms.iter().position(|t| t.as_var() == Some(v))?;
+                    Some((a, pos))
+                })
+                .expect("a weakened variable occurs in the body")
         };
-        let m = order.len();
-
-        // Boundary variables between consecutive atoms of the linear order.
-        let boundaries: Vec<Vec<VarId>> = (0..m.saturating_sub(1))
+        let boundaries = (0..order.len().saturating_sub(1))
             .map(|k| {
                 let shared = weakened.atoms[order[k]].vars & weakened.atoms[order[k + 1]].vars;
                 (0..64u32)
                     .filter(|v| shared & (1u64 << v) != 0)
-                    .map(VarId)
+                    .map(|v| source(VarId(v)))
                     .collect()
             })
             .collect();
+        Ok(FlowShape { order, boundaries })
+    }
 
+    /// The junction network over `valuations`, one path per valuation in
+    /// order, with nodes and edges created in valuation order.
+    pub(crate) fn plan(
+        &self,
+        db: &Database,
+        algo: FlowAlgorithm,
+        valuations: &ValuationTuples,
+    ) -> FlowPlan {
+        let order = &self.order;
+        let m = order.len();
         let mut net = FlowNetwork::new(2); // 0 = source, 1 = sink
-        let mut nodes: HashMap<(usize, Vec<Value>), usize> = HashMap::new();
+        let mut nodes: HashMap<(usize, Vec<&Value>), usize> = HashMap::new();
         let mut exo_edges: HashMap<(usize, usize, usize), EdgeHandle> = HashMap::new();
         let mut edge_tuple: Vec<Option<TupleRef>> = Vec::new();
         let mut by_tuple: HashMap<TupleRef, (EdgeHandle, Vec<usize>)> = HashMap::new();
-        let mut paths: Vec<Vec<EdgeHandle>> = Vec::with_capacity(result.valuations.len());
+        let mut paths: Vec<Vec<EdgeHandle>> = Vec::with_capacity(valuations.count);
 
-        for val in &result.valuations {
+        for val in valuations.iter() {
             let mut path = Vec::with_capacity(m);
             let mut left = 0usize;
             for k in 0..m {
-                let atom_idx = order[k];
-                let tuple = val.atom_tuples[atom_idx];
+                let tuple = val[order[k]];
                 let right = if k + 1 == m {
                     1
                 } else {
-                    let key: Vec<Value> = boundaries[k]
+                    let key: Vec<&Value> = self.boundaries[k]
                         .iter()
-                        .map(|&v| val.value(v).expect("boundary variable bound").clone())
+                        .map(|&(atom, pos)| &db.tuple(val[atom])[pos])
                         .collect();
                     *nodes.entry((k, key)).or_insert_with(|| net.add_node())
                 };
@@ -207,15 +252,38 @@ impl FlowPlan {
             path.dedup();
             paths.push(path);
         }
-        Ok(FlowPlan {
+        FlowPlan {
             algo,
             net,
             edge_tuple,
             by_tuple,
             paths,
-        })
+        }
     }
+}
 
+/// Algorithm 1's junction network for one query over one database,
+/// built once ([`FlowShape::plan`]) and solved for any number of tuples.
+///
+/// The network holds every endogenous edge at capacity 1 and every
+/// exogenous edge at ∞; [`FlowPlan::solve`] applies one tuple's
+/// capacities to its own copy, so concurrent solves can share one
+/// `&FlowPlan`.
+pub(crate) struct FlowPlan {
+    algo: FlowAlgorithm,
+    net: FlowNetwork,
+    /// The endogenous tuple of each edge, by handle (`None` for a merged
+    /// exogenous edge); translates a min-cut back into tuples.
+    edge_tuple: Vec<Option<TupleRef>>,
+    /// Each endogenous tuple's edge and the indices of the valuation
+    /// paths through it.
+    by_tuple: HashMap<TupleRef, (EdgeHandle, Vec<usize>)>,
+    /// Every valuation's path as sorted edge handles, in valuation
+    /// order. Empty exactly when the query is false.
+    paths: Vec<Vec<EdgeHandle>>,
+}
+
+impl FlowPlan {
     /// Algorithm 1 for one tuple on the shared network: `t`'s edge goes
     /// to 0; for each witness path through `t`, in ascending order, the
     /// rest of the path goes to ∞, max-flow runs, and the capacities are
@@ -403,6 +471,36 @@ mod tests {
             let flow = why_so_responsibility_flow(&db, &query, t).unwrap();
             let exact = why_so_responsibility_exact(&db, &query, t).unwrap();
             assert_eq!(flow.rho, exact.rho, "tuple {t:?}");
+        }
+    }
+
+    /// The ranking's lineage search emits the evaluator's valuations,
+    /// and a plan built from them solves every tuple as a plan of one.
+    #[test]
+    fn a_plan_from_the_lineage_emission_is_a_plan_of_one() {
+        use causality_engine::database::example_2_2;
+        let db = example_2_2();
+        let query = q("q(x) :- R(x, y), S(y)").ground(&[Value::str("a4")]);
+        let mut teed = ValuationTuples::new(query.atoms().len());
+        causality_lineage::minimized_n_lineage_tee(&db, &query, None, |t| teed.push(t)).unwrap();
+        let evaluated = causality_engine::evaluate(&db, &query).unwrap();
+        let emitted: Vec<&[TupleRef]> = teed.iter().collect();
+        let valuations: Vec<&[TupleRef]> = evaluated
+            .valuations
+            .iter()
+            .map(|v| v.atom_tuples.as_slice())
+            .collect();
+        assert_eq!(emitted, valuations);
+
+        let plan = FlowShape::of(&db, &query)
+            .unwrap()
+            .plan(&db, FlowAlgorithm::Dinic, &teed);
+        for t in db.endogenous_tuples() {
+            assert_eq!(
+                plan.solve(t),
+                why_so_responsibility_flow_with(&db, &query, t, FlowAlgorithm::Dinic).unwrap(),
+                "{t:?}"
+            );
         }
     }
 

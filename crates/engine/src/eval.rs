@@ -10,6 +10,17 @@
 //! hash indexes are built lazily. Counterfactual evaluation (over `D − Γ`
 //! or `Dx ∪ Γ`) is supported through [`EndoMask`] without copying the
 //! database.
+//!
+//! There is **one search**, [`for_each_valuation`], and it hands each
+//! valuation to a caller's sink instead of materializing it. The join
+//! plan is fixed per evaluation, so each step's key pattern, binding
+//! recipe and index are worked out once; a search node fills a reused
+//! key buffer, borrows the index's rows and the stored tuple, and binds
+//! `&Value`s. The sink sees the atom tuples (in body order) and the
+//! bindings as borrowed slices, and can stop the search. The lineage
+//! crate builds its interned n-lineage straight from this emission;
+//! [`evaluate`] and its variants collect it into [`Valuation`]s, and the
+//! `holds_*` checks stop at the first valuation.
 
 use crate::database::{Database, EndoMask};
 use crate::error::EngineError;
@@ -17,16 +28,14 @@ use crate::query::{Atom, ConjunctiveQuery, Nature, Term, VarId};
 use crate::relation::RelVersion;
 use crate::tuple::{RelId, RowId, Tuple, TupleRef};
 use crate::value::Value;
+use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::{Arc, RwLock};
 
 /// One hash index over a relation: key (values at the bound positions) →
 /// rows holding those values.
 pub type PositionIndex = HashMap<Vec<Value>, Vec<RowId>>;
-
-/// The binding pattern an index serves within one evaluation:
-/// (relation, sorted bound positions).
-type LocalKey = (RelId, Vec<usize>);
 
 /// The key a [`SharedIndexCache`] entry lives under: the binding pattern
 /// plus the relation's content stamp, so an index can never be served
@@ -207,7 +216,7 @@ pub fn evaluate_masked(
     q: &ConjunctiveQuery,
     mask: EndoMask<'_>,
 ) -> Result<EvalResult, EngineError> {
-    Evaluator::new(db, q, mask, None)?.run(false)
+    collect(db, q, mask, None)
 }
 
 /// Like [`evaluate_masked`], reusing indexes from a [`SharedIndexCache`]:
@@ -219,7 +228,7 @@ pub fn evaluate_masked_with_cache(
     mask: EndoMask<'_>,
     cache: &SharedIndexCache,
 ) -> Result<EvalResult, EngineError> {
-    Evaluator::new(db, q, mask, Some(cache))?.run(false)
+    collect(db, q, mask, Some(cache))
 }
 
 /// Boolean check with early exit: is `q` (treated as Boolean) true under
@@ -229,7 +238,7 @@ pub fn holds_masked(
     q: &ConjunctiveQuery,
     mask: EndoMask<'_>,
 ) -> Result<bool, EngineError> {
-    Ok(Evaluator::new(db, q, mask, None)?.run(true)?.holds())
+    holds(db, q, mask, None)
 }
 
 /// Like [`holds_masked`], reusing indexes from a [`SharedIndexCache`].
@@ -239,47 +248,156 @@ pub fn holds_masked_with_cache(
     mask: EndoMask<'_>,
     cache: &SharedIndexCache,
 ) -> Result<bool, EngineError> {
-    Ok(Evaluator::new(db, q, mask, Some(cache))?.run(true)?.holds())
+    holds(db, q, mask, Some(cache))
 }
 
-struct ResolvedAtom {
+/// The `evaluate*` wrappers: every valuation materialized, in search
+/// order, and the distinct answers sorted.
+fn collect(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    mask: EndoMask<'_>,
+    cache: Option<&SharedIndexCache>,
+) -> Result<EvalResult, EngineError> {
+    let mut valuations = Vec::new();
+    for_each_valuation(db, q, mask, cache, |atom_tuples, bindings| {
+        valuations.push(Valuation {
+            assignment: bindings.iter().map(|b| b.cloned()).collect(),
+            atom_tuples: atom_tuples.to_vec(),
+        });
+        ControlFlow::Continue(())
+    })?;
+    let answers: BTreeSet<Tuple> = valuations.iter().map(|v| v.head_values(q)).collect();
+    Ok(EvalResult {
+        answers: answers.into_iter().collect(),
+        valuations,
+    })
+}
+
+/// The `holds_*` wrappers: stop at the first valuation.
+fn holds(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    mask: EndoMask<'_>,
+    cache: Option<&SharedIndexCache>,
+) -> Result<bool, EngineError> {
+    let mut found = false;
+    for_each_valuation(db, q, mask, cache, |_, _| {
+        found = true;
+        ControlFlow::Break(())
+    })?;
+    Ok(found)
+}
+
+/// The one search: enumerate the valuations of `q`'s body under `mask`
+/// and hand each one to `sink`, until the sink breaks or the search is
+/// exhausted.
+///
+/// The sink sees a valuation as two borrowed slices: the tuple grounding
+/// each body atom, in **atom order** (not join order), and the value
+/// bound to each [`VarId`] (`None` for interned-but-unused variables).
+/// Both are only valid for the call; nothing is allocated per valuation.
+/// Valuations arrive in a fixed order — the greedy join plan's, each
+/// step's rows in index order — which every `evaluate*` result keeps.
+///
+/// # Errors
+/// An unknown relation, an atom whose arity disagrees with its
+/// relation's schema, or a head variable absent from the body.
+pub fn for_each_valuation<'db, F>(
+    db: &'db Database,
+    q: &ConjunctiveQuery,
+    mask: EndoMask<'_>,
+    cache: Option<&SharedIndexCache>,
+    mut sink: F,
+) -> Result<(), EngineError>
+where
+    F: FnMut(&[TupleRef], &[Option<&'db Value>]) -> ControlFlow<()>,
+{
+    let plan = Plan::new(db, q, cache)?;
+    let mut state = State {
+        bindings: vec![None; q.var_count()],
+        chosen: vec![TupleRef::new(0, 0); q.atoms().len()],
+        keys: vec![Vec::new(); plan.steps.len()],
+    };
+    let _ = plan.search(0, mask, &mut state, &mut sink);
+    Ok(())
+}
+
+/// Where one value of an index key comes from.
+enum KeyPart<'q> {
+    /// A constant of the atom.
+    Const(&'q Value),
+    /// A variable bound by an earlier step.
+    Var(VarId),
+}
+
+/// One step of the join plan: an atom, and everything about its lookup
+/// that the plan fixes before the search starts.
+struct Step<'q> {
+    /// The atom's position in the query body.
+    atom: usize,
     rel: RelId,
     nature: Nature,
-    terms: Vec<Term>,
+    /// The atom's bound positions (constants, and variables an earlier
+    /// step binds), ascending: the index's key pattern.
+    positions: Vec<usize>,
+    /// The source of each key value, in `positions` order.
+    key: Vec<KeyPart<'q>>,
+    /// Positions whose variable this step binds, first occurrence each.
+    binds: Vec<(usize, VarId)>,
+    /// Later occurrences of a variable bound in this same atom: the row
+    /// must repeat the value there.
+    repeats: Vec<(usize, VarId)>,
+    /// The step's index, fetched the first time the search reaches it.
+    index: OnceCell<Arc<PositionIndex>>,
 }
 
-struct Evaluator<'a> {
-    db: &'a Database,
-    q: &'a ConjunctiveQuery,
-    mask: EndoMask<'a>,
-    /// Atoms in original order, resolved to relation ids.
-    atoms: Vec<ResolvedAtom>,
-    /// Evaluation order (indexes into `atoms`).
-    plan: Vec<usize>,
-    /// Indexes pinned for this evaluation: (rel, bound positions) → index.
-    local: HashMap<LocalKey, Arc<PositionIndex>>,
+/// The evaluation's fixed part, shared by every search node.
+struct Plan<'db, 'q, 'c> {
+    db: &'db Database,
+    steps: Vec<Step<'q>>,
     /// Cross-evaluation cache consulted (and fed) before building locally.
-    shared: Option<&'a SharedIndexCache>,
+    shared: Option<&'c SharedIndexCache>,
 }
 
-impl<'a> Evaluator<'a> {
+/// The search's mutable part: one slot per variable, per atom and per
+/// step, reused by every node.
+struct State<'db> {
+    bindings: Vec<Option<&'db Value>>,
+    /// The tuple each atom is grounded to on the current path, in atom
+    /// order.
+    chosen: Vec<TupleRef>,
+    /// Each step's key buffer.
+    keys: Vec<Vec<Value>>,
+}
+
+impl<'db, 'q, 'c> Plan<'db, 'q, 'c> {
     fn new(
-        db: &'a Database,
-        q: &'a ConjunctiveQuery,
-        mask: EndoMask<'a>,
-        shared: Option<&'a SharedIndexCache>,
+        db: &'db Database,
+        q: &'q ConjunctiveQuery,
+        shared: Option<&'c SharedIndexCache>,
     ) -> Result<Self, EngineError> {
-        // Safety check: head variables must occur in the body.
-        let body_vars = q.body_vars();
-        for hv in q.head_vars() {
-            if !body_vars.contains(&hv) {
-                return Err(EngineError::UnsafeQuery {
-                    query: q.to_string(),
-                    var: q.var_name(hv).to_string(),
-                });
+        // Safety check: head variables must occur in the body. The
+        // smallest offending variable is reported.
+        let mut in_body = vec![false; q.var_count()];
+        for term in q.atoms().iter().flat_map(|a| &a.terms) {
+            if let Term::Var(v) = term {
+                in_body[v.0 as usize] = true;
             }
         }
-        let mut atoms = Vec::with_capacity(q.atoms().len());
+        let unsafe_var = q
+            .head()
+            .iter()
+            .filter_map(Term::as_var)
+            .filter(|v| !in_body[v.0 as usize])
+            .min();
+        if let Some(hv) = unsafe_var {
+            return Err(EngineError::UnsafeQuery {
+                query: q.to_string(),
+                var: q.var_name(hv).to_string(),
+            });
+        }
+        let mut rels = Vec::with_capacity(q.atoms().len());
         for atom in q.atoms() {
             let rel = db.require_relation(&atom.relation)?;
             let schema_arity = db.relation(rel).schema().arity();
@@ -290,160 +408,122 @@ impl<'a> Evaluator<'a> {
                     found: atom.arity(),
                 });
             }
-            atoms.push(ResolvedAtom {
-                rel,
-                nature: atom.nature,
-                terms: atom.terms.clone(),
-            });
+            rels.push(rel);
         }
-        let plan = plan_order(db, q.atoms(), &atoms);
-        Ok(Evaluator {
-            db,
-            q,
-            mask,
-            atoms,
-            plan,
-            local: HashMap::new(),
-            shared,
-        })
-    }
-
-    fn run(&mut self, stop_at_first: bool) -> Result<EvalResult, EngineError> {
-        let mut result = EvalResult::default();
-        let mut bindings: Vec<Option<Value>> = vec![None; self.q.var_count()];
-        let mut chosen: Vec<TupleRef> = Vec::with_capacity(self.atoms.len());
-        self.search(0, &mut bindings, &mut chosen, stop_at_first, &mut result);
-
-        let mut seen = BTreeSet::new();
-        for v in &result.valuations {
-            seen.insert(v.head_values(self.q));
-        }
-        result.answers = seen.into_iter().collect();
-        Ok(result)
-    }
-
-    fn search(
-        &mut self,
-        depth: usize,
-        bindings: &mut Vec<Option<Value>>,
-        chosen: &mut Vec<TupleRef>,
-        stop_at_first: bool,
-        result: &mut EvalResult,
-    ) -> bool {
-        if depth == self.plan.len() {
-            // Reorder chosen tuples back to original atom order.
-            let mut atom_tuples = vec![TupleRef::new(0, 0); self.plan.len()];
-            for (step, &atom_idx) in self.plan.iter().enumerate() {
-                atom_tuples[atom_idx] = chosen[step];
-            }
-            result.valuations.push(Valuation {
-                assignment: bindings.clone(),
-                atom_tuples,
-            });
-            return stop_at_first;
-        }
-        let atom_idx = self.plan[depth];
-
-        // Compute bound positions and the lookup key.
-        let (positions, key, unbound): (Vec<usize>, Vec<Value>, Vec<(usize, VarId)>) = {
-            let atom = &self.atoms[atom_idx];
-            let mut positions = Vec::new();
-            let mut key = Vec::new();
-            let mut unbound = Vec::new();
-            for (i, term) in atom.terms.iter().enumerate() {
-                match term {
-                    Term::Const(c) => {
-                        positions.push(i);
-                        key.push(c.clone());
-                    }
-                    Term::Var(v) => match &bindings[v.0 as usize] {
-                        Some(val) => {
-                            positions.push(i);
-                            key.push(val.clone());
+        let mut bound = vec![false; q.var_count()];
+        let steps = plan_order(db, q.atoms(), &rels)
+            .into_iter()
+            .map(|atom_idx| {
+                let atom = &q.atoms()[atom_idx];
+                let mut step = Step {
+                    atom: atom_idx,
+                    rel: rels[atom_idx],
+                    nature: atom.nature,
+                    positions: Vec::new(),
+                    key: Vec::new(),
+                    binds: Vec::new(),
+                    repeats: Vec::new(),
+                    index: OnceCell::new(),
+                };
+                for (pos, term) in atom.terms.iter().enumerate() {
+                    match term {
+                        Term::Const(c) => {
+                            step.positions.push(pos);
+                            step.key.push(KeyPart::Const(c));
                         }
-                        None => unbound.push((i, *v)),
-                    },
+                        Term::Var(v) if bound[v.0 as usize] => {
+                            step.positions.push(pos);
+                            step.key.push(KeyPart::Var(*v));
+                        }
+                        Term::Var(v) if step.binds.iter().any(|&(_, b)| b == *v) => {
+                            step.repeats.push((pos, *v));
+                        }
+                        Term::Var(v) => step.binds.push((pos, *v)),
+                    }
                 }
-            }
-            (positions, key, unbound)
+                for &(_, v) in &step.binds {
+                    bound[v.0 as usize] = true;
+                }
+                step
+            })
+            .collect();
+        Ok(Plan { db, steps, shared })
+    }
+
+    fn search<F>(
+        &self,
+        depth: usize,
+        mask: EndoMask<'_>,
+        state: &mut State<'db>,
+        sink: &mut F,
+    ) -> ControlFlow<()>
+    where
+        F: FnMut(&[TupleRef], &[Option<&'db Value>]) -> ControlFlow<()>,
+    {
+        let Some(step) = self.steps.get(depth) else {
+            return sink(&state.chosen, &state.bindings);
         };
-
-        let rel = self.atoms[atom_idx].rel;
-        let nature = self.atoms[atom_idx].nature;
-        let rows: Vec<RowId> = self
-            .index_for(rel, positions)
-            .get(&key)
-            .cloned()
-            .unwrap_or_default();
-
-        for row in rows {
-            let tref = TupleRef { rel, row };
-            let relation = self.db.relation(rel);
+        let key = &mut state.keys[depth];
+        key.clear();
+        key.extend(step.key.iter().map(|part| {
+            match part {
+                KeyPart::Const(c) => (*c).clone(),
+                KeyPart::Var(v) => state.bindings[v.0 as usize]
+                    .expect("bound by an earlier step")
+                    .clone(),
+            }
+        }));
+        let Some(rows) = self.index_at(depth).get(key.as_slice()) else {
+            return ControlFlow::Continue(());
+        };
+        let relation = self.db.relation(step.rel);
+        'rows: for &row in rows {
+            let tref = TupleRef { rel: step.rel, row };
             let endo = relation.is_endogenous(row);
-            match nature {
+            match step.nature {
                 Nature::Endo if !endo => continue,
                 Nature::Exo if endo => continue,
                 _ => {}
             }
-            if !self.mask.active(tref, endo) {
+            if !mask.active(tref, endo) {
                 continue;
             }
-            // Bind unbound variables; positions repeated within the atom
-            // must agree.
-            let tuple = relation.tuple(row).clone();
-            let mut newly_bound: Vec<VarId> = Vec::new();
-            let mut ok = true;
-            for &(pos, var) in &unbound {
-                match &bindings[var.0 as usize] {
-                    Some(existing) => {
-                        if existing != &tuple[pos] {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        bindings[var.0 as usize] = Some(tuple[pos].clone());
-                        newly_bound.push(var);
-                    }
+            let tuple = relation.tuple(row);
+            for &(pos, v) in &step.binds {
+                state.bindings[v.0 as usize] = Some(&tuple[pos]);
+            }
+            for &(pos, v) in &step.repeats {
+                if state.bindings[v.0 as usize] != Some(&tuple[pos]) {
+                    continue 'rows;
                 }
             }
-            if ok {
-                chosen.push(tref);
-                let stop = self.search(depth + 1, bindings, chosen, stop_at_first, result);
-                chosen.pop();
-                if stop {
-                    for v in newly_bound {
-                        bindings[v.0 as usize] = None;
-                    }
-                    return true;
-                }
-            }
-            for v in newly_bound {
-                bindings[v.0 as usize] = None;
-            }
+            state.chosen[step.atom] = tref;
+            self.search(depth + 1, mask, state, sink)?;
         }
-        false
+        ControlFlow::Continue(())
     }
 
-    /// The index serving a binding pattern: pinned locally, fetched from
-    /// the shared cache, or built on the spot (and published if shared).
-    fn index_for(&mut self, rel: RelId, positions: Vec<usize>) -> Arc<PositionIndex> {
-        let cache_key = (rel, positions);
-        if let Some(idx) = self.local.get(&cache_key) {
-            return Arc::clone(idx);
-        }
-        let idx = match self.shared {
-            Some(cache) => cache.get_or_build(self.db, cache_key.0, &cache_key.1),
-            None => Arc::new(build_index(self.db, cache_key.0, &cache_key.1)),
-        };
-        self.local.insert(cache_key, Arc::clone(&idx));
-        idx
+    /// The index serving step `depth`: shared with an earlier step of
+    /// the same binding pattern, fetched from the shared cache, or built
+    /// on the spot (and published if shared).
+    fn index_at(&self, depth: usize) -> &PositionIndex {
+        let step = &self.steps[depth];
+        step.index.get_or_init(|| {
+            let earlier = self.steps[..depth].iter().find(|s| {
+                s.rel == step.rel && s.positions == step.positions && s.index.get().is_some()
+            });
+            match (earlier.and_then(|s| s.index.get()), self.shared) {
+                (Some(idx), _) => Arc::clone(idx),
+                (None, Some(cache)) => cache.get_or_build(self.db, step.rel, &step.positions),
+                (None, None) => Arc::new(build_index(self.db, step.rel, &step.positions)),
+            }
+        })
     }
 }
 
 /// Greedy join-order planning: repeatedly pick the atom with the most bound
 /// terms (constants count as bound), tie-breaking by smaller relation.
-fn plan_order(db: &Database, atoms: &[Atom], resolved: &[ResolvedAtom]) -> Vec<usize> {
+fn plan_order(db: &Database, atoms: &[Atom], rels: &[RelId]) -> Vec<usize> {
     let n = atoms.len();
     let mut order = Vec::with_capacity(n);
     let mut placed = vec![false; n];
@@ -462,7 +542,7 @@ fn plan_order(db: &Database, atoms: &[Atom], resolved: &[ResolvedAtom]) -> Vec<u
                     Term::Var(v) => bound_vars.contains(v),
                 })
                 .count();
-            let size = db.relation(resolved[i].rel).len();
+            let size = db.relation(rels[i]).len();
             let better = match best {
                 None => true,
                 Some((_, b, s)) => bound > b || (bound == b && size < s),

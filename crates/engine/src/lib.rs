@@ -22,8 +22,10 @@
 //!   [parser](query::parser), homomorphism / core machinery (needed by the
 //!   paper's Theorem 3.4 image minimization) and isomorphism tests (needed
 //!   to recognise the canonical hard queries h1*, h2*, h3*).
-//! * [`eval`] — a backtracking join evaluator that enumerates answers *and*
-//!   valuations, under counterfactual [`EndoMask`]s (tuple removals for
+//! * [`eval`] — a backtracking join evaluator whose one search hands each
+//!   valuation to a caller's sink ([`eval::for_each_valuation`]), and
+//!   collects answers *and* valuations on top of it, under counterfactual
+//!   [`EndoMask`]s (tuple removals for
 //!   Why-So, tuple insertions for Why-No), with a thread-safe
 //!   [`SharedIndexCache`] keyed on per-relation content stamps
 //!   ([`RelVersion`]) so repeated evaluations over unchanged relations
@@ -66,8 +68,8 @@ pub mod value;
 pub use database::{Database, EndoMask};
 pub use error::EngineError;
 pub use eval::{
-    evaluate, evaluate_masked, evaluate_masked_with_cache, evaluate_with_cache, holds_masked,
-    holds_masked_with_cache, EvalResult, SharedIndexCache, Valuation,
+    evaluate, evaluate_masked, evaluate_masked_with_cache, evaluate_with_cache, for_each_valuation,
+    holds_masked, holds_masked_with_cache, EvalResult, SharedIndexCache, Valuation,
 };
 pub use query::{Atom, ConjunctiveQuery, Nature, Term, VarId};
 pub use relation::{RelVersion, Relation};

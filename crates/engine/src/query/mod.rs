@@ -269,6 +269,23 @@ impl ConjunctiveQuery {
     /// Fallible [`ConjunctiveQuery::ground`]: rejects answers whose arity
     /// or constants disagree with the head instead of panicking.
     pub fn try_ground(&self, answer: &[Value]) -> Result<ConjunctiveQuery, EngineError> {
+        self.check_answer(answer)?;
+        let mut q = self.clone();
+        q.name = format!("{}[{}]", self.name, format_values(answer));
+        q.head = Vec::new();
+        for term in q.atoms.iter_mut().flat_map(|a| a.terms.iter_mut()) {
+            let Term::Var(v) = *term else { continue };
+            if let Some(j) = self.head.iter().position(|t| t.as_var() == Some(v)) {
+                *term = Term::Const(answer[j].clone());
+            }
+        }
+        Ok(q)
+    }
+
+    /// Whether `answer` grounds the query: [`ConjunctiveQuery::try_ground`]
+    /// succeeds exactly when this does, and fails with the same
+    /// [`EngineError::InvalidAnswer`], but nothing is built.
+    pub fn check_answer(&self, answer: &[Value]) -> Result<(), EngineError> {
         let invalid = |message: String| EngineError::InvalidAnswer {
             query: self.to_string(),
             message,
@@ -280,19 +297,20 @@ impl ConjunctiveQuery {
                 answer.len()
             )));
         }
-        let mut subst: Vec<Option<Value>> = vec![None; self.var_names.len()];
-        for (term, val) in self.head.iter().zip(answer.iter()) {
+        for (i, (term, val)) in self.head.iter().zip(answer).enumerate() {
             match term {
                 Term::Var(v) => {
-                    if let Some(prev) = &subst[v.0 as usize] {
-                        if prev != val {
-                            return Err(invalid(format!(
-                                "inconsistent repeated head variable `{}`: {prev} vs {val}",
-                                self.var_name(*v)
-                            )));
-                        }
+                    // The value this variable's first head position got.
+                    let first = self.head[..i]
+                        .iter()
+                        .position(|t| t.as_var() == Some(*v))
+                        .map(|j| &answer[j]);
+                    if let Some(prev) = first.filter(|&prev| prev != val) {
+                        return Err(invalid(format!(
+                            "inconsistent repeated head variable `{}`: {prev} vs {val}",
+                            self.var_name(*v)
+                        )));
                     }
-                    subst[v.0 as usize] = Some(val.clone());
                 }
                 Term::Const(c) => {
                     if c != val {
@@ -303,19 +321,7 @@ impl ConjunctiveQuery {
                 }
             }
         }
-        let mut q = self.clone();
-        q.name = format!("{}[{}]", self.name, format_values(answer));
-        q.head = Vec::new();
-        for atom in &mut q.atoms {
-            for term in &mut atom.terms {
-                if let Term::Var(v) = term {
-                    if let Some(val) = &subst[v.0 as usize] {
-                        *term = Term::Const(val.clone());
-                    }
-                }
-            }
-        }
-        Ok(q)
+        Ok(())
     }
 
     /// Substitute variable `v` by the given term everywhere in the body.
@@ -506,6 +512,77 @@ mod tests {
     #[should_panic(expected = "inconsistent repeated head variable")]
     fn grounding_rejects_inconsistent_answer() {
         repeated_head_query().ground(&[Value::int(1), Value::int(2)]);
+    }
+
+    /// Adversarial answers: wrong arity, head constants that disagree,
+    /// repeated head variables bound inconsistently. Grounding fails
+    /// with `InvalidAnswer` (never a panic) exactly when `check_answer`
+    /// does, and a valid answer substitutes every head variable.
+    #[test]
+    fn try_ground_fuzz_gives_typed_errors() {
+        let mut state = 0xF00D_u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let (mut valid, mut invalid) = (0, 0);
+        for round in 0..2000 {
+            // A head of up to four terms over two variables and the
+            // constants 0 and 1, through the builder (the parser rejects
+            // repeated head variables).
+            let mut cq = ConjunctiveQuery::boolean("q");
+            let x = cq.var("x");
+            let y = cq.var("y");
+            cq.push_atom(Atom::new(
+                "R",
+                Nature::Any,
+                vec![Term::Var(x), Term::Var(y)],
+            ));
+            let head: Vec<Term> = (0..draw(5))
+                .map(|_| match draw(4) {
+                    0 => Term::Var(x),
+                    1 => Term::Var(y),
+                    c => Term::Const(Value::int(c as i64 - 2)),
+                })
+                .collect();
+            cq.set_head(head.clone());
+            let arity = match draw(6) {
+                0 => head.len() + 1,
+                1 => head.len().saturating_sub(1),
+                _ => head.len(),
+            };
+            let answer: Vec<Value> = (0..arity).map(|_| Value::int(draw(2) as i64)).collect();
+            let grounded = std::panic::catch_unwind(|| cq.try_ground(&answer))
+                .unwrap_or_else(|_| panic!("round {round}: try_ground panicked on {answer:?}"));
+            assert_eq!(
+                grounded.as_ref().err(),
+                cq.check_answer(&answer).err().as_ref(),
+                "round {round}"
+            );
+            match grounded {
+                Ok(g) => {
+                    valid += 1;
+                    assert!(g.is_boolean());
+                    let bound = |v: VarId| head.iter().position(|t| t.as_var() == Some(v));
+                    for (term, v) in g.atoms()[0].terms.iter().zip([x, y]) {
+                        match bound(v) {
+                            Some(i) => assert_eq!(term, &Term::Const(answer[i].clone())),
+                            None => assert_eq!(term, &Term::Var(v)),
+                        }
+                    }
+                }
+                Err(e) => {
+                    invalid += 1;
+                    assert!(matches!(e, EngineError::InvalidAnswer { .. }), "{e:?}");
+                }
+            }
+        }
+        assert!(
+            valid > 200 && invalid > 200,
+            "{valid} valid, {invalid} invalid"
+        );
     }
 
     #[test]

@@ -169,8 +169,39 @@ impl FixedBitSet {
     /// the same elements would compare in ({1,5} < {2}, prefixes first).
     /// This is the ordering lineage minimization sorts conjuncts by; it
     /// is **not** the subset order.
+    ///
+    /// Word-wise: below the smallest element `d` in exactly one of the
+    /// sets, the sequences agree. The set holding `d` sorts first if the
+    /// other one still has an element (necessarily above `d`) and last
+    /// if the other one ends there, being its prefix.
     pub fn cmp_elements(&self, other: &FixedBitSet) -> Ordering {
-        self.iter().cmp(other.iter())
+        let n = self.words.len().max(other.words.len());
+        for i in 0..n {
+            let a = self.words.get(i).copied().unwrap_or(0);
+            let b = other.words.get(i).copied().unwrap_or(0);
+            let diff = a ^ b;
+            if diff == 0 {
+                continue;
+            }
+            let bit = diff & diff.wrapping_neg();
+            return match (
+                a & bit != 0,
+                self.any_above(i, bit),
+                other.any_above(i, bit),
+            ) {
+                (true, _, true) | (false, false, _) => Ordering::Less,
+                (true, _, false) | (false, true, _) => Ordering::Greater,
+            };
+        }
+        Ordering::Equal
+    }
+
+    /// Whether the set has an element above the one at `bit` of word
+    /// `word`.
+    fn any_above(&self, word: usize, bit: u64) -> bool {
+        let above = !(bit | (bit - 1));
+        self.words.get(word).is_some_and(|&w| w & above != 0)
+            || self.words.iter().skip(word + 1).any(|&w| w != 0)
     }
 }
 
@@ -339,6 +370,34 @@ mod tests {
         // Prefix sorts first.
         assert_eq!(set(&[1]).cmp_elements(&set(&[1, 9])), Ordering::Less);
         assert_eq!(set(&[3]).cmp_elements(&set(&[3])), Ordering::Equal);
+    }
+
+    #[test]
+    fn cmp_elements_agrees_with_sequence_order_across_words() {
+        // Sets over 0..200 (four words, the top bit of a word included),
+        // drawn with a fixed LCG, some with trailing zero words.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let elems = [0, 1, 2, 62, 63, 64, 65, 127, 128, 190, 191];
+        let sets: Vec<FixedBitSet> = (0..300)
+            .map(|_| {
+                let mut s = FixedBitSet::with_capacity(draw(2) as usize * 256);
+                for _ in 0..draw(5) {
+                    s.insert(elems[draw(elems.len() as u64) as usize]);
+                }
+                s
+            })
+            .collect();
+        for a in &sets {
+            for b in &sets {
+                assert_eq!(a.cmp_elements(b), a.iter().cmp(b.iter()), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -87,6 +87,35 @@ impl LineageArena {
         (arena, BitDnf { conjuncts })
     }
 
+    /// Intern a lineage given flat, as the evaluator emits it: conjunct
+    /// `i` is `tuples[ends[i - 1]..ends[i]]` (from 0 for the first), and
+    /// a tuple may repeat within a conjunct. The same arena and `BitDnf`
+    /// as [`LineageArena::from_dnf`] on the equivalent [`Dnf`]: ids in
+    /// ascending `TupleRef` order, conjunct order preserved.
+    pub(crate) fn from_flat(tuples: &[TupleRef], ends: &[usize]) -> (Self, BitDnf) {
+        let mut vars = tuples.to_vec();
+        vars.sort_unstable();
+        vars.dedup();
+        let mut start = 0;
+        let conjuncts = ends
+            .iter()
+            .map(|&end| {
+                let mut set = VarSet::new();
+                for t in &tuples[start..end] {
+                    set.insert(vars.binary_search(t).expect("interned above"));
+                }
+                start = end;
+                set
+            })
+            .collect();
+        let index = vars
+            .iter()
+            .enumerate()
+            .map(|(id, &t)| (t, id as u32))
+            .collect();
+        (LineageArena { vars, index }, BitDnf { conjuncts })
+    }
+
     /// Intern one tuple variable, returning its id. Idempotent.
     pub fn intern(&mut self, t: TupleRef) -> u32 {
         if let Some(&id) = self.index.get(&t) {
@@ -246,6 +275,30 @@ impl BitDnf {
     /// tree-walking ones; mixed sizes early-exit on the first differing
     /// word.
     pub fn minimized(&self) -> BitDnf {
+        BitDnf {
+            conjuncts: self
+                .minimal_order()
+                .into_iter()
+                .map(|i| self.conjuncts[i].clone())
+                .collect(),
+        }
+    }
+
+    /// [`BitDnf::minimized`] on an owned DNF: the surviving conjuncts
+    /// move out instead of being copied.
+    pub(crate) fn into_minimized(self) -> BitDnf {
+        let keep = self.minimal_order();
+        let mut slots: Vec<Option<VarSet>> = self.conjuncts.into_iter().map(Some).collect();
+        BitDnf {
+            conjuncts: keep
+                .into_iter()
+                .map(|i| slots[i].take().expect("a conjunct is kept once"))
+                .collect(),
+        }
+    }
+
+    /// The indices of the minimal form's conjuncts, in its output order.
+    fn minimal_order(&self) -> Vec<usize> {
         // Sort *indices*, not clones: only the surviving conjuncts are
         // ever copied out of `self`.
         let sizes: Vec<usize> = self.conjuncts.iter().map(VarSet::len).collect();
@@ -256,7 +309,7 @@ impl BitDnf {
                 .then_with(|| self.conjuncts[a].cmp_elements(&self.conjuncts[b]))
         });
 
-        let mut kept: Vec<VarSet> = Vec::new();
+        let mut kept: Vec<usize> = Vec::new();
         let mut kept_sizes: Vec<usize> = Vec::new();
         let mut prev: Option<usize> = None;
         'outer: for &i in &order {
@@ -272,16 +325,17 @@ impl BitDnf {
             // strict subsets; `partition_point` finds the boundary in
             // the size-sorted kept list.
             let boundary = kept_sizes.partition_point(|&s| s < sizes[i]);
-            for k in &kept[..boundary] {
-                if k.is_subset(&self.conjuncts[i]) {
+            for &k in &kept[..boundary] {
+                if self.conjuncts[k].is_subset(&self.conjuncts[i]) {
                     continue 'outer;
                 }
             }
-            kept.push(self.conjuncts[i].clone());
+            kept.push(i);
             kept_sizes.push(sizes[i]);
         }
-        kept.sort_by(|a, b| a.cmp_elements(b));
-        BitDnf { conjuncts: kept }
+        // Kept conjuncts are distinct sets, so this order is total.
+        kept.sort_by(|&a, &b| self.conjuncts[a].cmp_elements(&self.conjuncts[b]));
+        kept
     }
 }
 

@@ -43,5 +43,8 @@ pub mod witness;
 pub use arena::{BitDnf, LineageArena, VarSet};
 pub use dnf::{Conjunct, Dnf};
 pub use whyno::{non_answer_lineage, non_answer_lineage_cached};
-pub use whyso::{lineage, lineage_cached, minimized_n_lineage, n_lineage, n_lineage_cached};
+pub use whyso::{
+    lineage, lineage_cached, minimized_n_lineage, minimized_n_lineage_tee, n_lineage,
+    n_lineage_cached,
+};
 pub use witness::why_provenance;

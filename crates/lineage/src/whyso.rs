@@ -9,10 +9,12 @@
 use crate::arena::{BitDnf, LineageArena};
 use crate::dnf::{Conjunct, Dnf};
 use causality_engine::{
-    evaluate_masked, evaluate_masked_with_cache, Database, EndoMask, EngineError, SharedIndexCache,
+    evaluate_masked, evaluate_masked_with_cache, for_each_valuation, Database, EndoMask,
+    EngineError, SharedIndexCache,
 };
 use causality_engine::{ConjunctiveQuery, TupleRef};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// Compute the full lineage `Φ` of a Boolean query over `D` (exogenous and
 /// endogenous variables both appear).
@@ -68,8 +70,18 @@ pub fn n_lineage_cached(
 }
 
 /// The n-lineage in the form every cause and responsibility computation
-/// reads: [`n_lineage_cached`], interned into a [`LineageArena`] and
-/// minimized (Theorem 3.2's non-redundant conjuncts).
+/// reads: `Φⁿ` interned into a [`LineageArena`] and minimized (Theorem
+/// 3.2's non-redundant conjuncts). The same arena and conjuncts as
+/// [`LineageArena::from_dnf`] on [`n_lineage_cached`], then
+/// [`BitDnf::minimized`].
+///
+/// It is built straight from the evaluator's emission
+/// ([`for_each_valuation`]), with no `Valuation` and no `BTreeSet`:
+/// each valuation's endogenous tuples go onto one flat list as the
+/// search emits them (exogenous tuples are set to `true` right there, so
+/// an all-exogenous valuation is the empty conjunct), the distinct
+/// tuples are interned in ascending `TupleRef` order, and the packed
+/// conjuncts are minimized.
 ///
 /// It serves Why-No questions as well: the non-answer lineage
 /// ([`non_answer_lineage_cached`](crate::non_answer_lineage_cached)) is
@@ -80,9 +92,30 @@ pub fn minimized_n_lineage(
     q: &ConjunctiveQuery,
     cache: Option<&SharedIndexCache>,
 ) -> Result<(LineageArena, BitDnf), EngineError> {
-    let phi = n_lineage_cached(db, q, cache)?;
-    let (arena, bits) = LineageArena::from_dnf(&phi);
-    Ok((arena, bits.minimized()))
+    minimized_n_lineage_tee(db, q, cache, |_| {})
+}
+
+/// [`minimized_n_lineage`], also handing each valuation's atom tuples
+/// (in body-atom order, exogenous tuples included) to `tap` as the search
+/// emits them: one evaluation feeds the lineage and whatever else the
+/// caller builds from the valuations.
+pub fn minimized_n_lineage_tee(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    cache: Option<&SharedIndexCache>,
+    mut tap: impl FnMut(&[TupleRef]),
+) -> Result<(LineageArena, BitDnf), EngineError> {
+    require_boolean(q)?;
+    let mut tuples: Vec<TupleRef> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
+    for_each_valuation(db, q, EndoMask::All, cache, |atom_tuples, _| {
+        tap(atom_tuples);
+        tuples.extend(atom_tuples.iter().filter(|&&t| db.is_endogenous(t)));
+        ends.push(tuples.len());
+        ControlFlow::Continue(())
+    })?;
+    let (arena, phin) = LineageArena::from_flat(&tuples, &ends);
+    Ok((arena, phin.into_minimized()))
 }
 
 pub(crate) fn require_boolean(q: &ConjunctiveQuery) -> Result<(), EngineError> {

@@ -348,7 +348,7 @@ impl ShardedService {
         // NP-hard request skips the backlogged queue and is answered here
         // with the certified zero-budget bracket; a failed computation
         // comes back from the submit.
-        if self.brownout_active() && anytime_routable(&request) {
+        if self.brownout_active() && anytime_routable(&shard.core, &request) {
             let snapshot = self.store(tenant)?.current();
             serve_expired(&shard.core, &snapshot, &request, waiter)?;
             self.fe.brownout_served.inc();
@@ -792,9 +792,10 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerState;
     use crate::clock::ManualClock;
-    use causality_core::explain::Explainer;
+    use causality_core::explain::{ExplainMode, Explainer};
+    use causality_core::DichotomyTag;
     use causality_engine::database::example_2_2;
-    use causality_engine::{tup, ConjunctiveQuery, Schema, Value};
+    use causality_engine::{tup, ConjunctiveQuery, Schema, Term, Value};
     use std::sync::atomic::AtomicBool;
 
     fn query() -> ConjunctiveQuery {
@@ -1676,5 +1677,208 @@ mod tests {
         assert_eq!(measured.cache_hits, 1, "cache survived the reset");
         assert_eq!(measured.cache_misses, 0);
         assert_eq!(measured.latency_samples(), 1);
+    }
+
+    /// A seeded LCG draw in `0..bound`.
+    fn draw(state: &mut u64, bound: u64) -> u64 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (*state >> 33) % bound
+    }
+
+    /// A random conjunctive query over `R/2`, `S/2`, `T/2`, `U/1` (self-
+    /// joins, constants and marks included), or `None` when the drawn
+    /// text does not parse.
+    fn random_query(state: &mut u64) -> Option<ConjunctiveQuery> {
+        const RELS: [(&str, usize); 4] = [("R", 2), ("S", 2), ("T", 2), ("U", 1)];
+        const MARKS: [&str; 3] = ["", "^n", "^x"];
+        let term = |state: &mut u64| match draw(state, 6) {
+            0 => "1".to_string(),
+            v => ["x", "y", "z", "w", "x"][v as usize - 1].to_string(),
+        };
+        let mut atoms = Vec::new();
+        let mut vars: Vec<String> = Vec::new();
+        for _ in 0..1 + draw(state, 3) {
+            let (rel, arity) = RELS[draw(state, 4) as usize];
+            let terms: Vec<String> = (0..arity).map(|_| term(state)).collect();
+            vars.extend(terms.iter().filter(|t| *t != "1").cloned());
+            let mark = MARKS[draw(state, 3) as usize];
+            atoms.push(format!("{rel}{mark}({})", terms.join(", ")));
+        }
+        vars.sort();
+        vars.dedup();
+        let mut head: Vec<String> = vars.into_iter().filter(|_| draw(state, 2) == 0).collect();
+        if draw(state, 5) == 0 {
+            head.push("7".to_string());
+        }
+        ConjunctiveQuery::parse(&format!("q({}) :- {}", head.join(", "), atoms.join(", "))).ok()
+    }
+
+    /// For random queries and answers, the shard's memoized tag is the
+    /// classifier's verdict on the request's own grounding; a failed
+    /// grounding gets no tag and leaves no entry.
+    #[test]
+    fn memoized_tags_equal_the_classifier_on_every_grounding() {
+        let (tier, _) = one_tenant(example_2_2(), ServiceConfig::default());
+        let core = &tier.shards[0].core;
+        let mut state = 0x5EED_u64;
+        // The hard shapes, with and without head variables, next to
+        // random draws (which are mostly PTIME or open self-joins).
+        let mut queries: Vec<ConjunctiveQuery> = [
+            "q :- R(x, y), S(y, z), T(z, x)",
+            "q(x) :- R(x, y), S(y, z), T(z, x)",
+            "q(w) :- R(x, y), S(y, z), T(z, x), U(w)",
+            "q :- U(x), S(x, y), U(y)",
+            "q(x) :- U(x), S(x, y), U(y)",
+            "q(7, y) :- U^n(x), S^x(x, y), U^n(y)",
+        ]
+        .iter()
+        .map(|text| ConjunctiveQuery::parse(text).unwrap())
+        .collect();
+        while queries.len() < 60 {
+            queries.extend(random_query(&mut state));
+        }
+        let (mut memoized, mut refused) = (0, 0);
+        let mut tags = std::collections::HashSet::new();
+        for round in 0..400 {
+            let q = &queries[draw(&mut state, queries.len() as u64) as usize];
+            // Mostly well-formed answers; sometimes one value short, or
+            // one that contradicts a head constant.
+            let arity = match draw(&mut state, 8) {
+                0 => q.head().len() + 1,
+                _ => q.head().len(),
+            };
+            let answer: Vec<Value> = (0..arity)
+                .map(|i| match q.head().get(i) {
+                    Some(Term::Const(c)) if draw(&mut state, 4) != 0 => c.clone(),
+                    _ => Value::int(draw(&mut state, 3) as i64),
+                })
+                .collect();
+            let expected = q
+                .try_ground(&answer)
+                .ok()
+                .map(|g| DichotomyTag::of_why_so(&g));
+            let entries = lock_unpoisoned(&core.tags).len();
+            let request = ExplainRequest::why_so(q.clone(), answer.clone());
+            assert_eq!(
+                core.dichotomy(&request),
+                expected,
+                "round {round}: {q} / {answer:?}"
+            );
+            match expected {
+                Some(tag) => {
+                    memoized += 1;
+                    tags.insert(tag);
+                }
+                None => {
+                    refused += 1;
+                    assert_eq!(lock_unpoisoned(&core.tags).len(), entries, "{q}");
+                }
+            }
+        }
+        assert!(
+            memoized > 100 && refused > 10,
+            "{memoized} memoized, {refused} refused"
+        );
+        assert!(tags.len() >= 4, "the draws reach most verdicts: {tags:?}");
+    }
+
+    /// Grounding changes the tag, so the memo computes it on a grounded
+    /// instance: the triangle with a head variable grounds to PTIME while
+    /// its Boolean form is h2* (NP-hard), and Prop. 4.16's hard self-join
+    /// grounds to an open one.
+    #[test]
+    fn grounding_sensitive_tags_are_memoized_grounded() {
+        let (tier, _) = one_tenant(example_2_2(), ServiceConfig::default());
+        let core = &tier.shards[0].core;
+        let tag = |text: &str, answer: Vec<Value>| {
+            let q = ConjunctiveQuery::parse(text).unwrap();
+            core.dichotomy(&ExplainRequest::why_so(q, answer))
+        };
+        let triangle = "q(x) :- R(x, y), S(y, z), T(z, x)";
+        assert_eq!(
+            tag(triangle, vec![Value::int(1)]),
+            Some(DichotomyTag::PTime)
+        );
+        assert_eq!(
+            tag(triangle, vec![Value::int(2)]),
+            Some(DichotomyTag::PTime)
+        );
+        assert_eq!(
+            tag("q :- R(x, y), S(y, z), T(z, x)", vec![]),
+            Some(DichotomyTag::NpHard)
+        );
+        let selfjoin = "q(x) :- R(x), S(x, y), R(y)";
+        assert_eq!(
+            tag(selfjoin, vec![Value::int(1)]),
+            Some(DichotomyTag::OpenSelfJoin)
+        );
+        assert_eq!(
+            tag("q :- R(x), S(x, y), R(y)", vec![]),
+            Some(DichotomyTag::HardSelfJoin)
+        );
+        assert_eq!(lock_unpoisoned(&core.tags).len(), 4);
+        assert_eq!(core.classified.load(Ordering::Relaxed), 4);
+    }
+
+    /// The classifier runs once per memo miss: a second request with the
+    /// same query classifies zero times, on the anytime route (the
+    /// router and `why_anytime` share the verdict) and on the exact one.
+    /// An answer that does not ground the query is refused at submit and
+    /// leaves no entry; Why-No never classifies.
+    #[test]
+    fn a_query_is_classified_once_per_memo_miss() {
+        let mut db = Database::new();
+        let r = db.add_relation(Schema::new("R", &["x", "y"]));
+        let s = db.add_relation(Schema::new("S", &["y", "z"]));
+        let tt = db.add_relation(Schema::new("T", &["z", "x"]));
+        db.insert_endo(r, tup![1, 2]);
+        for i in 0..3 {
+            db.insert_endo(s, tup![2, 10 + i]);
+            db.insert_endo(tt, tup![10 + i, 1]);
+        }
+        let (tier, t) = one_tenant(
+            db,
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let core = &tier.shards[0].core;
+        let classified = || core.classified.load(Ordering::Relaxed);
+        let hard = ConjunctiveQuery::parse("h2 :- R(x, y), S(y, z), T(z, x)").unwrap();
+
+        let bad = ExplainRequest::why_so(hard.clone(), vec![Value::int(1)]);
+        assert!(matches!(
+            tier.submit(t, bad),
+            Err(ServiceError::InvalidRequest(_))
+        ));
+        assert_eq!((classified(), lock_unpoisoned(&core.tags).len()), (0, 0));
+
+        for round in 1..=3 {
+            let pending = tier
+                .submit_with_deadline(
+                    t,
+                    ExplainRequest::why_so(hard.clone(), Vec::<Value>::new()),
+                    Duration::from_secs(30),
+                )
+                .unwrap();
+            let explanation = pending.wait().unwrap().expect_explanation();
+            assert!(matches!(explanation.mode, ExplainMode::Approximate { .. }));
+            assert_eq!(explanation.dichotomy, DichotomyTag::NpHard);
+            assert_eq!(classified(), 1, "round {round}");
+        }
+
+        let ptime = ConjunctiveQuery::parse("q(x) :- R(x, y), S(y, z)").unwrap();
+        for answer in [1, 1, 2] {
+            let request = ExplainRequest::why_so(ptime.clone(), vec![Value::int(answer)]);
+            let explanation = tier.explain(t, request).unwrap().expect_explanation();
+            assert_eq!(explanation.dichotomy, DichotomyTag::PTime);
+            assert_eq!(classified(), 2, "answer {answer}");
+        }
+        let why_no = ExplainRequest::why_no(ptime, vec![Value::int(3)]);
+        assert!(tier.explain(t, why_no).unwrap().result.is_ok());
+        assert_eq!(classified(), 2, "Why-No is PTIME without classifying");
     }
 }

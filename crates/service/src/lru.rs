@@ -37,16 +37,20 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Look up `k`, marking it most recently used on a hit. A miss is
+    /// Look up `k`, marking it most recently used on a hit. A hit moves
+    /// its recency key to the new tick, so it clones nothing. A miss is
     /// side-effect-free: no tick is consumed and no recency key is
     /// cloned or reinserted, so a scan of absent keys can never perturb
     /// recency bookkeeping (or burn through the tick space).
     pub fn get(&mut self, k: &K) -> Option<&V> {
         let (v, last) = self.map.get_mut(k)?;
         self.tick += 1;
-        self.recency.remove(&*last);
+        let key = self
+            .recency
+            .remove(&*last)
+            .expect("recency key of a live entry");
         *last = self.tick;
-        self.recency.insert(self.tick, k.clone());
+        self.recency.insert(self.tick, key);
         Some(v)
     }
 

@@ -29,7 +29,10 @@ use crate::stats::StatsCounters;
 use crate::supervisor::HealthCell;
 use crate::worker::{worker_loop, Job, Waiter};
 use causality_core::explain::Explanation;
-use causality_engine::{RelId, RelVersion, SharedIndexCache, Snapshot, SnapshotStore};
+use causality_core::DichotomyTag;
+use causality_engine::{
+    ConjunctiveQuery, RelId, RelVersion, SharedIndexCache, Snapshot, SnapshotStore,
+};
 use causality_telemetry::{MetricsRegistry, Telemetry, TelemetryConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -151,6 +154,16 @@ pub(crate) struct ShardCore {
     /// entries survive writes to unrelated relations — including every
     /// write belonging to a *different* tenant.
     pub(crate) resp_cache: Mutex<LruCache<(RelFingerprint, ExplainRequest), Explanation>>,
+    /// Memoized dichotomy tags, by request query: the router, the
+    /// deadline gate, brownout and the explainer all read one verdict per
+    /// query. Keyed on the *ungrounded* query, because every answer
+    /// grounds the same head variables and the classifier never reads a
+    /// constant; computed on a grounded instance, because grounding
+    /// changes the tag. Bounded like the responsibility cache.
+    pub(crate) tags: Mutex<LruCache<ConjunctiveQuery, DichotomyTag>>,
+    /// Classifier runs on memo misses, for tests.
+    #[cfg(test)]
+    pub(crate) classified: AtomicU64,
     /// The one join-index cache serving every snapshot version of every
     /// tenant on this shard — sound because its entries are keyed on
     /// process-wide-unique per-relation content stamps.
@@ -205,6 +218,24 @@ impl ShardCore {
             .map(|store| store.version())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The dichotomy tag of `request`'s query, from the shard's memo: on
+    /// a miss the query is grounded with the request's answer and
+    /// classified once. `None` when the answer does not ground the query;
+    /// that answer is checked on a hit too, and a failed grounding is
+    /// never memoized.
+    pub(crate) fn dichotomy(&self, request: &ExplainRequest) -> Option<DichotomyTag> {
+        request.query.check_answer(&request.answer).ok()?;
+        if let Some(&tag) = lock_unpoisoned(&self.tags).get(&request.query) {
+            return Some(tag);
+        }
+        let grounded = request.query.try_ground(&request.answer).ok()?;
+        let tag = DichotomyTag::of_why_so(&grounded);
+        #[cfg(test)]
+        self.classified.fetch_add(1, Ordering::Relaxed);
+        lock_unpoisoned(&self.tags).insert(request.query.clone(), tag);
+        Some(tag)
     }
 
     /// Register `snapshot` of `tenant` as served and return the shared
@@ -322,8 +353,7 @@ pub(crate) fn resp_fingerprint(
 pub(crate) fn validate(request: &ExplainRequest) -> Result<(), ServiceError> {
     request
         .query
-        .try_ground(&request.answer)
-        .map(|_| ())
+        .check_answer(&request.answer)
         .map_err(|e| ServiceError::InvalidRequest(e.to_string()))
 }
 
@@ -368,6 +398,9 @@ impl Shard {
             telemetry: Telemetry::new(cfg.telemetry, &registry),
             registry,
             resp_cache: Mutex::new(LruCache::new(cfg.cache_capacity)),
+            tags: Mutex::new(LruCache::new(cfg.cache_capacity)),
+            #[cfg(test)]
+            classified: AtomicU64::new(0),
             index_cache: Arc::new(SharedIndexCache::new()),
             live_snapshots: Mutex::new(HashMap::new()),
             chaos: Mutex::new(None),

@@ -69,16 +69,20 @@ pub(crate) struct Waiter {
 /// query the dichotomy classifier (Cor. 4.14 / Prop. 4.16) marks
 /// NP-hard. Everything else — PTIME queries, explicit methods, Why-No,
 /// top-k — keeps the exact kernels, bit-identical to a deadline-free
-/// submission.
-pub(crate) fn anytime_routable(request: &ExplainRequest) -> bool {
+/// submission. The verdict comes from the shard's per-query memo
+/// ([`ShardCore::dichotomy`]), which only a routable kind consults.
+pub(crate) fn anytime_routable(core: &ShardCore, request: &ExplainRequest) -> bool {
+    routes_anytime(request, || core.dichotomy(request))
+}
+
+/// [`anytime_routable`] with the request's tag from `tag`, which is only
+/// called for a routable kind.
+fn routes_anytime(request: &ExplainRequest, tag: impl FnOnce() -> Option<DichotomyTag>) -> bool {
     matches!(request.kind, ExplainKind::WhySo)
         && matches!(request.method, Method::Auto)
         && matches!(
-            request
-                .query
-                .try_ground(&request.answer)
-                .map(|g| DichotomyTag::of_why_so(&g)),
-            Ok(DichotomyTag::NpHard | DichotomyTag::HardSelfJoin)
+            tag(),
+            Some(DichotomyTag::NpHard | DichotomyTag::HardSelfJoin)
         )
 }
 
@@ -178,7 +182,7 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
             // `DeadlineExceeded` once admitted. PTIME instances keep the
             // strict gate — their exact compute is the whole request, so
             // past the deadline there is nothing useful left to return.
-            Some(deadline) if deadline <= now && !anytime_routable(&job.request) => {
+            Some(deadline) if deadline <= now && !anytime_routable(core, &job.request) => {
                 core.stats.deadline_misses.inc();
                 respond(
                     core,
@@ -466,15 +470,24 @@ fn compute(
     request: &ExplainRequest,
     deadline: Option<Instant>,
 ) -> Result<(Explanation, ExplainTiming), ServiceError> {
-    let explainer = Explainer::new(snapshot.database(), &request.query)
+    let mut explainer = Explainer::new(snapshot.database(), &request.query)
         .with_method(request.method)
         .with_index_cache(Arc::clone(index_cache));
+    // One memo lookup serves the router and the explanation's tag, so a
+    // Why-So computation classifies its query at most once, on a miss.
+    let tag = match request.kind {
+        ExplainKind::WhyNo => None,
+        ExplainKind::WhySo | ExplainKind::RankTopK(_) => core.dichotomy(request),
+    };
+    if let Some(tag) = tag {
+        explainer = explainer.with_dichotomy(tag);
+    }
     match request.kind {
         // The hardness router: an NP-hard Why-So under a deadline takes
         // the anytime path, with the request's remaining slack as its
         // whole budget (an already-expired deadline degrades to the
         // zero-budget greedy bracket — still sound, never an error).
-        ExplainKind::WhySo if deadline.is_some() && anytime_routable(request) => {
+        ExplainKind::WhySo if deadline.is_some() && routes_anytime(request, || tag) => {
             let budget = ApproxBudget {
                 max_steps: u64::MAX,
                 deadline,
