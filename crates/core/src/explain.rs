@@ -15,7 +15,8 @@ use crate::ranking::{
 use crate::resp::approx::{AnytimeKernel, ApproxBudget, RhoBounds};
 use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, Tuple, TupleRef, Value};
 use causality_lineage::minimized_n_lineage;
-use std::fmt;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,6 +57,10 @@ pub enum ExplainMode {
         /// no per-cause work: exact at `1/B`, where `B` is the global
         /// floor on every hitting set of the lineage.
         settled: u32,
+        /// Search nodes the refinements expanded across all causes: the
+        /// sum of their `steps_used`. At a clock-free budget it is a
+        /// function of the lineage and the budget alone.
+        search_nodes: u64,
     },
 }
 
@@ -76,8 +81,9 @@ pub struct ExplainedCause {
     /// A witnessing minimum contingency, rendered as `Rel(values)` strings.
     /// Under [`ExplainMode::Approximate`] it is the best *feasible*
     /// contingency found (witnessing `bounds.lower`, not necessarily
-    /// minimum).
-    pub contingency: Vec<String>,
+    /// minimum). Each tuple is rendered once per call: every contingency
+    /// of the explanation that holds it shares the one string.
+    pub contingency: Vec<Arc<str>>,
     /// Certified `[lower, upper]` bracket on ρ; `None` on exact paths.
     pub bounds: Option<RhoBounds>,
 }
@@ -288,23 +294,26 @@ impl<'a> Explainer<'a> {
             max_steps: budget.max_steps / causes.actual.len().max(1) as u64,
             deadline: budget.deadline,
         };
-        let mut refinements = 0u32;
+        let (mut refinements, mut search_nodes) = (0u32, 0u64);
         let mut explained: Vec<ExplainedCause> = Vec::with_capacity(causes.actual.len());
         // Each arena variable is rendered at most once per call.
-        let mut rendered: Vec<Option<String>> = vec![None; arena.len()];
+        let mut rendered: Vec<Option<Arc<str>>> = vec![None; arena.len()];
+        let mut buf = String::new();
         // Phase two: refinement on what is left of the budget.
         for (&t, bracket) in causes.actual.iter().zip(brackets) {
             let out = kernel.shared_refine(bracket, per_cause);
             refinements += out.refinements;
+            search_nodes += out.steps_used;
             let contingency = out
                 .contingency
                 .as_deref()
                 .unwrap_or_default()
                 .iter()
                 .map(|&id| {
-                    rendered[id as usize]
-                        .get_or_insert_with(|| self.render_tuple(arena.resolve(id)))
-                        .clone()
+                    Arc::clone(
+                        rendered[id as usize]
+                            .get_or_insert_with(|| self.render_tuple(&mut buf, arena.resolve(id))),
+                    )
                 })
                 .collect();
             explained.push(ExplainedCause {
@@ -354,6 +363,7 @@ impl<'a> Explainer<'a> {
                 budget_spent_us: refine_us,
                 refinements,
                 settled,
+                search_nodes,
             },
         };
         Ok((
@@ -438,16 +448,25 @@ impl<'a> Explainer<'a> {
         dichotomy: DichotomyTag,
         lineage_conjuncts: usize,
     ) -> Explanation {
+        // Each distinct tuple is rendered at most once per call.
+        let mut rendered: HashMap<TupleRef, Arc<str>> = HashMap::new();
+        let mut buf = String::new();
         let causes = ranked
             .into_iter()
             .map(|rc| {
                 let contingency = rc
                     .responsibility
                     .min_contingency
-                    .clone()
+                    .as_deref()
                     .unwrap_or_default()
                     .iter()
-                    .map(|&t| self.render_tuple(t))
+                    .map(|&t| {
+                        Arc::clone(
+                            rendered
+                                .entry(t)
+                                .or_insert_with(|| self.render_tuple(&mut buf, t)),
+                        )
+                    })
                     .collect();
                 ExplainedCause {
                     tuple: rc.tuple,
@@ -470,8 +489,18 @@ impl<'a> Explainer<'a> {
         }
     }
 
-    fn render_tuple(&self, t: TupleRef) -> String {
-        format!("{}{}", self.db.relation(t.rel).name(), self.db.tuple(t))
+    /// `Rel(values)` for `t`, written into the reused `buf` and copied
+    /// once into its shared string.
+    fn render_tuple(&self, buf: &mut String, t: TupleRef) -> Arc<str> {
+        buf.clear();
+        write!(
+            buf,
+            "{}{}",
+            self.db.relation(t.rel).name(),
+            self.db.tuple(t)
+        )
+        .expect("writing to a String cannot fail");
+        Arc::from(buf.as_str())
     }
 }
 

@@ -43,9 +43,17 @@
 //!
 //! The work is split in two phases on a per-request packed kernel
 //! (`AnytimeKernel`). The lineage is packed once into contiguous `u64`
-//! rows, padded to the widest conjunct; residual sets are computed into
-//! reused buffers, the greedy keeps incremental element counts, and the
-//! search runs on word slices with no per-node allocation.
+//! rows, padded to the widest conjunct, and residual sets are computed
+//! into reused buffers. The greedy and the search keep **open lists**,
+//! the indices of the sets still unhit, in set order: the greedy drops
+//! the sets each pick covers, with incremental element counts, and a
+//! search node scans only the sets its parent left open, testing each
+//! against the one element just chosen. The lists live on one reused
+//! stack, so no search node allocates. Every hot loop is written once
+//! over the row width and instantiated for one-word rows, two-word rows
+//! and the width read at run time; the kernel's width picks one at each
+//! entry point. Because the lists keep set order, the pivot, the bounds
+//! and so the whole traversal are those of a scan over every set.
 //!
 //! 1. **Bracket** (budget-free): the certified size floor and a greedy
 //!    contingency for one cause. Every witness gets its packing and
@@ -313,15 +321,77 @@ impl Bracket {
     }
 }
 
+/// A row width in `u64` words. Each hot loop of the kernel is written
+/// once over a `Width` and instantiated three times: for one-word rows
+/// (`Words<1>`), two-word rows (`Words<2>`), and any width read at run
+/// time (`usize`). A fixed width is a constant, so its word loops
+/// unroll and its row slices need no length arithmetic.
+trait Width: Copy {
+    /// The width in words.
+    fn words(self) -> usize;
+}
+
+/// A width fixed at compile time.
+#[derive(Clone, Copy)]
+struct Words<const W: usize>;
+
+impl<const W: usize> Width for Words<W> {
+    #[inline(always)]
+    fn words(self) -> usize {
+        W
+    }
+}
+
+impl Width for usize {
+    #[inline(always)]
+    fn words(self) -> usize {
+        self
+    }
+}
+
+/// Row `i` of the packed `rows`.
+#[inline(always)]
+fn row<W: Width>(rows: &[u64], width: W, i: usize) -> &[u64] {
+    let words = width.words();
+    &rows[i * words..(i + 1) * words]
+}
+
+/// Evaluate `$body` with `$w` bound to the instantiation for a kernel
+/// whose rows are `$words` wide: one word, two words, or any other.
+macro_rules! by_width {
+    ($words:expr, |$w:ident| $body:expr) => {
+        match $words {
+            1 => {
+                let $w = Words::<1>;
+                $body
+            }
+            2 => {
+                let $w = Words::<2>;
+                $body
+            }
+            words => {
+                let $w = words;
+                $body
+            }
+        }
+    };
+}
+
 /// The per-request packed anytime kernel.
 ///
 /// The lineage is packed once into contiguous `u64` rows, one per
 /// conjunct and all as wide as the widest conjunct. A witness's
-/// residual sets `c ∖ w` are written into a reused buffer, the greedy
-/// keeps incremental element counts, and the search runs on word
-/// slices, so neither phase allocates per residual set or per search
-/// node. Its per-cause brackets lie inside the seed kernel's in
-/// [`oracle`].
+/// residual sets `c ∖ w` are written into a reused buffer. The greedy
+/// and the search keep **open lists**, the indices of the sets not yet
+/// hit, in set order: the greedy drops the sets each pick covers, and a
+/// search node scans only the sets its parent left open, testing each
+/// against the one element just chosen. The search's lists live on one
+/// reused stack, so neither phase allocates per residual set or per
+/// search node. Every hot loop is written once over the row [`Width`],
+/// and each entry point ([`anytime_min_contingency`] and the shared
+/// phases) picks the instantiation from the kernel's `words`: one-word
+/// rows, two-word rows, or the width read at run time. Its per-cause brackets lie
+/// inside the seed kernel's in [`oracle`].
 ///
 /// Beside the rows the kernel keeps the request's **global floor** and
 /// **repair table**, which [`AnytimeKernel::shared_bracket`] and
@@ -349,7 +419,8 @@ pub(crate) struct AnytimeKernel {
     residuals: Vec<u64>,
     sizes: Vec<u32>,
     counts: Vec<u32>,
-    covered: Vec<bool>,
+    /// The greedy's open list, and the search's stack of open lists.
+    open: Vec<u32>,
     chosen: Vec<u32>,
     mask: Vec<u64>,
     blocked: Vec<u64>,
@@ -372,12 +443,7 @@ impl AnytimeKernel {
             }
         }
         let (mut counts, mut blocked) = (vec![0; words * 64], vec![0; words]);
-        let most = rows
-            .chunks_exact(words)
-            .map(|row| tally(&mut counts, row))
-            .max()
-            .unwrap_or(0);
-        let floor = packing_bound(&rows, words, &mut blocked).max(degree_bound(phin.len(), most));
+        let floor = by_width!(words, |w| floor_of(&rows, w, &mut counts, &mut blocked));
         AnytimeKernel {
             words,
             rows,
@@ -389,7 +455,7 @@ impl AnytimeKernel {
             residuals: Vec::new(),
             sizes: Vec::new(),
             counts,
-            covered: Vec::new(),
+            open: Vec::new(),
             chosen: Vec::new(),
             mask: vec![0; words],
             blocked,
@@ -416,30 +482,23 @@ impl AnytimeKernel {
     /// best contingency starts at `seed` (a contingency of `v`, if one is
     /// known), and a witness whose floor already reaches the best
     /// contingency skips its greedy. `None` iff `v` is not a cause.
-    pub(crate) fn bracket(&mut self, v: u32, seed: Option<Vec<u32>>) -> Option<Bracket> {
-        let words = self.words;
+    fn bracket<W: Width>(&mut self, width: W, v: u32, seed: Option<Vec<u32>>) -> Option<Bracket> {
         self.split(v);
         let n = self.others.len();
-        self.residuals.resize(n * words, 0);
+        self.residuals.resize(n * width.words(), 0);
         let mut best = seed;
         let mut witnesses = Vec::new();
-        for w in 0..self.rows.len() / words {
+        for w in 0..self.rows.len() / width.words() {
             if !self.contains(w, v) {
                 continue;
             }
             let sets = &mut self.residuals;
-            if !fill_residuals(&self.rows, words, &self.others, w, sets) {
+            if !fill_residuals(&self.rows, width, &self.others, w, sets) {
                 // A conjunct lies inside the witness — infeasible (cannot
                 // happen in a minimized DNF, mirrored from `exact`).
                 continue;
             }
-            self.counts.fill(0);
-            let most = sets
-                .chunks_exact(words)
-                .map(|s| tally(&mut self.counts, s))
-                .max()
-                .unwrap_or(0);
-            let floor = packing_bound(sets, words, &mut self.blocked).max(degree_bound(n, most));
+            let floor = floor_of(sets, width, &mut self.counts, &mut self.blocked);
             // The witness's greedy set is at least its minimum, hence its
             // floor: one whose floor reaches the best cannot beat it.
             if best.as_ref().is_some_and(|b| floor >= b.len()) {
@@ -448,9 +507,9 @@ impl AnytimeKernel {
             }
             greedy_hitting_set(
                 sets,
-                words,
+                width,
                 &mut self.counts,
-                &mut self.covered,
+                &mut self.open,
                 &mut self.chosen,
             );
             let harmonic = (self.chosen.len() as f64 / harmonic_bound(n)).ceil() as usize;
@@ -480,8 +539,9 @@ impl AnytimeKernel {
     /// Each completed level either refutes size m everywhere (upper
     /// tightens) or finds a solution of size exactly m (bounds collapse
     /// — every smaller size was already refuted).
-    pub(crate) fn refine(
+    fn refine<W: Width>(
         &mut self,
+        width: W,
         bracket: Option<Bracket>,
         budget: ApproxBudget,
     ) -> AnytimeOutcome {
@@ -500,10 +560,9 @@ impl AnytimeKernel {
         // A budget spent before the first step would fail that step:
         // return the bracket without rebuilding the residual sets.
         if certified < best.len() && !tracker.spent() {
-            let words = self.words;
             self.split(v);
             let n = self.others.len();
-            self.residuals.resize(n * words, 0);
+            self.residuals.resize(n * width.words(), 0);
             self.sizes.resize(n, 0);
             'refine: while certified < best.len() {
                 let level = certified;
@@ -515,18 +574,17 @@ impl AnytimeKernel {
                     // One witness's residuals at a time: memory stays at
                     // one lineage's worth however many witnesses there are.
                     let sets = &mut self.residuals;
-                    fill_residuals(&self.rows, words, &self.others, w, sets);
-                    for (size, s) in self.sizes.iter_mut().zip(sets.chunks_exact(words)) {
-                        *size = s.iter().map(|w| w.count_ones()).sum();
+                    fill_residuals(&self.rows, width, &self.others, w, sets);
+                    for (i, size) in self.sizes.iter_mut().enumerate() {
+                        *size = row(sets, width, i).iter().map(|x| x.count_ones()).sum();
                     }
                     self.chosen.clear();
-                    self.mask.fill(0);
                     let mut search = Search {
                         sets: &self.residuals,
                         sizes: &self.sizes,
-                        words,
+                        width,
                         limit: level,
-                        mask: &mut self.mask,
+                        open: &mut self.open,
                         blocked: &mut self.blocked,
                         counts: &mut self.counts,
                         chosen: &mut self.chosen,
@@ -564,6 +622,10 @@ impl AnytimeKernel {
     /// its certified floor is raised to `B − 1`, and a contingency
     /// shorter than the seed is offered to the table.
     pub(crate) fn shared_bracket(&mut self, v: u32) -> Option<Bracket> {
+        by_width!(self.words, |w| self.shared_bracket_in(w, v))
+    }
+
+    fn shared_bracket_in<W: Width>(&mut self, width: W, v: u32) -> Option<Bracket> {
         let floor = self.floor.saturating_sub(1);
         let seed = match self.repair(v) {
             Some(best) if best.len() == floor => {
@@ -577,10 +639,10 @@ impl AnytimeKernel {
             seed => seed,
         };
         let seeded = seed.as_ref().map(Vec::len);
-        let mut bracket = self.bracket(v, seed)?;
+        let mut bracket = self.bracket(width, v, seed)?;
         bracket.certified = bracket.certified.max(floor);
         if seeded.is_none_or(|len| bracket.best.len() < len) {
-            self.offer(v, &bracket.best);
+            self.offer(width, v, &bracket.best);
         }
         Some(bracket)
     }
@@ -591,6 +653,15 @@ impl AnytimeKernel {
     /// solution the search found to the table.
     pub(crate) fn shared_refine(
         &mut self,
+        bracket: Option<Bracket>,
+        budget: ApproxBudget,
+    ) -> AnytimeOutcome {
+        by_width!(self.words, |w| self.shared_refine_in(w, bracket, budget))
+    }
+
+    fn shared_refine_in<W: Width>(
+        &mut self,
+        width: W,
         mut bracket: Option<Bracket>,
         budget: ApproxBudget,
     ) -> AnytimeOutcome {
@@ -602,9 +673,9 @@ impl AnytimeKernel {
             b.best = self.repair(v).expect("a table entry");
         }
         let before = b.best.len();
-        let out = self.refine(bracket, budget);
+        let out = self.refine(width, bracket, budget);
         if let Some(gamma) = out.contingency.as_deref().filter(|g| g.len() < before) {
-            self.offer(v, gamma);
+            self.offer(width, v, gamma);
         }
         out
     }
@@ -623,15 +694,16 @@ impl AnytimeKernel {
     /// `s`: it misses that row, and with `s` it hits every row. One pass
     /// over the rows records each such `s` whose table entry is longer;
     /// `H` is stored once, and only if it improved an entry.
-    fn offer(&mut self, v: u32, gamma: &[u32]) {
+    fn offer<W: Width>(&mut self, width: W, v: u32, gamma: &[u32]) {
         self.mask.fill(0);
         for &e in gamma.iter().chain([&v]) {
             self.mask[e as usize / 64] |= 1 << (e % 64);
         }
         let (len, set) = (gamma.len(), self.starts.len() - 1);
+        let mask = row(&self.mask, width, 0);
         let mut improved = false;
-        for row in self.rows.chunks_exact(self.words) {
-            let Some(s) = single_hit(row, &self.mask) else {
+        for i in 0..self.rows.len() / width.words() {
+            let Some(s) = single_hit(row(&self.rows, width, i), mask) else {
                 continue;
             };
             if self.table[s].is_none_or(|(best, _)| len < best) {
@@ -648,6 +720,7 @@ impl AnytimeKernel {
 }
 
 /// The one element of `row ∩ set` when there is exactly one.
+#[inline]
 fn single_hit(row: &[u64], set: &[u64]) -> Option<usize> {
     let mut hit = None;
     for (i, (&r, &s)) in row.iter().zip(set).enumerate() {
@@ -664,18 +737,18 @@ fn single_hit(row: &[u64], set: &[u64]) -> Option<usize> {
 }
 
 /// Write `c ∖ witness` for every row `c` in `others` into `out`, one
-/// `words`-wide row each; `false` as soon as one comes out empty.
-fn fill_residuals(
+/// row each; `false` as soon as one comes out empty.
+fn fill_residuals<W: Width>(
     rows: &[u64],
-    words: usize,
+    width: W,
     others: &[usize],
     witness: usize,
     out: &mut [u64],
 ) -> bool {
-    let w = &rows[witness * words..(witness + 1) * words];
-    for (dst, &c) in out.chunks_exact_mut(words).zip(others) {
+    let w = row(rows, width, witness);
+    for (dst, &c) in out.chunks_exact_mut(width.words()).zip(others) {
         let mut any = 0;
-        for ((d, &a), &b) in dst.iter_mut().zip(&rows[c * words..(c + 1) * words]).zip(w) {
+        for ((d, &a), &b) in dst.iter_mut().zip(row(rows, width, c)).zip(w) {
             *d = a & !b;
             any |= *d;
         }
@@ -700,10 +773,26 @@ fn elems(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// Call `f` on each element of a packed row, ascending. The hot loops
+/// use this rather than [`elems`]: through the iterator they ran
+/// 10–25 % slower.
+#[inline(always)]
+fn for_elems(row: &[u64], mut f: impl FnMut(usize)) {
+    for (i, &word) in row.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            f(i * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
+    }
+}
+
+#[inline(always)]
 fn intersects(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(&x, &y)| x & y != 0)
 }
 
+#[inline(always)]
 fn or_into(acc: &mut [u64], s: &[u64]) {
     for (a, &b) in acc.iter_mut().zip(s) {
         *a |= b;
@@ -711,22 +800,22 @@ fn or_into(acc: &mut [u64], s: &[u64]) {
 }
 
 /// Greedy hitting set: repeatedly pick the most frequent element among
-/// uncovered sets (ties toward the smallest id, as in the exact
-/// solver's seed), keeping the counts incrementally. `counts` enters
-/// holding every element's count over `sets` (the degree bound's tally)
-/// and is used up. Feasibility is guaranteed for non-empty input sets.
-fn greedy_hitting_set(
+/// the open sets (ties toward the smallest id, as in the exact solver's
+/// seed), dropping the sets each pick covers from the open list and
+/// their elements from the counts. `counts` enters holding every
+/// element's count over `sets` (the degree bound's tally) and is used
+/// up. Feasibility is guaranteed for non-empty input sets.
+fn greedy_hitting_set<W: Width>(
     sets: &[u64],
-    words: usize,
+    width: W,
     counts: &mut [u32],
-    covered: &mut Vec<bool>,
+    open: &mut Vec<u32>,
     chosen: &mut Vec<u32>,
 ) {
-    let mut uncovered = sets.len() / words;
-    covered.clear();
-    covered.resize(uncovered, false);
+    open.clear();
+    open.extend(0..(sets.len() / width.words()) as u32);
     chosen.clear();
-    while uncovered > 0 {
+    while !open.is_empty() {
         let (mut pick, mut most) = (0, 0);
         for (e, &c) in counts.iter().enumerate() {
             if c > most {
@@ -734,28 +823,34 @@ fn greedy_hitting_set(
             }
         }
         chosen.push(pick as u32);
+        // Keep the open sets the pick misses, in order. (A hand-written
+        // compaction: `Vec::retain` with this body ran phase one a third
+        // to a half slower.)
         let (w, bit) = (pick / 64, 1u64 << (pick % 64));
-        for (s, done) in sets.chunks_exact(words).zip(covered.iter_mut()) {
-            if !*done && s[w] & bit != 0 {
-                *done = true;
-                uncovered -= 1;
-                for e in elems(s) {
-                    counts[e] -= 1;
-                }
+        let mut kept = 0;
+        for k in 0..open.len() {
+            let i = open[k];
+            let s = row(sets, width, i as usize);
+            if s[w] & bit == 0 {
+                open[kept] = i;
+                kept += 1;
+            } else {
+                for_elems(s, |e| counts[e] -= 1);
             }
         }
+        open.truncate(kept);
     }
 }
 
 /// Add the elements of `s` to `counts`; the largest count it touched.
+#[inline(always)]
 fn tally(counts: &mut [u32], s: &[u64]) -> u32 {
-    elems(s)
-        .map(|e| {
-            counts[e] += 1;
-            counts[e]
-        })
-        .max()
-        .unwrap_or(0)
+    let mut most = 0;
+    for_elems(s, |e| {
+        counts[e] += 1;
+        most = most.max(counts[e]);
+    });
+    most
 }
 
 /// The degree bound: when no element lies in more than `most` of `n`
@@ -764,12 +859,26 @@ fn degree_bound(n: usize, most: u32) -> usize {
     n.div_ceil(most.max(1) as usize)
 }
 
+/// The larger of the packing and degree bounds over every set of
+/// `sets`, leaving each element's count over them in `counts`.
+fn floor_of<W: Width>(sets: &[u64], width: W, counts: &mut [u32], blocked: &mut [u64]) -> usize {
+    counts.fill(0);
+    let most = sets
+        .chunks_exact(width.words())
+        .map(|s| tally(counts, s))
+        .max()
+        .unwrap_or(0);
+    let n = sets.len() / width.words();
+    packing_bound(sets, width, blocked).max(degree_bound(n, most))
+}
+
 /// Greedy packing of pairwise-disjoint sets: each packed set needs its
 /// own element, so the count lower-bounds the hitting-set size.
-fn packing_bound(sets: &[u64], words: usize, blocked: &mut [u64]) -> usize {
+fn packing_bound<W: Width>(sets: &[u64], width: W, blocked: &mut [u64]) -> usize {
+    let blocked = &mut blocked[..width.words()];
     blocked.fill(0);
     let mut lb = 0usize;
-    for s in sets.chunks_exact(words) {
+    for s in sets.chunks_exact(width.words()) {
         if !intersects(s, blocked) {
             lb += 1;
             or_into(blocked, s);
@@ -781,60 +890,87 @@ fn packing_bound(sets: &[u64], words: usize, blocked: &mut [u64]) -> usize {
 /// One witness's depth-limited search: is there a hitting set of size
 /// ≤ `limit`? `Ok(true)` leaves the solution in `chosen`; `Err(())`
 /// means the budget expired mid-search (the level is *not* refuted).
-struct Search<'a> {
+///
+/// `open` is a stack of open lists, one per node on the current path:
+/// each lists, in set order, the sets its node has not hit yet, and a
+/// child's list follows its parent's.
+struct Search<'a, W: Width> {
     sets: &'a [u64],
     sizes: &'a [u32],
-    words: usize,
+    width: W,
     limit: usize,
-    mask: &'a mut [u64],
+    open: &'a mut Vec<u32>,
     blocked: &'a mut [u64],
     counts: &'a mut [u32],
     chosen: &'a mut Vec<u32>,
     tracker: &'a mut BudgetTracker,
 }
 
-impl Search<'_> {
+impl<W: Width> Search<'_, W> {
+    /// Search from the root, where every set is open.
     fn run(&mut self) -> Result<bool, ()> {
+        self.open.clear();
+        self.open.extend(0..self.sizes.len() as u32);
+        self.node(0, None)
+    }
+
+    /// One search node. The parent's open list is `open[from..]`, and
+    /// `hit` is the element the parent just chose (`None` at the root);
+    /// the node's own open list is the parent's sets that miss `hit`.
+    fn node(&mut self, from: usize, hit: Option<usize>) -> Result<bool, ()> {
         if !self.tracker.step() {
             return Err(());
         }
-        // One pass finds the uncovered sets, the first smallest of them
-        // (the pivot), and the packing and degree bounds over them.
-        let sets = self.sets;
-        self.blocked.fill(0);
-        self.counts.fill(0);
-        let (mut packing, mut open, mut most) = (0usize, 0usize, 0u32);
+        // One pass over the parent's list builds this node's list, and
+        // finds the first smallest open set (the pivot) and the packing
+        // bound over the open sets.
+        let (sets, width) = (self.sets, self.width);
+        let blocked = &mut self.blocked[..width.words()];
+        blocked.fill(0);
+        let start = self.open.len();
+        let mut packing = 0usize;
         let mut pivot: Option<usize> = None;
-        for (i, s) in sets.chunks_exact(self.words).enumerate() {
-            if intersects(s, self.mask) {
+        for k in from..start {
+            let i = self.open[k] as usize;
+            let s = row(sets, width, i);
+            if hit.is_some_and(|e| s[e / 64] >> (e % 64) & 1 == 1) {
                 continue;
             }
+            self.open.push(i as u32);
             if pivot.is_none_or(|p| self.sizes[i] < self.sizes[p]) {
                 pivot = Some(i);
             }
-            if !intersects(s, self.blocked) {
+            if !intersects(s, blocked) {
                 packing += 1;
-                or_into(self.blocked, s);
+                or_into(blocked, s);
             }
-            open += 1;
-            most = most.max(tally(self.counts, s));
         }
         let Some(pivot) = pivot else {
             return Ok(true);
         };
-        let lb = packing.max(degree_bound(open, most));
-        if self.chosen.len() + lb > self.limit {
+        let end = self.open.len();
+        // The node is pruned on the larger of the packing and degree
+        // bounds; the degree bound's tally is only needed when packing
+        // alone does not prune.
+        if self.chosen.len() + packing > self.limit {
             return Ok(false);
         }
-        // Pivot elements are disjoint from `mask` (the set is uncovered),
-        // so setting/clearing below never clobbers an earlier choice.
-        for e in elems(&sets[pivot * self.words..(pivot + 1) * self.words]) {
+        self.counts.fill(0);
+        let mut most = 0u32;
+        for &i in &self.open[start..end] {
+            most = most.max(tally(self.counts, row(sets, width, i as usize)));
+        }
+        if self.chosen.len() + degree_bound(end - start, most) > self.limit {
+            return Ok(false);
+        }
+        // The pivot is open, so none of its elements is chosen yet: each
+        // child adds a new one.
+        for e in elems(row(sets, width, pivot)) {
             self.chosen.push(e as u32);
-            self.mask[e / 64] |= 1 << (e % 64);
-            if self.run()? {
+            if self.node(start, Some(e))? {
                 return Ok(true);
             }
-            self.mask[e / 64] &= !(1 << (e % 64));
+            self.open.truncate(end);
             self.chosen.pop();
         }
         Ok(false)
@@ -851,8 +987,10 @@ impl Search<'_> {
 /// bracket collapses and `contingency` is a true minimum contingency.
 pub fn anytime_min_contingency(phin: &BitDnf, v: u32, budget: ApproxBudget) -> AnytimeOutcome {
     let mut kernel = AnytimeKernel::new(phin);
-    let bracket = kernel.bracket(v, None);
-    kernel.refine(bracket, budget)
+    by_width!(kernel.words, |w| {
+        let bracket = kernel.bracket(w, v, None);
+        kernel.refine(w, bracket, budget)
+    })
 }
 
 #[cfg(test)]
@@ -972,15 +1110,15 @@ mod tests {
             .flat_map(|a| (a + 1..5).map(move |b| 1 << a | 1 << b))
             .collect();
         let sizes = vec![2; sets.len()];
-        let (mut mask, mut blocked, mut counts) = (vec![0], vec![0], vec![0; 64]);
+        let (mut open, mut blocked, mut counts) = (Vec::new(), vec![0], vec![0; 64]);
         let mut chosen = Vec::new();
         let mut tracker = BudgetTracker::new(ApproxBudget::unlimited());
         let found = Search {
             sets: &sets,
             sizes: &sizes,
-            words: 1,
+            width: Words::<1>,
             limit: 2,
-            mask: &mut mask,
+            open: &mut open,
             blocked: &mut blocked,
             counts: &mut counts,
             chosen: &mut chosen,
@@ -1045,6 +1183,84 @@ mod tests {
         assert_eq!(single_hit(&[0b0110], &[0b1001]), None);
         assert_eq!(single_hit(&[1, 2], &[0, 2]), Some(65));
         assert_eq!(single_hit(&[1, 2], &[1, 2]), None);
+    }
+
+    /// A pseudo-random lineage of `n` conjuncts, each one tuple of each
+    /// of three relations of `per` tuples: dense enough that brackets
+    /// need search, over at most `3 · per` variables.
+    fn dense(n: usize, per: u32, seed: u64) -> Dnf {
+        let mut x = seed;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as u32 % per
+        };
+        let conjuncts: Vec<Vec<(u32, u32)>> = (0..n)
+            .map(|_| (0..3).map(|rel| (rel, next())).collect())
+            .collect();
+        let slices: Vec<&[(u32, u32)]> = conjuncts.iter().map(Vec::as_slice).collect();
+        dnf_of(&slices)
+    }
+
+    /// A bracket's fields, for comparing two kernels' brackets.
+    type BracketFields = (u32, Vec<u32>, usize, Vec<(usize, usize)>);
+
+    fn fields(b: &Option<Bracket>) -> Option<BracketFields> {
+        b.as_ref()
+            .map(|b| (b.v, b.best.clone(), b.certified, b.witnesses.clone()))
+    }
+
+    /// The instantiation at the width read at run time agrees with the
+    /// one-word and two-word ones. Two kernels answer the same request,
+    /// phase one for every variable and then phase two under a per-cause
+    /// step budget, one through the width dispatch and one at `usize`
+    /// width: after every call their brackets, outcomes (bracket,
+    /// contingency, refinements, steps and history) and repair tables
+    /// are equal, and the search ran and completed levels.
+    #[test]
+    fn the_runtime_width_matches_the_fixed_widths() {
+        for (n, per, seed, words) in [
+            (30, 10, 1, 1),
+            (50, 16, 7, 1),
+            (70, 26, 3, 2),
+            (80, 30, 11, 2),
+        ] {
+            let (arena, bits) = LineageArena::from_dnf(&dense(n, per, seed));
+            let phin = bits.minimized();
+            for budget in [ApproxBudget::steps(40), ApproxBudget::steps(400)] {
+                let at = format!("dense({n}, {per}, {seed}) {budget:?}");
+                let mut fixed = AnytimeKernel::new(&phin);
+                let mut runtime = AnytimeKernel::new(&phin);
+                assert_eq!(fixed.words, words, "{at}");
+                let width = runtime.words;
+                let tables =
+                    |k: &AnytimeKernel| (k.table.clone(), k.repairs.clone(), k.starts.clone());
+                let mut brackets = Vec::new();
+                for v in 0..arena.len() as u32 {
+                    let (a, b) = (fixed.shared_bracket(v), runtime.shared_bracket_in(width, v));
+                    assert_eq!(fields(&a), fields(&b), "{at} v={v}");
+                    assert_eq!(tables(&fixed), tables(&runtime), "{at} v={v}");
+                    brackets.push((a, b));
+                }
+                let (mut steps, mut levels) = (0, 0);
+                for (v, (a, b)) in brackets.into_iter().enumerate() {
+                    let out = fixed.shared_refine(a, budget);
+                    assert_eq!(
+                        out,
+                        runtime.shared_refine_in(width, b, budget),
+                        "{at} v={v}"
+                    );
+                    assert_eq!(tables(&fixed), tables(&runtime), "{at} v={v}");
+                    steps += out.steps_used;
+                    levels += out.refinements;
+                }
+                assert!(
+                    steps > 0 && levels > 0,
+                    "{at}: steps {steps}, levels {levels}"
+                );
+            }
+        }
     }
 
     #[test]

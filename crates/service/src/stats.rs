@@ -331,6 +331,10 @@ counters! {
     /// Causes of approx requests whose bracket the request's repair
     /// table closed exactly, with no per-cause bracket or refinement.
     approx_settled: "approx_settled_total", Reset;
+    /// Search nodes the anytime refinements of approx requests expanded
+    /// (the sum of each response's
+    /// [`ExplainMode::Approximate`](crate::ExplainMode) `search_nodes`).
+    approx_search_nodes: "approx_search_nodes_total", Reset;
     /// Worker-pool restarts performed by the supervisor (PR 9). A
     /// lifecycle counter: never reset by `snapshot_and_reset`.
     shard_restarts: "shard_restarts_total", Lifecycle;

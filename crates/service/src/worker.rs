@@ -159,8 +159,9 @@ pub(crate) fn worker_loop(rx: &Mutex<Receiver<Box<Job>>>, core: &ShardCore, gene
 
 /// Evaluate one batch: enforce deadlines, group identical
 /// (tenant, request) pairs, serve them from the responsibility cache
-/// when possible, and compute each distinct miss exactly once against a
-/// snapshot pinned per group.
+/// when possible, compute each distinct miss exactly once against a
+/// snapshot pinned per group, and hand each group's answer to its
+/// waiters (the last one takes it by move).
 fn process_batch(core: &ShardCore, batch: Vec<Job>) {
     core.stats.batches.inc();
     core.stats.batched_requests.add(batch.len() as u64);
@@ -213,7 +214,7 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
     }
 
     for (tenant, request) in order {
-        let senders = groups
+        let mut senders = groups
             .remove(&(tenant, request.clone()))
             .expect("grouped senders");
         let Some(store) = core.store(tenant) else {
@@ -286,12 +287,14 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                             bounds,
                             refinements,
                             settled,
+                            search_nodes,
                             ..
                         } = explanation.mode
                         {
                             core.stats.approx_requests.inc();
                             core.stats.approx_refinements.add(refinements as u64);
                             core.stats.approx_settled.add(settled as u64);
+                            core.stats.approx_search_nodes.add(search_nodes);
                             core.stats
                                 .bound_width
                                 .record_us((bounds.width() * 1_000_000.0) as u64);
@@ -309,7 +312,10 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                 (computed, timing, false)
             }
         };
-        for (i, mut waiter) in senders.into_iter().enumerate() {
+        // Fan the answer out: every waiter but the last gets a clone,
+        // and the last one takes the answer itself, so a group of one
+        // (the common case) copies nothing.
+        let answer = |i: usize, mut waiter: Waiter, result: Result<Explanation, ServiceError>| {
             if let Some(tb) = waiter.trace.as_deref_mut() {
                 if !cache_hit && i > 0 {
                     tb.mark_coalesced();
@@ -319,16 +325,19 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                     record_compute_spans(tb, compute_end, timing, explanation.mode);
                 }
             }
-            respond(
-                core,
-                waiter,
-                ExplainResponse {
-                    result: result.clone(),
-                    snapshot_version: version,
-                    cache_hit,
-                },
-            );
+            let response = ExplainResponse {
+                result,
+                snapshot_version: version,
+                cache_hit,
+            };
+            respond(core, waiter, response);
+        };
+        let last = senders.pop().expect("a group has a waiter");
+        let last_i = senders.len();
+        for (i, waiter) in senders.into_iter().enumerate() {
+            answer(i, waiter, result.clone());
         }
+        answer(last_i, last, result);
     }
 }
 

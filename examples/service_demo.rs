@@ -249,11 +249,12 @@ fn main() {
             budget_spent_us,
             refinements,
             settled,
+            search_nodes,
         } => println!(
             "answered approximately: {} cause(s) bracketed ({settled} settled \
              by the repair table), then {budget_spent_us} µs of refinement \
-             ({refinements} level(s)) and assembly; max-ρ cause certified in \
-             [{:.4}, {:.4}]",
+             ({refinements} level(s), {search_nodes} search node(s)) and \
+             assembly; max-ρ cause certified in [{:.4}, {:.4}]",
             answer.causes.len(),
             bounds.lower,
             bounds.upper
@@ -278,9 +279,12 @@ fn main() {
     let stats = anytime.stats().aggregate();
     println!(
         "\nstats: {} approximate answer(s), {} cause(s) settled by the \
-         repair table, {} deadline miss(es) — the anytime tier absorbs what \
-         would otherwise be a timeout",
-        stats.approx_requests, stats.approx_settled, stats.deadline_misses
+         repair table, {} search node(s), {} deadline miss(es) — the anytime \
+         tier absorbs what would otherwise be a timeout",
+        stats.approx_requests,
+        stats.approx_settled,
+        stats.approx_search_nodes,
+        stats.deadline_misses
     );
     anytime.shutdown();
 }

@@ -38,7 +38,11 @@
 //!   zero and holds refinement to at most 67 levels at an unlimited
 //!   budget;
 //! * **the repair table is sound** — on random and multi-word dense
-//!   triangles every bracket contains the exact ρ at every budget.
+//!   triangles every bracket contains the exact ρ at every budget;
+//! * **a pinned traversal** — on one- and two-word dense triangles and
+//!   the triangle fan, `why_anytime`'s completed levels, settled causes
+//!   and search nodes at `steps(0)`, `steps(500)` and an unlimited budget
+//!   equal fixed counts.
 //!
 //! Same discipline as `tests/lineage_bitset_differential.rs`: random
 //! DNFs drawn small, seed oracle retained as the baseline.
@@ -445,7 +449,7 @@ fn checked_causes(
     for c in &explanation.causes {
         let v = arena.id(c.tuple).expect("a cause is interned");
         let bounds = c.bounds.expect("anytime causes carry brackets");
-        let gamma: Vec<u32> = c.contingency.iter().map(|g| ids[g]).collect();
+        let gamma: Vec<u32> = c.contingency.iter().map(|g| ids[&**g]).collect();
         assert!(is_contingency(phin, v, &gamma), "{c:?}");
         assert_eq!(bounds.lower, 1.0 / (1.0 + gamma.len() as f64), "{c:?}");
         assert!(bounds.lower <= bounds.upper, "{c:?}");
@@ -619,6 +623,62 @@ fn the_repair_table_settles_brackets_and_saves_refinements() {
         refinements <= 67,
         "{refinements} refinement levels at an unlimited budget"
     );
+}
+
+/// The refinement traversal, pinned: `why_anytime`'s completed levels,
+/// settled causes and search nodes at budgets `steps(0)`, `steps(500)`
+/// and unlimited, on the one-word `dense_triangles(4, 64, s)` for
+/// s ∈ {1, 7, 17} and `(5, 40, 200)`, the two-word `(5, 64, 3)` and
+/// `triangle_fan(12)`. A change to the kernel's loops that keeps every
+/// answer keeps these counts too.
+#[test]
+fn why_anytime_refinements_and_search_nodes_are_pinned() {
+    let dense = |nodes, tuples, seed| {
+        let inst = dense_triangles(nodes, tuples, seed);
+        (
+            format!("dense_triangles({nodes}, {tuples}, {seed})"),
+            inst.db,
+            inst.query,
+        )
+    };
+    let fan = triangle_fan(12);
+    #[rustfmt::skip]
+    let instances = [
+        (dense(4, 64, 1), 1, [(0, 39, 0), (0, 39, 0), (0, 39, 0)]),
+        (dense(4, 64, 7), 1, [(0, 32, 0), (0, 32, 80), (5, 32, 154)]),
+        (dense(4, 64, 17), 1, [(0, 19, 0), (0, 19, 200), (18, 19, 969)]),
+        (dense(5, 40, 200), 1, [(0, 0, 0), (30, 0, 448), (151, 0, 27_617)]),
+        (dense(5, 64, 3), 2, [(0, 0, 0), (6, 0, 476), (141, 0, 32_202)]),
+        ((String::from("triangle_fan(12)"), fan.db, fan.query), 1, [(0, 0, 0); 3]),
+    ];
+    let budgets = [
+        ApproxBudget::steps(0),
+        ApproxBudget::steps(500),
+        ApproxBudget::unlimited(),
+    ];
+    for ((name, db, query), words, pinned) in &instances {
+        let (_, phin) = minimized_lineage(db, query);
+        let widest = phin.variables().iter().max().expect("a cause");
+        assert_eq!(widest / 64 + 1, *words, "{name}: row width");
+        let explainer = Explainer::new(db, query);
+        for (budget, want) in budgets.iter().zip(pinned) {
+            let (explanation, _) = explainer.why_anytime(&[], *budget).unwrap();
+            let ExplainMode::Approximate {
+                refinements,
+                settled,
+                search_nodes,
+                ..
+            } = explanation.mode
+            else {
+                panic!("the anytime route reports Approximate");
+            };
+            assert_eq!(
+                (refinements, settled, search_nodes),
+                *want,
+                "{name} {budget:?}: (refinements, settled, search nodes)"
+            );
+        }
+    }
 }
 
 /// The repair table's soundness on one `dense_triangles` instance. At
