@@ -12,7 +12,7 @@ use crate::error::CoreError;
 use crate::ranking::{
     rank_why_no, rank_why_so_parallel, Method, RankConfig, RankStats, RankedCause,
 };
-use crate::resp::approx::{AnytimeKernel, ApproxBudget, RhoBounds};
+use crate::resp::approx::{ApproxBudget, RhoBounds, SharedBrackets};
 use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, Tuple, TupleRef, Value};
 use causality_lineage::minimized_n_lineage;
 use std::collections::HashMap;
@@ -45,9 +45,11 @@ pub enum ExplainMode {
         /// Bracket on the explanation's ρ_max (the per-cause brackets
         /// live on [`ExplainedCause::bounds`]).
         bounds: RhoBounds,
-        /// Wall-clock µs after the last cause's bracket: the refinement
-        /// phase, with the answer's assembly. The brackets before it are
-        /// the rest of [`ExplainTiming::solve_us`].
+        /// Wall-clock µs of [`AnytimePlan::answer`]: the refinement
+        /// phase after the last cause's bracket, with the answer's
+        /// assembly. On an answer from a memoized plan it covers the
+        /// whole call; through [`Explainer::why_anytime`] the brackets
+        /// before it are the rest of [`ExplainTiming::solve_us`].
         budget_spent_us: u64,
         /// Completed refinement levels across all causes. A cause that
         /// takes a shorter contingency from the repair table may need
@@ -81,8 +83,9 @@ pub struct ExplainedCause {
     /// A witnessing minimum contingency, rendered as `Rel(values)` strings.
     /// Under [`ExplainMode::Approximate`] it is the best *feasible*
     /// contingency found (witnessing `bounds.lower`, not necessarily
-    /// minimum). Each tuple is rendered once per call: every contingency
-    /// of the explanation that holds it shares the one string.
+    /// minimum). Each tuple is rendered once per call, or on the anytime
+    /// route once per [`AnytimePlan`]: every contingency that holds it
+    /// shares the one string.
     pub contingency: Vec<Arc<str>>,
     /// Certified `[lower, upper]` bracket on ρ; `None` on exact paths.
     pub bounds: Option<RhoBounds>,
@@ -123,6 +126,19 @@ pub struct ExplainTiming {
     pub lineage_us: u64,
     /// µs in the per-cause responsibility solves.
     pub solve_us: u64,
+}
+
+/// Two parts of one answer's time, such as an [`AnytimePlan`]'s build
+/// and one answer of it, added field by field.
+impl std::ops::Add for ExplainTiming {
+    type Output = ExplainTiming;
+
+    fn add(self, other: ExplainTiming) -> ExplainTiming {
+        ExplainTiming {
+            lineage_us: self.lineage_us + other.lineage_us,
+            solve_us: self.solve_us + other.solve_us,
+        }
+    }
 }
 
 impl From<&RankStats> for ExplainTiming {
@@ -265,13 +281,36 @@ impl<'a> Explainer<'a> {
     /// bracket; with [`ApproxBudget::unlimited`] every bracket collapses
     /// to the exact ρ. Without a deadline each cause's bracket lies inside
     /// the one [`crate::resp::approx::anytime_min_contingency`] gives
-    /// under its share of the steps. [`ExplainTiming::solve_us`] covers
-    /// both phases, and the mode's `budget_spent_us` the second one alone.
+    /// under its share of the steps.
+    ///
+    /// The call is [`Explainer::plan_anytime`], which does everything
+    /// that reads no clock (the lineage, the causes and phase one), then
+    /// [`AnytimePlan::answer`] under `budget`; the returned timing sums
+    /// the two. [`ExplainTiming::solve_us`] covers both phases, and the
+    /// mode's `budget_spent_us` the answer alone: phase two and assembly.
     pub fn why_anytime(
         &self,
         answer: &[Value],
         budget: ApproxBudget,
     ) -> Result<(Explanation, ExplainTiming), CoreError> {
+        let (plan, planned) = self.plan_anytime(answer)?;
+        let (explanation, answered) = plan.answer(budget);
+        Ok((explanation, planned + answered))
+    }
+
+    /// The clock-free part of [`Explainer::why_anytime`] for `answer`:
+    /// grounding, the dichotomy tag, the minimized lineage Φⁿ, the causes
+    /// (Theorem 3.2), and phase one, which packs Φⁿ into the kernel and
+    /// brackets every cause against the repair table. The plan also
+    /// renders every tuple of the lineage and copies each cause's
+    /// relation name and values, so it reads the database no more; every
+    /// answer of it is [`AnytimePlan::answer`]. The timing's `lineage_us`
+    /// is the lineage and the causes, and its `solve_us` phase one with
+    /// the rendering.
+    pub fn plan_anytime(
+        &self,
+        answer: &[Value],
+    ) -> Result<(AnytimePlan, ExplainTiming), CoreError> {
         let grounded = self.query.try_ground(answer)?;
         let tag = self.dichotomy_of(&grounded);
         let lineage_started = Instant::now();
@@ -282,92 +321,37 @@ impl<'a> Explainer<'a> {
         let solve_started = Instant::now();
         // Phase one: every cause's budget-free bracket, settled from the
         // repair table where it can be.
-        let mut kernel = AnytimeKernel::new(&phin);
-        let brackets: Vec<_> = causes
+        let brackets = SharedBrackets::new(
+            &phin,
+            causes
+                .actual
+                .iter()
+                .map(|&t| arena.id(t).expect("actual cause is interned")),
+        );
+        let mut buf = String::new();
+        let rendered = (0..arena.len() as u32)
+            .map(|id| self.render_tuple(&mut buf, arena.resolve(id)))
+            .collect();
+        let causes = causes
             .actual
             .iter()
-            .map(|&t| kernel.shared_bracket(arena.id(t).expect("actual cause is interned")))
-            .collect();
-        let settled = brackets.iter().flatten().filter(|b| b.is_settled()).count() as u32;
-        let refine_started = Instant::now();
-        let per_cause = ApproxBudget {
-            max_steps: budget.max_steps / causes.actual.len().max(1) as u64,
-            deadline: budget.deadline,
-        };
-        let (mut refinements, mut search_nodes) = (0u32, 0u64);
-        let mut explained: Vec<ExplainedCause> = Vec::with_capacity(causes.actual.len());
-        // Each arena variable is rendered at most once per call.
-        let mut rendered: Vec<Option<Arc<str>>> = vec![None; arena.len()];
-        let mut buf = String::new();
-        // Phase two: refinement on what is left of the budget.
-        for (&t, bracket) in causes.actual.iter().zip(brackets) {
-            let out = kernel.shared_refine(bracket, per_cause);
-            refinements += out.refinements;
-            search_nodes += out.steps_used;
-            let contingency = out
-                .contingency
-                .as_deref()
-                .unwrap_or_default()
-                .iter()
-                .map(|&id| {
-                    Arc::clone(
-                        rendered[id as usize]
-                            .get_or_insert_with(|| self.render_tuple(&mut buf, arena.resolve(id))),
-                    )
-                })
-                .collect();
-            explained.push(ExplainedCause {
+            .map(|&t| PlannedCause {
                 tuple: t,
                 relation: self.db.relation(t.rel).name().to_string(),
                 values: self.db.tuple(t).clone(),
-                rho: out.bounds.lower,
-                counterfactual: out.is_exact() && out.bounds.lower == 1.0,
-                contingency,
-                bounds: Some(out.bounds),
-            });
-        }
-        // Rank by certified lower bound, then tighter upper bound, then
-        // tuple id — deterministic like the exact ranker's order.
-        explained.sort_by(|a, b| {
-            b.rho
-                .total_cmp(&a.rho)
-                .then(
-                    b.bounds
-                        .expect("anytime cause")
-                        .upper
-                        .total_cmp(&a.bounds.expect("anytime cause").upper),
-                )
-                .then(a.tuple.cmp(&b.tuple))
-        });
-        let solve_ended = Instant::now();
-        let solve_us = (solve_ended - solve_started).as_micros() as u64;
-        let refine_us = (solve_ended - refine_started).as_micros() as u64;
-
-        // Bracket on ρ_max: the max of the per-cause brackets.
-        let bounds =
-            explained
-                .iter()
-                .filter_map(|c| c.bounds)
-                .fold(RhoBounds::exact(0.0), |acc, b| RhoBounds {
-                    lower: acc.lower.max(b.lower),
-                    upper: acc.upper.max(b.upper),
-                });
-        let explanation = Explanation {
-            kind: ExplanationKind::WhySo,
+            })
+            .collect();
+        let plan = AnytimePlan {
             answer: answer.to_vec(),
-            causes: explained,
             dichotomy: tag,
             lineage_conjuncts: phin.conjuncts().len(),
-            mode: ExplainMode::Approximate {
-                bounds,
-                budget_spent_us: refine_us,
-                refinements,
-                settled,
-                search_nodes,
-            },
+            brackets,
+            causes,
+            rendered,
         };
+        let solve_us = solve_started.elapsed().as_micros() as u64;
         Ok((
-            explanation,
+            plan,
             ExplainTiming {
                 lineage_us,
                 solve_us,
@@ -501,6 +485,125 @@ impl<'a> Explainer<'a> {
         )
         .expect("writing to a String cannot fail");
         Arc::from(buf.as_str())
+    }
+}
+
+/// The clock-free part of an anytime Why-So answer, built once by
+/// [`Explainer::plan_anytime`] and answered any number of times by
+/// [`AnytimePlan::answer`].
+///
+/// By Theorem 3.2 a Why-So answer's causes are read off the minimized
+/// lineage Φⁿ, and each ρ is fixed by Φⁿ's minimal hitting sets, so
+/// everything the anytime route computes before it first reads the clock
+/// depends only on the relations the query reads. A plan keeps exactly
+/// what answering reads: the packed rows of Φⁿ, the global floor, every
+/// cause's phase-one bracket and the repair table after them (in flat
+/// arrays), and each cause's tuple, relation name and values, with every
+/// lineage tuple rendered once. It holds no database, arena or scratch
+/// buffer, and it is `Send + Sync`, so a serving tier can keep it in a
+/// cache keyed on the content of the relations the query reads.
+pub struct AnytimePlan {
+    answer: Vec<Value>,
+    dichotomy: DichotomyTag,
+    lineage_conjuncts: usize,
+    /// Phase one: one bracket per cause, in `causes` order.
+    brackets: SharedBrackets,
+    causes: Vec<PlannedCause>,
+    /// Every arena variable as `Rel(values)`, by variable id.
+    rendered: Vec<Arc<str>>,
+}
+
+/// A cause of an [`AnytimePlan`], copied out of the database.
+struct PlannedCause {
+    tuple: TupleRef,
+    relation: String,
+    values: Tuple,
+}
+
+impl AnytimePlan {
+    /// Answer the plan under `budget`: phase two and assembly of
+    /// [`Explainer::why_anytime`], on a copy of the plan's repair table.
+    /// The plan itself never changes, so at every clock-free budget the
+    /// explanation equals the one `why_anytime` gives on the database the
+    /// plan was built from, however often and in whatever order the plan
+    /// was answered before. The timing has no lineage time, and its
+    /// `solve_us`, like the mode's `budget_spent_us`, covers the whole
+    /// call.
+    pub fn answer(&self, budget: ApproxBudget) -> (Explanation, ExplainTiming) {
+        let started = Instant::now();
+        let per_cause = ApproxBudget {
+            max_steps: budget.max_steps / self.causes.len().max(1) as u64,
+            deadline: budget.deadline,
+        };
+        let (mut refinements, mut search_nodes) = (0u32, 0u64);
+        let mut explained: Vec<ExplainedCause> = Vec::with_capacity(self.causes.len());
+        // Phase two: refinement on what is left of the budget.
+        self.brackets.refine(per_cause, |i, out| {
+            refinements += out.refinements;
+            search_nodes += out.steps_used;
+            let contingency = out
+                .contingency
+                .as_deref()
+                .unwrap_or_default()
+                .iter()
+                .map(|&id| Arc::clone(&self.rendered[id as usize]))
+                .collect();
+            let cause = &self.causes[i];
+            explained.push(ExplainedCause {
+                tuple: cause.tuple,
+                relation: cause.relation.clone(),
+                values: cause.values.clone(),
+                rho: out.bounds.lower,
+                counterfactual: out.is_exact() && out.bounds.lower == 1.0,
+                contingency,
+                bounds: Some(out.bounds),
+            });
+        });
+        // Rank by certified lower bound, then tighter upper bound, then
+        // tuple id — deterministic like the exact ranker's order.
+        explained.sort_by(|a, b| {
+            b.rho
+                .total_cmp(&a.rho)
+                .then(
+                    b.bounds
+                        .expect("anytime cause")
+                        .upper
+                        .total_cmp(&a.bounds.expect("anytime cause").upper),
+                )
+                .then(a.tuple.cmp(&b.tuple))
+        });
+        let spent_us = started.elapsed().as_micros() as u64;
+
+        // Bracket on ρ_max: the max of the per-cause brackets.
+        let bounds =
+            explained
+                .iter()
+                .filter_map(|c| c.bounds)
+                .fold(RhoBounds::exact(0.0), |acc, b| RhoBounds {
+                    lower: acc.lower.max(b.lower),
+                    upper: acc.upper.max(b.upper),
+                });
+        let explanation = Explanation {
+            kind: ExplanationKind::WhySo,
+            answer: self.answer.clone(),
+            causes: explained,
+            dichotomy: self.dichotomy,
+            lineage_conjuncts: self.lineage_conjuncts,
+            mode: ExplainMode::Approximate {
+                bounds,
+                budget_spent_us: spent_us,
+                refinements,
+                settled: self.brackets.settled(),
+                search_nodes,
+            },
+        };
+        (
+            explanation,
+            ExplainTiming {
+                lineage_us: 0,
+                solve_us: spent_us,
+            },
+        )
     }
 }
 

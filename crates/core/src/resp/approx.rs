@@ -67,6 +67,10 @@
 //! [`anytime_min_contingency`] runs both phases for one cause;
 //! [`crate::explain::Explainer::why_anytime`] brackets every cause
 //! before it refines any, so a deadline is spent on refinement only.
+//! Phase one reads no clock, so its result (`SharedBrackets`: the
+//! packed rows, the floor, every bracket and the repair table) is kept
+//! in an [`crate::explain::AnytimePlan`], and each answer refines a copy
+//! of its table.
 //!
 //! Within one request the causes share their work through the lineage's
 //! hitting sets (Bertossi & Salimi, arXiv 1412.4311 and 1507.00257): a
@@ -109,6 +113,7 @@
 pub mod oracle;
 
 use causality_lineage::{BitDnf, VarSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Certified bracket on a responsibility value: `lower ≤ ρ ≤ upper`.
@@ -321,6 +326,72 @@ impl Bracket {
     }
 }
 
+/// A borrowed [`Bracket`]: what phase two reads of one, wherever it is
+/// stored.
+#[derive(Clone, Copy)]
+pub(crate) struct BracketRef<'a> {
+    v: u32,
+    best: &'a [u32],
+    certified: usize,
+    witnesses: &'a [(usize, usize)],
+}
+
+impl<'a> From<&'a Bracket> for BracketRef<'a> {
+    fn from(b: &'a Bracket) -> Self {
+        BracketRef {
+            v: b.v,
+            best: &b.best,
+            certified: b.certified,
+            witnesses: &b.witnesses,
+        }
+    }
+}
+
+/// Many causes' brackets, end to end in flat arrays: bracket `i`'s best
+/// contingency and witnesses start where bracket `i − 1`'s end.
+struct Brackets {
+    /// Per bracket, its cause and certified floor; `None` where the
+    /// variable is not a cause.
+    heads: Vec<Option<(u32, usize)>>,
+    /// Where each bracket starts in `best` and `witnesses`, and, last,
+    /// where the final one ends.
+    at: Vec<(usize, usize)>,
+    best: Vec<u32>,
+    witnesses: Vec<(usize, usize)>,
+}
+
+impl Brackets {
+    fn new() -> Brackets {
+        Brackets {
+            heads: Vec::new(),
+            at: vec![(0, 0)],
+            best: Vec::new(),
+            witnesses: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, bracket: Option<Bracket>) {
+        self.heads
+            .push(bracket.as_ref().map(|b| (b.v, b.certified)));
+        if let Some(b) = bracket {
+            self.best.extend_from_slice(&b.best);
+            self.witnesses.extend_from_slice(&b.witnesses);
+        }
+        self.at.push((self.best.len(), self.witnesses.len()));
+    }
+
+    fn get(&self, i: usize) -> Option<BracketRef<'_>> {
+        let (v, certified) = self.heads[i]?;
+        let ((best, witnesses), (best_end, witnesses_end)) = (self.at[i], self.at[i + 1]);
+        Some(BracketRef {
+            v,
+            best: &self.best[best..best_end],
+            certified,
+            witnesses: &self.witnesses[witnesses..witnesses_end],
+        })
+    }
+}
+
 /// A row width in `u64` words. Each hot loop of the kernel is written
 /// once over a `Width` and instantiated three times: for one-word rows
 /// (`Words<1>`), two-word rows (`Words<2>`), and any width read at run
@@ -403,7 +474,8 @@ pub(crate) struct AnytimeKernel {
     /// `u64` words per row.
     words: usize,
     /// The lineage, one `words`-wide row per conjunct, in conjunct order.
-    rows: Vec<u64>,
+    /// Shared: the kernels that answer one plan read the same rows.
+    rows: Arc<[u64]>,
     /// The global floor `B`: the larger of the packing and degree bounds
     /// over every row, so every hitting set of the lineage has at least
     /// `B` members and every contingency of every cause at least `B − 1`.
@@ -444,23 +516,43 @@ impl AnytimeKernel {
                 row[e / 64] |= 1 << (e % 64);
             }
         }
-        let (mut counts, mut blocked) = (vec![0; words * 64], vec![0; words]);
-        let floor = by_width!(words, |w| floor_of(&rows, w, &mut counts, &mut blocked));
+        let table = vec![None; words * 64];
+        let mut kernel =
+            AnytimeKernel::with_table(words, rows.into(), 0, table, Vec::new(), vec![0]);
+        kernel.floor = by_width!(words, |w| floor_of(
+            &kernel.rows,
+            w,
+            &mut kernel.counts,
+            &mut kernel.blocked
+        ));
+        kernel
+    }
+
+    /// A kernel over `rows` with this floor and repair table, and fresh
+    /// scratch.
+    fn with_table(
+        words: usize,
+        rows: Arc<[u64]>,
+        floor: usize,
+        table: Vec<Option<(usize, usize)>>,
+        repairs: Vec<u32>,
+        starts: Vec<usize>,
+    ) -> AnytimeKernel {
         AnytimeKernel {
             words,
             rows,
             floor,
-            table: vec![None; words * 64],
-            repairs: Vec::new(),
-            starts: vec![0],
+            table,
+            repairs,
+            starts,
             others: Vec::new(),
             residuals: Vec::new(),
             sizes: Vec::new(),
-            counts,
+            counts: vec![0; words * 64],
             open: Vec::new(),
             chosen: Vec::new(),
             mask: vec![0; words],
-            blocked,
+            blocked: vec![0; words],
         }
     }
 
@@ -537,25 +629,26 @@ impl AnytimeKernel {
         })
     }
 
-    /// The budgeted phase: iterative deepening from the certified floor.
-    /// Each completed level either refutes size m everywhere (upper
-    /// tightens) or finds a solution of size exactly m (bounds collapse
-    /// — every smaller size was already refuted).
+    /// The budgeted phase: iterative deepening from the certified floor
+    /// of `bracket`, starting from the contingency `best`, which stands
+    /// in for the bracket's own (a copy of it, or a shorter one); the
+    /// witnesses are read in place. Each completed level either refutes
+    /// size m everywhere (upper tightens) or finds a solution of size
+    /// exactly m (bounds collapse — every smaller size was already
+    /// refuted).
     fn refine<W: Width>(
         &mut self,
         width: W,
-        bracket: Option<Bracket>,
+        bracket: BracketRef<'_>,
+        mut best: Vec<u32>,
         budget: ApproxBudget,
     ) -> AnytimeOutcome {
-        let Some(Bracket {
+        let BracketRef {
             v,
-            mut best,
             mut certified,
             witnesses,
-        }) = bracket
-        else {
-            return AnytimeOutcome::not_a_cause();
-        };
+            ..
+        } = bracket;
         let mut history = vec![RhoBounds::from_sizes(best.len(), certified)];
         let mut refinements = 0u32;
         let mut tracker = BudgetTracker::new(budget);
@@ -569,7 +662,7 @@ impl AnytimeKernel {
             'refine: while certified < best.len() {
                 let level = certified;
                 let mut found = false;
-                for &(w, lower) in &witnesses {
+                for &(w, lower) in witnesses {
                     if lower > level {
                         continue; // this witness cannot beat the level — already certified
                     }
@@ -649,33 +742,35 @@ impl AnytimeKernel {
         Some(bracket)
     }
 
-    /// Phase two for one cause of a request: take the repair table's
-    /// contingency when it is shorter than the bracket's, which may
-    /// collapse the bracket, then [`AnytimeKernel::refine`] and offer a
-    /// solution the search found to the table.
-    pub(crate) fn shared_refine(
+    /// Phase two for one cause of a request: start from the repair
+    /// table's contingency when it is shorter than the bracket's, which
+    /// may collapse the bracket, then [`AnytimeKernel::refine`] and offer
+    /// a solution the search found to the table. The bracket is only
+    /// read: the starting contingency is the one thing copied.
+    pub(crate) fn shared_refine<'b>(
         &mut self,
-        bracket: Option<Bracket>,
+        bracket: Option<impl Into<BracketRef<'b>>>,
         budget: ApproxBudget,
     ) -> AnytimeOutcome {
         by_width!(self.words, |w| self.shared_refine_in(w, bracket, budget))
     }
 
-    fn shared_refine_in<W: Width>(
+    fn shared_refine_in<'b, W: Width>(
         &mut self,
         width: W,
-        mut bracket: Option<Bracket>,
+        bracket: Option<impl Into<BracketRef<'b>>>,
         budget: ApproxBudget,
     ) -> AnytimeOutcome {
-        let Some(b) = bracket.as_mut() else {
+        let Some(b) = bracket.map(Into::into) else {
             return AnytimeOutcome::not_a_cause();
         };
         let v = b.v;
-        if self.table[v as usize].is_some_and(|(len, _)| len < b.best.len()) {
-            b.best = self.repair(v).expect("a table entry");
-        }
-        let before = b.best.len();
-        let out = self.refine(width, bracket, budget);
+        let best = match self.table[v as usize] {
+            Some((len, _)) if len < b.best.len() => self.repair(v).expect("a table entry"),
+            _ => b.best.to_vec(),
+        };
+        let before = best.len();
+        let out = self.refine(width, b, best, budget);
         if let Some(gamma) = out.contingency.as_deref().filter(|g| g.len() < before) {
             self.offer(width, v, gamma);
         }
@@ -717,6 +812,80 @@ impl AnytimeKernel {
             self.repairs.extend_from_slice(gamma);
             self.repairs.push(v);
             self.starts.push(self.repairs.len());
+        }
+    }
+}
+
+/// Phase one of a request, kept for phase two: the packed lineage, its
+/// global floor, every cause's shared bracket, and the repair table as
+/// the last bracket left it. It holds no scratch buffers, and
+/// [`SharedBrackets::refine`] runs phase two on a copy of the table, so
+/// every refinement starts from this same state, however many ran
+/// before it.
+pub(crate) struct SharedBrackets {
+    words: usize,
+    rows: Arc<[u64]>,
+    floor: usize,
+    table: Vec<Option<(usize, usize)>>,
+    repairs: Vec<u32>,
+    starts: Vec<usize>,
+    brackets: Brackets,
+    /// Brackets the repair table settled.
+    settled: u32,
+}
+
+impl SharedBrackets {
+    /// Pack the *minimized* `phin` and run [`AnytimeKernel::shared_bracket`]
+    /// for each arena variable of `causes`, in order.
+    pub(crate) fn new(phin: &BitDnf, causes: impl IntoIterator<Item = u32>) -> SharedBrackets {
+        let mut kernel = AnytimeKernel::new(phin);
+        let (mut brackets, mut settled) = (Brackets::new(), 0);
+        for v in causes {
+            let bracket = kernel.shared_bracket(v);
+            settled += u32::from(bracket.as_ref().is_some_and(Bracket::is_settled));
+            brackets.push(bracket);
+        }
+        let AnytimeKernel {
+            words,
+            rows,
+            floor,
+            table,
+            repairs,
+            starts,
+            ..
+        } = kernel;
+        SharedBrackets {
+            words,
+            rows,
+            floor,
+            table,
+            repairs,
+            starts,
+            brackets,
+            settled,
+        }
+    }
+
+    /// Causes the repair table settled in phase one.
+    pub(crate) fn settled(&self) -> u32 {
+        self.settled
+    }
+
+    /// Phase two: [`AnytimeKernel::shared_refine`] for every bracket in
+    /// order, each under `budget`, on a kernel over these rows with a
+    /// copy of the repair table; `f` gets each bracket's index and
+    /// outcome. This state is left as it was.
+    pub(crate) fn refine(&self, budget: ApproxBudget, mut f: impl FnMut(usize, AnytimeOutcome)) {
+        let mut kernel = AnytimeKernel::with_table(
+            self.words,
+            Arc::clone(&self.rows),
+            self.floor,
+            self.table.clone(),
+            self.repairs.clone(),
+            self.starts.clone(),
+        );
+        for i in 0..self.brackets.heads.len() {
+            f(i, kernel.shared_refine(self.brackets.get(i), budget));
         }
     }
 }
@@ -989,9 +1158,12 @@ impl<W: Width> Search<'_, W> {
 /// bracket collapses and `contingency` is a true minimum contingency.
 pub fn anytime_min_contingency(phin: &BitDnf, v: u32, budget: ApproxBudget) -> AnytimeOutcome {
     let mut kernel = AnytimeKernel::new(phin);
-    by_width!(kernel.words, |w| {
-        let bracket = kernel.bracket(w, v, None);
-        kernel.refine(w, bracket, budget)
+    by_width!(kernel.words, |w| match kernel.bracket(w, v, None) {
+        Some(mut bracket) => {
+            let best = std::mem::take(&mut bracket.best);
+            kernel.refine(w, (&bracket).into(), best, budget)
+        }
+        None => AnytimeOutcome::not_a_cause(),
     })
 }
 
@@ -1247,10 +1419,10 @@ mod tests {
                 }
                 let (mut steps, mut levels) = (0, 0);
                 for (v, (a, b)) in brackets.into_iter().enumerate() {
-                    let out = fixed.shared_refine(a, budget);
+                    let out = fixed.shared_refine(a.as_ref(), budget);
                     assert_eq!(
                         out,
-                        runtime.shared_refine_in(width, b, budget),
+                        runtime.shared_refine_in(width, b.as_ref(), budget),
                         "{at} v={v}"
                     );
                     assert_eq!(tables(&fixed), tables(&runtime), "{at} v={v}");
@@ -1263,6 +1435,95 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A pseudo-random lineage of `n` conjuncts, each one to four of the
+    /// tuples `0..vars` of one relation.
+    fn sparse(n: usize, vars: u32, seed: u64) -> Dnf {
+        let mut x = seed;
+        let mut next = |below: u32| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as u32 % below
+        };
+        let conjuncts: Vec<Vec<(u32, u32)>> = (0..n)
+            .map(|_| (0..=next(4)).map(|_| (0, next(vars))).collect())
+            .collect();
+        let slices: Vec<&[(u32, u32)]> = conjuncts.iter().map(Vec::as_slice).collect();
+        dnf_of(&slices)
+    }
+
+    /// The identity the repair table rests on, checked against its own
+    /// oracle (Bertossi & Salimi, arXiv 1412.4311): a minimal contingency
+    /// of `t` with `t` added is a minimal hitting set of Φⁿ, so
+    /// `ρ(t) = 1/min{|H| : H a minimal hitting set of Φⁿ, t ∈ H}`, or 0
+    /// when no minimal hitting set holds `t`. On random minimized
+    /// lineages of at most 12 variables, every minimal hitting set is
+    /// enumerated by brute force, and that ρ equals the exact ρ of
+    /// `resp::exact` and the unlimited-budget bracket. After phase one
+    /// over every variable, each repair-table entry is a feasible
+    /// contingency of its variable, of the entry's size and with at least
+    /// `B − 1` members.
+    #[test]
+    fn minimal_hitting_sets_give_rho_and_certify_the_repair_table() {
+        let mut entries = 0;
+        for seed in 0..300u64 {
+            let n = 2 + seed as usize % 8;
+            let phi = if seed % 2 == 0 {
+                dense(n, 4, seed)
+            } else {
+                sparse(n, 12, seed)
+            };
+            let (arena, bits) = LineageArena::from_dnf(&phi);
+            let phin = bits.minimized();
+            let k = arena.len() as u32;
+            assert!(k <= 12, "seed {seed}: {k} variables");
+            let rows: Vec<u32> = phin
+                .conjuncts()
+                .iter()
+                .map(|c| c.iter().fold(0, |m, e| m | 1 << e))
+                .collect();
+            let hits = |h: u32| rows.iter().all(|&r| r & h != 0);
+            let minimal: Vec<u32> = (0..1u32 << k)
+                .filter(|&h| hits(h) && (0..k).all(|e| h >> e & 1 == 0 || !hits(h & !(1 << e))))
+                .collect();
+            let mut kernel = AnytimeKernel::new(&phin);
+            for v in 0..k {
+                let at = format!("seed {seed} v={v}");
+                let smallest = minimal
+                    .iter()
+                    .filter(|&&h| h >> v & 1 == 1)
+                    .map(|h| h.count_ones())
+                    .min();
+                let rho = smallest.map_or(0.0, |size| 1.0 / size as f64);
+                let exact = exact::min_contingency_bits(&phin, v)
+                    .map_or(0.0, |gamma| 1.0 / (1.0 + gamma.len() as f64));
+                assert_eq!(rho, exact, "{at}");
+                let unlimited = anytime_min_contingency(&phin, v, ApproxBudget::unlimited());
+                assert_eq!(unlimited.bounds, RhoBounds::exact(rho), "{at}");
+                kernel.shared_bracket(v);
+            }
+            for s in 0..k {
+                let Some((len, _)) = kernel.table[s as usize] else {
+                    continue;
+                };
+                let gamma = kernel.repair(s).expect("a table entry");
+                let at = format!("seed {seed} s={s}: {gamma:?}");
+                let hit: u32 = gamma.iter().fold(0, |m, &e| m | 1 << e);
+                let (with_s, rest): (Vec<u32>, Vec<u32>) =
+                    rows.iter().partition(|&&r| r >> s & 1 == 1);
+                assert!(
+                    with_s.iter().any(|&r| r & hit == 0),
+                    "{at}: hits every row of s"
+                );
+                assert!(rest.iter().all(|&r| r & hit != 0), "{at}: misses a row");
+                assert_eq!(gamma.len(), len, "{at}");
+                assert!(len + 1 >= kernel.floor, "{at}: floor {}", kernel.floor);
+                entries += 1;
+            }
+        }
+        assert!(entries >= 1000, "only {entries} table entries checked");
     }
 
     #[test]

@@ -96,8 +96,14 @@
 //!   [`ExplainMode::Approximate`] answer with sound [`RhoBounds`] — a
 //!   hard instance under a tight deadline degrades to a coarser bracket
 //!   instead of a [`ServiceError::DeadlineExceeded`] error. Approximate
-//!   answers are never cached, and the route is visible in telemetry
-//!   ([`ServiceStats::approx_requests`], the `bound_width_ppm`
+//!   answers are never cached, but their clock-free plan is: the
+//!   question's [`AnytimePlan`](causality_core::explain::AnytimePlan)
+//!   (lineage, causes and every budget-free bracket) sits in the
+//!   responsibility LRU under the same (relation fingerprint, request)
+//!   key as an exact answer, so a repeat over unchanged relations runs
+//!   only refinement and assembly. The route is visible in telemetry
+//!   ([`ServiceStats::approx_requests`],
+//!   [`ServiceStats::approx_plan_hits`], the `bound_width_ppm`
 //!   histogram, and the `approx_refine` trace stage);
 //! * self-healing (PR 9) — a supervisor thread classifies each shard
 //!   [`HealthState::Healthy`]/[`HealthState::Degraded`]/[`HealthState::Quarantined`]

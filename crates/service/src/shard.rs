@@ -28,7 +28,7 @@ use crate::request::{ExplainRequest, ServiceError};
 use crate::stats::StatsCounters;
 use crate::supervisor::HealthCell;
 use crate::worker::{worker_loop, Job, Waiter};
-use causality_core::explain::Explanation;
+use causality_core::explain::{AnytimePlan, Explanation};
 use causality_core::DichotomyTag;
 use causality_engine::{
     ConjunctiveQuery, RelId, RelVersion, SharedIndexCache, Snapshot, SnapshotStore,
@@ -76,6 +76,32 @@ pub(crate) type TenantKey = u64;
 /// mentions, sorted and deduplicated. Writes to other relations leave the
 /// fingerprint — and therefore the cache entry — intact.
 pub(crate) type RelFingerprint = Vec<(RelId, RelVersion)>;
+
+/// The responsibility LRU's key: the relation fingerprint of the
+/// request's query, and the request.
+pub(crate) type MemoKey = (RelFingerprint, ExplainRequest);
+
+/// One entry of the responsibility LRU.
+#[derive(Clone)]
+pub(crate) enum Memo {
+    /// An exact explanation, served to every later request of the
+    /// question as an LRU hit, with or without a deadline.
+    Exact(Explanation),
+    /// The clock-free part of an NP-hard question's anytime answer. A
+    /// later deadline request still computes its answer, from the plan
+    /// under its own budget, so it counts as a miss.
+    Plan(Arc<AnytimePlan>),
+}
+
+impl Memo {
+    /// The plan, when the entry is one.
+    pub(crate) fn into_plan(self) -> Option<Arc<AnytimePlan>> {
+        match self {
+            Memo::Plan(plan) => Some(plan),
+            Memo::Exact(_) => None,
+        }
+    }
+}
 
 /// Tuning knobs of one shard.
 #[derive(Clone, Copy, Debug)]
@@ -149,11 +175,12 @@ pub(crate) struct ShardCore {
     pub(crate) registry: Arc<MetricsRegistry>,
     /// Request tracing hub: sampler, trace ring, and slow-log.
     pub(crate) telemetry: Telemetry,
-    /// Memoized explanations: (query's relation fingerprint, request) →
-    /// explanation. Keyed on relation content, not snapshot version, so
-    /// entries survive writes to unrelated relations — including every
-    /// write belonging to a *different* tenant.
-    pub(crate) resp_cache: Mutex<LruCache<(RelFingerprint, ExplainRequest), Explanation>>,
+    /// The responsibility LRU: (query's relation fingerprint, request) →
+    /// an exact explanation or an anytime plan ([`Memo`]). Keyed on
+    /// relation content, not snapshot version, so entries survive writes
+    /// to unrelated relations — including every write belonging to a
+    /// *different* tenant.
+    pub(crate) resp_cache: Mutex<LruCache<MemoKey, Memo>>,
     /// Memoized dichotomy tags, by request query: the router, the
     /// deadline gate, brownout and the explainer all read one verdict per
     /// query. Keyed on the *ungrounded* query, because every answer
@@ -218,6 +245,24 @@ impl ShardCore {
             .map(|store| store.version())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The responsibility LRU's entry under `key`, marked most recently
+    /// used.
+    pub(crate) fn memo(&self, key: &MemoKey) -> Option<Memo> {
+        lock_unpoisoned(&self.resp_cache).get(key).cloned()
+    }
+
+    /// Keep `memo` under `key`. An exact explanation replaces whatever
+    /// the slot holds; a plan never replaces an exact explanation, which
+    /// a deadline-free computation of the question may have left there
+    /// while the plan was built.
+    pub(crate) fn memoize(&self, key: MemoKey, memo: Memo) {
+        let mut cache = lock_unpoisoned(&self.resp_cache);
+        if matches!(memo, Memo::Plan(_)) && matches!(cache.get(&key), Some(Memo::Exact(_))) {
+            return;
+        }
+        cache.insert(key, memo);
     }
 
     /// The dichotomy tag of `request`'s query, from the shard's memo: on
@@ -331,13 +376,11 @@ impl ShardCore {
     }
 }
 
-/// The relation fingerprint a request's answer depends on, or `None` if
-/// the query names a relation the snapshot does not have (the computation
+/// The responsibility-LRU key of `request` on `snapshot`: the relation
+/// fingerprint its answer depends on, and the request. `None` if the
+/// query names a relation the snapshot does not have (the computation
 /// will surface the error; it just cannot be cached).
-pub(crate) fn resp_fingerprint(
-    snapshot: &Snapshot,
-    request: &ExplainRequest,
-) -> Option<RelFingerprint> {
+pub(crate) fn memo_key(snapshot: &Snapshot, request: &ExplainRequest) -> Option<MemoKey> {
     let mut rels: RelFingerprint = Vec::with_capacity(request.query.atoms().len());
     for atom in request.query.atoms() {
         let id = snapshot.relation_id(&atom.relation)?;
@@ -345,7 +388,7 @@ pub(crate) fn resp_fingerprint(
     }
     rels.sort();
     rels.dedup();
-    Some(rels)
+    Some((rels, request.clone()))
 }
 
 /// Reject malformed requests at submit time: grounding must succeed, so a

@@ -335,6 +335,12 @@ counters! {
     /// (the sum of each response's
     /// [`ExplainMode::Approximate`](crate::ExplainMode) `search_nodes`).
     approx_search_nodes: "approx_search_nodes_total", Reset;
+    /// Approx requests whose computation started from the question's
+    /// memoized [`AnytimePlan`](causality_core::explain::AnytimePlan),
+    /// so it ran only phase two and assembly. Like `approx_requests`, it
+    /// counts worker computations only, and each one is also a cache
+    /// miss: the answer itself is computed fresh.
+    approx_plan_hits: "approx_plan_hits_total", Reset;
     /// Worker-pool restarts performed by the supervisor (PR 9). A
     /// lifecycle counter: never reset by `snapshot_and_reset`.
     shard_restarts: "shard_restarts_total", Lifecycle;

@@ -21,8 +21,8 @@
 //! lock poisoning to inject.
 
 use crate::request::{ExplainKind, ExplainRequest, ExplainResponse, ServiceError};
-use crate::shard::{lock_unpoisoned, resp_fingerprint, ShardCore, TenantKey};
-use causality_core::explain::{ExplainMode, ExplainTiming, Explainer, Explanation};
+use crate::shard::{lock_unpoisoned, memo_key, Memo, ShardCore, TenantKey};
+use causality_core::explain::{AnytimePlan, ExplainMode, ExplainTiming, Explainer, Explanation};
 use causality_core::ranking::Method;
 use causality_core::resp::approx::ApproxBudget;
 use causality_core::DichotomyTag;
@@ -246,20 +246,20 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
         // Key on the content stamps of exactly the relations the query
         // reads: a hit may have been computed under an older snapshot
         // version — sound as long as those relations are untouched.
-        let key = resp_fingerprint(&snapshot, &request).map(|f| (f, request.clone()));
-        let cached = key.as_ref().and_then(|key| {
-            let mut cache = lock_unpoisoned(&core.resp_cache);
-            cache.get(key).cloned()
-        });
+        let key = memo_key(&snapshot, &request);
+        let memo = key.as_ref().and_then(|key| core.memo(key));
         let pin_dur = pin_started.elapsed();
         // Per-request accounting: a hit group is all hits; a miss group is
-        // one fresh computation plus coalesced riders.
-        let (result, timing, cache_hit) = match cached {
-            Some(explanation) => {
+        // one fresh computation plus coalesced riders. Only an exact
+        // entry is a hit: an answer from a plan is computed fresh.
+        let (result, timing, cache_hit) = match memo {
+            Some(Memo::Exact(explanation)) => {
                 core.stats.cache_hits.add(senders.len() as u64);
                 (Ok(explanation), None, true)
             }
-            None => {
+            memo => {
+                let plan = memo.and_then(Memo::into_plan);
+                let from_plan = plan.is_some();
                 core.stats.cache_misses.inc();
                 core.stats.coalesced.add(senders.len() as u64 - 1);
                 // The anytime budget is the *tightest* waiter's remaining
@@ -272,7 +272,8 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                         d.map(|d| Some(acc.map_or(d, |a| a.min(d))))
                     })
                     .flatten();
-                let computed = compute_isolated(core, &snapshot, &index_cache, &request, deadline);
+                let computed =
+                    compute_isolated(core, &snapshot, &index_cache, &request, deadline, plan);
                 let compute_end = Instant::now();
                 // Only computations run by workers feed the panic streak
                 // that drives quarantine.
@@ -282,7 +283,11 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                     core.consecutive_panics.store(0, Ordering::Relaxed);
                 }
                 let (computed, timing) = match computed {
-                    Ok((explanation, timing)) => {
+                    Ok(Computed {
+                        explanation,
+                        timing,
+                        built,
+                    }) => {
                         if let ExplainMode::Approximate {
                             bounds,
                             refinements,
@@ -292,18 +297,29 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                         } = explanation.mode
                         {
                             core.stats.approx_requests.inc();
+                            core.stats.approx_plan_hits.add(u64::from(from_plan));
                             core.stats.approx_refinements.add(refinements as u64);
                             core.stats.approx_settled.add(settled as u64);
                             core.stats.approx_search_nodes.add(search_nodes);
                             core.stats
                                 .bound_width
                                 .record_us((bounds.width() * 1_000_000.0) as u64);
-                        } else if let Some(key) = key {
-                            // Approximate explanations are never cached: a
-                            // later deadline-free request must not inherit
-                            // a bracket, and a cached exact entry is
-                            // strictly better for everyone.
-                            lock_unpoisoned(&core.resp_cache).insert(key, explanation.clone());
+                        }
+                        // The LRU keeps an exact explanation, or the plan an
+                        // anytime computation built, never an approximate
+                        // explanation: a later deadline-free request must
+                        // not inherit a bracket, and a later deadline
+                        // request answers the plan under its own budget.
+                        // An exact entry replaces a plan, since it is
+                        // strictly better for everyone.
+                        if let Some(key) = key {
+                            match (built, explanation.mode) {
+                                (Some(plan), _) => core.memoize(key, Memo::Plan(plan)),
+                                (None, ExplainMode::Exact) => {
+                                    core.memoize(key, Memo::Exact(explanation.clone()))
+                                }
+                                (None, ExplainMode::Approximate { .. }) => {}
+                            }
                         }
                         (Ok(explanation), Some((compute_end, timing)))
                     }
@@ -379,11 +395,13 @@ fn record_compute_spans(
 
 /// Serve `request` on the calling thread with a deadline that has
 /// already passed, which yields the certified zero-budget bracket: the
-/// brownout path. The answer is delivered as a worker's is, with the
-/// computation's spans, so the tenant's breaker and the trace ring see
-/// it; the shard's latency histogram does not, since no worker made
-/// progress. A failed computation counts against the tenant's breaker
-/// by the workers' rule and is returned instead of sent.
+/// brownout path. It answers from the question's memoized plan, or
+/// builds the plan and memoizes it, as a worker does. The answer is
+/// delivered as a worker's is, with the computation's spans, so the
+/// tenant's breaker and the trace ring see it; the shard's latency
+/// histogram and counters do not, since no worker made progress. A
+/// failed computation counts against the tenant's breaker by the
+/// workers' rule and is returned instead of sent.
 pub(crate) fn serve_expired(
     core: &ShardCore,
     snapshot: &Snapshot,
@@ -391,9 +409,21 @@ pub(crate) fn serve_expired(
     mut waiter: Waiter,
 ) -> Result<(), ServiceError> {
     let index_cache = core.index_cache_for(waiter.tenant, snapshot);
+    let key = memo_key(snapshot, request);
+    let plan = key
+        .as_ref()
+        .and_then(|key| core.memo(key))
+        .and_then(Memo::into_plan);
     let expired = Some(Instant::now());
-    match compute_isolated(core, snapshot, &index_cache, request, expired) {
-        Ok((explanation, timing)) => {
+    match compute_isolated(core, snapshot, &index_cache, request, expired, plan) {
+        Ok(Computed {
+            explanation,
+            timing,
+            built,
+        }) => {
+            if let (Some(key), Some(plan)) = (key, built) {
+                core.memoize(key, Memo::Plan(plan));
+            }
             if let Some(tb) = waiter.trace.as_deref_mut() {
                 record_compute_spans(tb, Instant::now(), timing, explanation.mode);
             }
@@ -412,6 +442,25 @@ pub(crate) fn serve_expired(
     }
 }
 
+/// One computation's answer, and the anytime plan it built, if any.
+pub(crate) struct Computed {
+    pub explanation: Explanation,
+    pub timing: ExplainTiming,
+    /// The plan an anytime computation built because none was memoized,
+    /// for the caller to keep in the responsibility LRU.
+    pub built: Option<Arc<AnytimePlan>>,
+}
+
+impl From<(Explanation, ExplainTiming)> for Computed {
+    fn from((explanation, timing): (Explanation, ExplainTiming)) -> Self {
+        Computed {
+            explanation,
+            timing,
+            built: None,
+        }
+    }
+}
+
 /// [`compute`] behind a panic boundary, consulting the shard's chaos
 /// hook first: the one way a shard computes an answer, on a worker or,
 /// in brownout, on the submitting thread. A panicking job must cost
@@ -425,7 +474,8 @@ pub(crate) fn compute_isolated(
     index_cache: &Arc<SharedIndexCache>,
     request: &ExplainRequest,
     deadline: Option<Instant>,
-) -> Result<(Explanation, ExplainTiming), ServiceError> {
+    plan: Option<Arc<AnytimePlan>>,
+) -> Result<Computed, ServiceError> {
     let guarded = catch_unwind(AssertUnwindSafe(|| {
         // Production fast path: with no chaos hook armed, serving skips
         // the hook mutex entirely — one atomic load per computation.
@@ -453,7 +503,7 @@ pub(crate) fn compute_isolated(
                 panic!("fault injected by chaos hook");
             }
         }
-        compute(core, snapshot, index_cache, request, deadline)
+        compute(core, snapshot, index_cache, request, deadline, plan)
     }));
     guarded.unwrap_or_else(|payload| {
         core.stats.panics_caught.inc();
@@ -473,13 +523,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Compute `request`'s answer. On the anytime route it answers `plan`,
+/// the question's memoized plan, or builds the plan and answers that.
 fn compute(
     core: &ShardCore,
     snapshot: &Snapshot,
     index_cache: &Arc<SharedIndexCache>,
     request: &ExplainRequest,
     deadline: Option<Instant>,
-) -> Result<(Explanation, ExplainTiming), ServiceError> {
+    plan: Option<Arc<AnytimePlan>>,
+) -> Result<Computed, ServiceError> {
     let mut explainer = Explainer::new(snapshot.database(), &request.query)
         .with_method(request.method)
         .with_index_cache(Arc::clone(index_cache));
@@ -497,15 +550,26 @@ fn compute(
         // the anytime path, with the request's remaining slack as its
         // whole budget (an already-expired deadline degrades to the
         // zero-budget greedy bracket — still sound, never an error).
+        // A memoized plan leaves only phase two and assembly to do.
         ExplainKind::WhySo if deadline.is_some() && routes_anytime(request, || tag) => {
             let budget = ApproxBudget {
                 max_steps: u64::MAX,
                 deadline,
             };
-            Ok(explainer.why_anytime(&request.answer, budget)?)
+            if let Some(plan) = plan {
+                return Ok(plan.answer(budget).into());
+            }
+            let (plan, planned) = explainer.plan_anytime(&request.answer)?;
+            let plan = Arc::new(plan);
+            let (explanation, answered) = plan.answer(budget);
+            Ok(Computed {
+                explanation,
+                timing: planned + answered,
+                built: Some(plan),
+            })
         }
-        ExplainKind::WhySo => Ok(explainer.why_timed(&request.answer)?),
-        ExplainKind::WhyNo => Ok(explainer.why_not_timed(&request.answer)?),
+        ExplainKind::WhySo => Ok(explainer.why_timed(&request.answer)?.into()),
+        ExplainKind::WhyNo => Ok(explainer.why_not_timed(&request.answer)?.into()),
         ExplainKind::RankTopK(k) => {
             // The top-k path: upper-bound screening skips candidates
             // that can no longer enter the top k, and the surviving
@@ -515,7 +579,7 @@ fn compute(
                 .why_top_k(&request.answer, k)?;
             core.stats.rank_tasks.inc();
             core.stats.topk_pruned.add(rank_stats.pruned as u64);
-            Ok((explanation, ExplainTiming::from(&rank_stats)))
+            Ok((explanation, ExplainTiming::from(&rank_stats)).into())
         }
     }
 }

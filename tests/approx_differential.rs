@@ -42,7 +42,9 @@
 //! * **a pinned traversal** — on one- and two-word dense triangles and
 //!   the triangle fan, `why_anytime`'s completed levels, settled causes
 //!   and search nodes at `steps(0)`, `steps(500)` and an unlimited budget
-//!   equal fixed counts.
+//!   equal fixed counts, and so do those of one `AnytimePlan` answered
+//!   twice per budget, in budget order, whose every answer equals
+//!   `why_anytime`'s.
 //!
 //! Same discipline as `tests/lineage_bitset_differential.rs`: random
 //! DNFs drawn small, seed oracle retained as the baseline.
@@ -630,7 +632,10 @@ fn the_repair_table_settles_brackets_and_saves_refinements() {
 /// and unlimited, on the one-word `dense_triangles(4, 64, s)` for
 /// s ∈ {1, 7, 17} and `(5, 40, 200)`, the two-word `(5, 64, 3)` and
 /// `triangle_fan(12)`. A change to the kernel's loops that keeps every
-/// answer keeps these counts too.
+/// answer keeps these counts too. One `plan_anytime` per instance,
+/// answered twice at each budget in budget order, gives the same counts
+/// and `why_anytime`'s explanation every time, so answering a plan never
+/// changes it.
 #[test]
 fn why_anytime_refinements_and_search_nodes_are_pinned() {
     let dense = |nodes, tuples, seed| {
@@ -656,11 +661,23 @@ fn why_anytime_refinements_and_search_nodes_are_pinned() {
         ApproxBudget::steps(500),
         ApproxBudget::unlimited(),
     ];
+    let counts = |explanation: &Explanation| match explanation.mode {
+        ExplainMode::Approximate {
+            refinements,
+            settled,
+            search_nodes,
+            ..
+        } => (refinements, settled, search_nodes),
+        ExplainMode::Exact => panic!("a plan's answer reports Approximate"),
+    };
     for ((name, db, query), words, pinned) in &instances {
         let (_, phin) = minimized_lineage(db, query);
         let widest = phin.variables().iter().max().expect("a cause");
         assert_eq!(widest / 64 + 1, *words, "{name}: row width");
         let explainer = Explainer::new(db, query);
+        // One plan for the instance, answered twice per budget in budget
+        // order: answering leaves the plan as phase one left it.
+        let (plan, _) = explainer.plan_anytime(&[]).unwrap();
         for (budget, want) in budgets.iter().zip(pinned) {
             let (explanation, _) = explainer.why_anytime(&[], *budget).unwrap();
             let ExplainMode::Approximate {
@@ -677,6 +694,12 @@ fn why_anytime_refinements_and_search_nodes_are_pinned() {
                 *want,
                 "{name} {budget:?}: (refinements, settled, search nodes)"
             );
+            for round in 1..=2 {
+                let (answer, _) = plan.answer(*budget);
+                let at = format!("{name} {budget:?}: plan answer {round}");
+                assert_eq!(counts(&answer), *want, "{at}");
+                assert_eq!(untimed(answer), untimed(explanation.clone()), "{at}");
+            }
         }
     }
 }
