@@ -17,7 +17,7 @@ use causality_engine::{ConjunctiveQuery, Database, SharedIndexCache, Tuple, Tupl
 use causality_lineage::minimized_n_lineage;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Why-So or Why-No.
@@ -41,6 +41,11 @@ pub enum ExplainMode {
     Exact,
     /// ρ values are certified anytime bounds from
     /// [`crate::resp::approx`].
+    ///
+    /// An answer from a plan's collapsed outcome (see
+    /// [`AnytimePlan::answer`]) did no refinement of its own: its
+    /// `refinements` and `search_nodes` are those of the phase two that
+    /// collapsed the plan, and its `budget_spent_us` is this call's time.
     Approximate {
         /// Bracket on the explanation's ρ_max (the per-cause brackets
         /// live on [`ExplainedCause::bounds`]).
@@ -348,6 +353,7 @@ impl<'a> Explainer<'a> {
             brackets,
             causes,
             rendered,
+            collapsed: OnceLock::new(),
         };
         let solve_us = solve_started.elapsed().as_micros() as u64;
         Ok((
@@ -502,6 +508,14 @@ impl<'a> Explainer<'a> {
 /// lineage tuple rendered once. It holds no database, arena or scratch
 /// buffer, and it is `Send + Sync`, so a serving tier can keep it in a
 /// cache keyed on the content of the relations the query reads.
+///
+/// Answering never changes that state. A plan keeps one thing from its
+/// answers: the outcome of the first phase two in which every bracket
+/// collapsed, which is the unlimited-budget outcome and so, like phase
+/// one, a function of the relations alone. It is set once, per cause the
+/// bracket and the contingency as arena ids with the refinement and
+/// search-node counts, and every thread holding the plan reads it; see
+/// [`AnytimePlan::answer`] for the budgets that do.
 pub struct AnytimePlan {
     answer: Vec<Value>,
     dichotomy: DichotomyTag,
@@ -511,6 +525,8 @@ pub struct AnytimePlan {
     causes: Vec<PlannedCause>,
     /// Every arena variable as `Rel(values)`, by variable id.
     rendered: Vec<Arc<str>>,
+    /// The first phase two in which every bracket collapsed.
+    collapsed: OnceLock<Refined>,
 }
 
 /// A cause of an [`AnytimePlan`], copied out of the database.
@@ -523,42 +539,56 @@ struct PlannedCause {
 impl AnytimePlan {
     /// Answer the plan under `budget`: phase two and assembly of
     /// [`Explainer::why_anytime`], on a copy of the plan's repair table.
-    /// The plan itself never changes, so at every clock-free budget the
-    /// explanation equals the one `why_anytime` gives on the database the
-    /// plan was built from, however often and in whatever order the plan
-    /// was answered before. The timing has no lineage time, and its
+    ///
+    /// Phase two never changes the plan's phase one. The plan keeps one
+    /// thing from its answers: the outcome of the first phase two in
+    /// which every bracket collapsed, set once. A refinement cut short
+    /// by its budget leaves its bracket open, so such a phase two ran
+    /// every refinement to completion, and its outcome is the plan's
+    /// [`ApproxBudget::unlimited`] outcome, counts included. A `budget`
+    /// with no step cap whose deadline is absent or still ahead at entry
+    /// answers from that outcome and skips phase two; a step cap or a
+    /// deadline already passed (brownout, a rescued request) runs phase
+    /// two as on a fresh plan. So at every clock-free budget the
+    /// explanation equals the one `why_anytime` gives on the database
+    /// the plan was built from, however often and in whatever order the
+    /// plan was answered before. The timing has no lineage time, and its
     /// `solve_us`, like the mode's `budget_spent_us`, covers the whole
     /// call.
     pub fn answer(&self, budget: ApproxBudget) -> (Explanation, ExplainTiming) {
         let started = Instant::now();
-        let per_cause = ApproxBudget {
-            max_steps: budget.max_steps / self.causes.len().max(1) as u64,
-            deadline: budget.deadline,
+        let open_ended =
+            budget.max_steps == u64::MAX && budget.deadline.is_none_or(|d| started < d);
+        let refined;
+        let outcome = match self.collapsed.get() {
+            Some(collapsed) if open_ended => collapsed,
+            _ => {
+                refined = self.refine(budget);
+                if refined.collapsed() {
+                    // Whichever answer sets it, the outcome is the same.
+                    self.collapsed.get_or_init(|| refined)
+                } else {
+                    &refined
+                }
+            }
         };
-        let (mut refinements, mut search_nodes) = (0u32, 0u64);
-        let mut explained: Vec<ExplainedCause> = Vec::with_capacity(self.causes.len());
-        // Phase two: refinement on what is left of the budget.
-        self.brackets.refine(per_cause, |i, out| {
-            refinements += out.refinements;
-            search_nodes += out.steps_used;
-            let contingency = out
-                .contingency
-                .as_deref()
-                .unwrap_or_default()
-                .iter()
-                .map(|&id| Arc::clone(&self.rendered[id as usize]))
-                .collect();
-            let cause = &self.causes[i];
-            explained.push(ExplainedCause {
+        let mut explained: Vec<ExplainedCause> = self
+            .causes
+            .iter()
+            .zip(outcome.per_cause())
+            .map(|(cause, (bounds, contingency))| ExplainedCause {
                 tuple: cause.tuple,
                 relation: cause.relation.clone(),
                 values: cause.values.clone(),
-                rho: out.bounds.lower,
-                counterfactual: out.is_exact() && out.bounds.lower == 1.0,
-                contingency,
-                bounds: Some(out.bounds),
-            });
-        });
+                rho: bounds.lower,
+                counterfactual: bounds.is_exact() && bounds.lower == 1.0,
+                contingency: contingency
+                    .iter()
+                    .map(|&id| Arc::clone(&self.rendered[id as usize]))
+                    .collect(),
+                bounds: Some(bounds),
+            })
+            .collect();
         // Rank by certified lower bound, then tighter upper bound, then
         // tuple id — deterministic like the exact ranker's order.
         explained.sort_by(|a, b| {
@@ -592,9 +622,9 @@ impl AnytimePlan {
             mode: ExplainMode::Approximate {
                 bounds,
                 budget_spent_us: spent_us,
-                refinements,
+                refinements: outcome.refinements,
                 settled: self.brackets.settled(),
-                search_nodes,
+                search_nodes: outcome.search_nodes,
             },
         };
         (
@@ -604,6 +634,62 @@ impl AnytimePlan {
                 solve_us: spent_us,
             },
         )
+    }
+
+    /// Phase two on what is left of `budget`: the step budget is split
+    /// evenly across the causes, and the deadline is shared.
+    fn refine(&self, budget: ApproxBudget) -> Refined {
+        let per_cause = ApproxBudget {
+            max_steps: budget.max_steps / self.causes.len().max(1) as u64,
+            deadline: budget.deadline,
+        };
+        let mut refined = Refined {
+            causes: Vec::with_capacity(self.causes.len()),
+            contingencies: Vec::new(),
+            refinements: 0,
+            search_nodes: 0,
+        };
+        self.brackets.refine(per_cause, |out| {
+            refined.refinements += out.refinements;
+            refined.search_nodes += out.steps_used;
+            refined
+                .contingencies
+                .extend_from_slice(out.contingency.as_deref().unwrap_or_default());
+            refined
+                .causes
+                .push((out.bounds, refined.contingencies.len()));
+        });
+        refined
+    }
+}
+
+/// What one phase two made of an [`AnytimePlan`]'s brackets, compactly:
+/// per cause, in the plan's order, its bracket and its contingency as
+/// arena ids, with the refinement levels and search nodes of all the
+/// causes. Every answer is assembled from one.
+struct Refined {
+    /// Per cause, its bracket and where its contingency ends in
+    /// `contingencies` (each starts where the one before it ends).
+    causes: Vec<(RhoBounds, usize)>,
+    contingencies: Vec<u32>,
+    refinements: u32,
+    search_nodes: u64,
+}
+
+impl Refined {
+    /// Whether every bracket collapsed.
+    fn collapsed(&self) -> bool {
+        self.causes.iter().all(|(bounds, _)| bounds.is_exact())
+    }
+
+    /// Each cause's bracket and contingency, in the plan's order.
+    fn per_cause(&self) -> impl Iterator<Item = (RhoBounds, &[u32])> {
+        let mut start = 0;
+        self.causes.iter().map(move |&(bounds, end)| {
+            let contingency = &self.contingencies[start..end];
+            start = end;
+            (bounds, contingency)
+        })
     }
 }
 

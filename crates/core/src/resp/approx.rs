@@ -70,7 +70,11 @@
 //! Phase one reads no clock, so its result (`SharedBrackets`: the
 //! packed rows, the floor, every bracket and the repair table) is kept
 //! in an [`crate::explain::AnytimePlan`], and each answer refines a copy
-//! of its table.
+//! of its table. A refinement cut short by its budget leaves its bracket
+//! open, so a phase two that collapses every bracket ran each refinement
+//! to completion: its outcome is the unlimited-budget one, counts
+//! included. The plan keeps the first such outcome, and an answer with
+//! no step cap whose deadline is still ahead returns it without refining.
 //!
 //! Within one request the causes share their work through the lineage's
 //! hitting sets (Bertossi & Salimi, arXiv 1412.4311 and 1507.00257): a
@@ -873,9 +877,9 @@ impl SharedBrackets {
 
     /// Phase two: [`AnytimeKernel::shared_refine`] for every bracket in
     /// order, each under `budget`, on a kernel over these rows with a
-    /// copy of the repair table; `f` gets each bracket's index and
-    /// outcome. This state is left as it was.
-    pub(crate) fn refine(&self, budget: ApproxBudget, mut f: impl FnMut(usize, AnytimeOutcome)) {
+    /// copy of the repair table; `f` gets each bracket's outcome, in
+    /// order. This state is left as it was.
+    pub(crate) fn refine(&self, budget: ApproxBudget, mut f: impl FnMut(AnytimeOutcome)) {
         let mut kernel = AnytimeKernel::with_table(
             self.words,
             Arc::clone(&self.rows),
@@ -885,7 +889,7 @@ impl SharedBrackets {
             self.starts.clone(),
         );
         for i in 0..self.brackets.heads.len() {
-            f(i, kernel.shared_refine(self.brackets.get(i), budget));
+            f(kernel.shared_refine(self.brackets.get(i), budget));
         }
     }
 }

@@ -792,7 +792,7 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerState;
     use crate::clock::ManualClock;
-    use causality_core::explain::{ExplainMode, Explainer};
+    use causality_core::explain::{AnytimePlan, ExplainMode, Explainer, Explanation};
     use causality_core::DichotomyTag;
     use causality_engine::database::example_2_2;
     use causality_engine::{tup, ConjunctiveQuery, Schema, Term, Value};
@@ -1782,6 +1782,41 @@ mod tests {
             "{memoized} memoized, {refused} refused"
         );
         assert!(tags.len() >= 4, "the draws reach most verdicts: {tags:?}");
+    }
+
+    /// One LRU slot keeps a question's exact answer and its anytime plan
+    /// side by side, whichever arrives first, and a newer entry of either
+    /// kind replaces only its own kind. So a plan brownout builds beside
+    /// an exact answer stays there, and an exact answer keeps the plan.
+    #[test]
+    fn a_memo_slot_keeps_an_exact_answer_and_a_plan_side_by_side() {
+        let (tier, tenant) = one_tenant(example_2_2(), ServiceConfig::default());
+        let core = &tier.shards[0].core;
+        let snapshot = tier.snapshot(tenant).unwrap();
+        let request = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
+        let key = crate::shard::memo_key(&snapshot, &request).unwrap();
+        let explainer = Explainer::new(snapshot.database(), &request.query);
+        let plan = || Arc::new(explainer.plan_anytime(&request.answer).unwrap().0);
+        let holds = |exact: &Explanation, plan: &Arc<AnytimePlan>| {
+            let memo = core.memo(&key).expect("a memoized slot");
+            assert_eq!(memo.exact.as_ref(), Some(exact));
+            assert!(memo.plan.is_some_and(|memo| Arc::ptr_eq(&memo, plan)));
+            assert!(Arc::ptr_eq(&core.memo_plan(&key).unwrap(), plan));
+        };
+
+        let exact = explainer.why(&request.answer).unwrap();
+        core.memoize(key.clone(), exact.clone().into());
+        let first = plan();
+        core.memoize(key.clone(), Arc::clone(&first).into());
+        holds(&exact, &first);
+        let second = plan();
+        core.memoize(key.clone(), Arc::clone(&second).into());
+        holds(&exact, &second);
+        let other = explainer.why(&[Value::str("a3")]).unwrap();
+        assert_ne!(other, exact);
+        core.memoize(key.clone(), other.clone().into());
+        holds(&other, &second);
+        tier.shutdown();
     }
 
     /// Grounding changes the tag, so the memo computes it on a grounded

@@ -95,13 +95,19 @@
 //!   responsibility bounds and always returns an
 //!   [`ExplainMode::Approximate`] answer with sound [`RhoBounds`] — a
 //!   hard instance under a tight deadline degrades to a coarser bracket
-//!   instead of a [`ServiceError::DeadlineExceeded`] error. Approximate
-//!   answers are never cached, but their clock-free plan is: the
-//!   question's [`AnytimePlan`](causality_core::explain::AnytimePlan)
-//!   (lineage, causes and every budget-free bracket) sits in the
-//!   responsibility LRU under the same (relation fingerprint, request)
-//!   key as an exact answer, so a repeat over unchanged relations runs
-//!   only refinement and assembly. The route is visible in telemetry
+//!   instead of a [`ServiceError::DeadlineExceeded`] error. An
+//!   approximate answer is never cached as such, but its clock-free plan
+//!   is: the question's
+//!   [`AnytimePlan`](causality_core::explain::AnytimePlan) (lineage,
+//!   causes and every budget-free bracket) sits in the responsibility
+//!   LRU under the same (relation fingerprint, request) key as an exact
+//!   answer, and beside it, so a repeat over unchanged relations runs
+//!   only refinement and assembly. The plan also keeps the outcome of
+//!   its first refinement that collapsed every bracket, which is a
+//!   function of the relations alone: a repeat whose deadline is still
+//!   ahead is assembled from it with no refinement, and an expired one
+//!   (brownout) still gets the zero-budget bracket. The route is
+//!   visible in telemetry
 //!   ([`ServiceStats::approx_requests`],
 //!   [`ServiceStats::approx_plan_hits`], the `bound_width_ppm`
 //!   histogram, and the `approx_refine` trace stage);

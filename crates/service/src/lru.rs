@@ -43,6 +43,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// cloned or reinserted, so a scan of absent keys can never perturb
     /// recency bookkeeping (or burn through the tick space).
     pub fn get(&mut self, k: &K) -> Option<&V> {
+        self.get_mut(k).map(|v| &*v)
+    }
+
+    /// [`LruCache::get`], for changing the entry in place.
+    pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
         let (v, last) = self.map.get_mut(k)?;
         self.tick += 1;
         let key = self

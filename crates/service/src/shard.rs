@@ -81,24 +81,37 @@ pub(crate) type RelFingerprint = Vec<(RelId, RelVersion)>;
 /// request's query, and the request.
 pub(crate) type MemoKey = (RelFingerprint, ExplainRequest);
 
-/// One entry of the responsibility LRU.
+/// One entry of the responsibility LRU: a question's exact explanation,
+/// its anytime plan, or both.
 #[derive(Clone)]
-pub(crate) enum Memo {
-    /// An exact explanation, served to every later request of the
+pub(crate) struct Memo {
+    /// An exact explanation, served to every later worker request of the
     /// question as an LRU hit, with or without a deadline.
-    Exact(Explanation),
-    /// The clock-free part of an NP-hard question's anytime answer. A
-    /// later deadline request still computes its answer, from the plan
-    /// under its own budget, so it counts as a miss.
-    Plan(Arc<AnytimePlan>),
+    pub(crate) exact: Option<Explanation>,
+    /// The clock-free part of an NP-hard question's anytime answer. With
+    /// no exact answer beside it, a later deadline request still computes
+    /// its answer, from the plan under its own budget, so it counts as a
+    /// miss. Brownout answers from it at budget zero even beside an exact
+    /// answer.
+    pub(crate) plan: Option<Arc<AnytimePlan>>,
 }
 
-impl Memo {
-    /// The plan, when the entry is one.
-    pub(crate) fn into_plan(self) -> Option<Arc<AnytimePlan>> {
-        match self {
-            Memo::Plan(plan) => Some(plan),
-            Memo::Exact(_) => None,
+/// An entry holding an exact explanation only.
+impl From<Explanation> for Memo {
+    fn from(exact: Explanation) -> Self {
+        Memo {
+            exact: Some(exact),
+            plan: None,
+        }
+    }
+}
+
+/// An entry holding a plan only.
+impl From<Arc<AnytimePlan>> for Memo {
+    fn from(plan: Arc<AnytimePlan>) -> Self {
+        Memo {
+            exact: None,
+            plan: Some(plan),
         }
     }
 }
@@ -253,16 +266,24 @@ impl ShardCore {
         lock_unpoisoned(&self.resp_cache).get(key).cloned()
     }
 
-    /// Keep `memo` under `key`. An exact explanation replaces whatever
-    /// the slot holds; a plan never replaces an exact explanation, which
-    /// a deadline-free computation of the question may have left there
-    /// while the plan was built.
+    /// The plan of the entry under `key`, marked most recently used; an
+    /// exact explanation beside it is not copied.
+    pub(crate) fn memo_plan(&self, key: &MemoKey) -> Option<Arc<AnytimePlan>> {
+        lock_unpoisoned(&self.resp_cache).get(key)?.plan.clone()
+    }
+
+    /// Keep what `memo` holds under `key`, beside what the slot already
+    /// holds: an exact explanation replaces the slot's exact explanation,
+    /// and a plan its plan.
     pub(crate) fn memoize(&self, key: MemoKey, memo: Memo) {
         let mut cache = lock_unpoisoned(&self.resp_cache);
-        if matches!(memo, Memo::Plan(_)) && matches!(cache.get(&key), Some(Memo::Exact(_))) {
-            return;
+        match cache.get_mut(&key) {
+            Some(slot) => {
+                slot.exact = memo.exact.or(slot.exact.take());
+                slot.plan = memo.plan.or(slot.plan.take());
+            }
+            None => cache.insert(key, memo),
         }
-        cache.insert(key, memo);
     }
 
     /// The dichotomy tag of `request`'s query, from the shard's memo: on

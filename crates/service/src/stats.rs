@@ -326,20 +326,25 @@ counters! {
     approx_requests: "approx_requests_total", Reset;
     /// Completed anytime refinement levels across all approx requests —
     /// each one provably tightened a ρ bracket before the budget ran
-    /// out.
+    /// out. It sums what answers report: an answer from a plan's
+    /// collapsed outcome reports the levels of the phase two that
+    /// collapsed it, so a level may be counted once per such answer.
     approx_refinements: "approx_refinements_total", Reset;
     /// Causes of approx requests whose bracket the request's repair
     /// table closed exactly, with no per-cause bracket or refinement.
     approx_settled: "approx_settled_total", Reset;
-    /// Search nodes the anytime refinements of approx requests expanded
-    /// (the sum of each response's
-    /// [`ExplainMode::Approximate`](crate::ExplainMode) `search_nodes`).
+    /// Search nodes the anytime refinements of approx requests expanded,
+    /// as the answers report them: the sum of each response's
+    /// [`ExplainMode::Approximate`](crate::ExplainMode) `search_nodes`.
+    /// An answer from a plan's collapsed outcome expands none itself and
+    /// reports the nodes of the phase two that collapsed the plan.
     approx_search_nodes: "approx_search_nodes_total", Reset;
     /// Approx requests whose computation started from the question's
     /// memoized [`AnytimePlan`](causality_core::explain::AnytimePlan),
-    /// so it ran only phase two and assembly. Like `approx_requests`, it
-    /// counts worker computations only, and each one is also a cache
-    /// miss: the answer itself is computed fresh.
+    /// so it ran at most phase two and assembly: none when the plan's
+    /// brackets had collapsed and the deadline was still ahead. Like
+    /// `approx_requests`, it counts worker computations only, and each
+    /// one is also a cache miss: the answer is assembled fresh.
     approx_plan_hits: "approx_plan_hits_total", Reset;
     /// Worker-pool restarts performed by the supervisor (PR 9). A
     /// lifecycle counter: never reset by `snapshot_and_reset`.

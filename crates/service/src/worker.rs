@@ -28,7 +28,7 @@ use causality_core::resp::approx::ApproxBudget;
 use causality_core::DichotomyTag;
 use causality_engine::{SharedIndexCache, Snapshot};
 use causality_telemetry::{Stage, TraceBuilder};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender};
@@ -205,18 +205,18 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
     let mut order: Vec<(TenantKey, ExplainRequest)> = Vec::new();
     let mut groups: HashMap<(TenantKey, ExplainRequest), Vec<Waiter>> = HashMap::new();
     for job in live {
-        let key = (job.waiter.tenant, job.request);
-        let entry = groups.entry(key.clone()).or_default();
-        if entry.is_empty() {
-            order.push(key);
+        match groups.entry((job.waiter.tenant, job.request)) {
+            Entry::Occupied(mut group) => group.get_mut().push(job.waiter),
+            Entry::Vacant(group) => {
+                order.push(group.key().clone());
+                group.insert(vec![job.waiter]);
+            }
         }
-        entry.push(job.waiter);
     }
 
-    for (tenant, request) in order {
-        let mut senders = groups
-            .remove(&(tenant, request.clone()))
-            .expect("grouped senders");
+    for key in order {
+        let mut senders = groups.remove(&key).expect("grouped senders");
+        let (tenant, request) = key;
         let Some(store) = core.store(tenant) else {
             // Unreachable through the public API (tenants are registered
             // before their id is handed out and never removed), but a
@@ -251,14 +251,17 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
         let pin_dur = pin_started.elapsed();
         // Per-request accounting: a hit group is all hits; a miss group is
         // one fresh computation plus coalesced riders. Only an exact
-        // entry is a hit: an answer from a plan is computed fresh.
+        // entry is a hit: an answer from a plan is assembled fresh.
         let (result, timing, cache_hit) = match memo {
-            Some(Memo::Exact(explanation)) => {
+            Some(Memo {
+                exact: Some(explanation),
+                ..
+            }) => {
                 core.stats.cache_hits.add(senders.len() as u64);
                 (Ok(explanation), None, true)
             }
             memo => {
-                let plan = memo.and_then(Memo::into_plan);
+                let plan = memo.and_then(|memo| memo.plan);
                 let from_plan = plan.is_some();
                 core.stats.cache_misses.inc();
                 core.stats.coalesced.add(senders.len() as u64 - 1);
@@ -310,13 +313,14 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
                         // explanation: a later deadline-free request must
                         // not inherit a bracket, and a later deadline
                         // request answers the plan under its own budget.
-                        // An exact entry replaces a plan, since it is
-                        // strictly better for everyone.
+                        // An exact answer is served before a plan beside
+                        // it, since it is strictly better for every worker
+                        // request.
                         if let Some(key) = key {
                             match (built, explanation.mode) {
-                                (Some(plan), _) => core.memoize(key, Memo::Plan(plan)),
+                                (Some(plan), _) => core.memoize(key, plan.into()),
                                 (None, ExplainMode::Exact) => {
-                                    core.memoize(key, Memo::Exact(explanation.clone()))
+                                    core.memoize(key, explanation.clone().into())
                                 }
                                 (None, ExplainMode::Approximate { .. }) => {}
                             }
@@ -396,7 +400,8 @@ fn record_compute_spans(
 /// Serve `request` on the calling thread with a deadline that has
 /// already passed, which yields the certified zero-budget bracket: the
 /// brownout path. It answers from the question's memoized plan, or
-/// builds the plan and memoizes it, as a worker does. The answer is
+/// builds the plan and memoizes it, as a worker does; beside an exact
+/// answer the plan is built once and kept there too. The answer is
 /// delivered as a worker's is, with the computation's spans, so the
 /// tenant's breaker and the trace ring see it; the shard's latency
 /// histogram and counters do not, since no worker made progress. A
@@ -410,10 +415,7 @@ pub(crate) fn serve_expired(
 ) -> Result<(), ServiceError> {
     let index_cache = core.index_cache_for(waiter.tenant, snapshot);
     let key = memo_key(snapshot, request);
-    let plan = key
-        .as_ref()
-        .and_then(|key| core.memo(key))
-        .and_then(Memo::into_plan);
+    let plan = key.as_ref().and_then(|key| core.memo_plan(key));
     let expired = Some(Instant::now());
     match compute_isolated(core, snapshot, &index_cache, request, expired, plan) {
         Ok(Computed {
@@ -422,7 +424,7 @@ pub(crate) fn serve_expired(
             built,
         }) => {
             if let (Some(key), Some(plan)) = (key, built) {
-                core.memoize(key, Memo::Plan(plan));
+                core.memoize(key, plan.into());
             }
             if let Some(tb) = waiter.trace.as_deref_mut() {
                 record_compute_spans(tb, Instant::now(), timing, explanation.mode);
@@ -533,32 +535,33 @@ fn compute(
     deadline: Option<Instant>,
     plan: Option<Arc<AnytimePlan>>,
 ) -> Result<Computed, ServiceError> {
-    let mut explainer = Explainer::new(snapshot.database(), &request.query)
-        .with_method(request.method)
-        .with_index_cache(Arc::clone(index_cache));
     // One memo lookup serves the router and the explanation's tag, so a
     // Why-So computation classifies its query at most once, on a miss.
     let tag = match request.kind {
         ExplainKind::WhyNo => None,
         ExplainKind::WhySo | ExplainKind::RankTopK(_) => core.dichotomy(request),
     };
+    // The hardness router: an NP-hard Why-So under a deadline takes the
+    // anytime path, with the request's remaining slack as its whole
+    // budget (an already-expired deadline degrades to the zero-budget
+    // greedy bracket — still sound, never an error). A memoized plan
+    // leaves only phase two and assembly to do, and needs no explainer.
+    let anytime = deadline.is_some() && routes_anytime(request, || tag);
+    let budget = ApproxBudget {
+        max_steps: u64::MAX,
+        deadline,
+    };
+    if let Some(plan) = plan.filter(|_| anytime) {
+        return Ok(plan.answer(budget).into());
+    }
+    let mut explainer = Explainer::new(snapshot.database(), &request.query)
+        .with_method(request.method)
+        .with_index_cache(Arc::clone(index_cache));
     if let Some(tag) = tag {
         explainer = explainer.with_dichotomy(tag);
     }
     match request.kind {
-        // The hardness router: an NP-hard Why-So under a deadline takes
-        // the anytime path, with the request's remaining slack as its
-        // whole budget (an already-expired deadline degrades to the
-        // zero-budget greedy bracket — still sound, never an error).
-        // A memoized plan leaves only phase two and assembly to do.
-        ExplainKind::WhySo if deadline.is_some() && routes_anytime(request, || tag) => {
-            let budget = ApproxBudget {
-                max_steps: u64::MAX,
-                deadline,
-            };
-            if let Some(plan) = plan {
-                return Ok(plan.answer(budget).into());
-            }
+        ExplainKind::WhySo if anytime => {
             let (plan, planned) = explainer.plan_anytime(&request.answer)?;
             let plan = Arc::new(plan);
             let (explanation, answered) = plan.answer(budget);

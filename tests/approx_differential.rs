@@ -58,7 +58,8 @@ use causality_lineage::{BitDnf, Conjunct, Dnf, LineageArena, VarSet};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::time::Instant;
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 /// Build a DNF from raw `(rel, row)` conjunct descriptions.
 fn dnf_of(raw: &[Vec<(u32, u32)>]) -> Dnf {
@@ -635,7 +636,7 @@ fn the_repair_table_settles_brackets_and_saves_refinements() {
 /// answer keeps these counts too. One `plan_anytime` per instance,
 /// answered twice at each budget in budget order, gives the same counts
 /// and `why_anytime`'s explanation every time, so answering a plan never
-/// changes it.
+/// changes its answers.
 #[test]
 fn why_anytime_refinements_and_search_nodes_are_pinned() {
     let dense = |nodes, tuples, seed| {
@@ -701,6 +702,114 @@ fn why_anytime_refinements_and_search_nodes_are_pinned() {
                 assert_eq!(untimed(answer), untimed(explanation.clone()), "{at}");
             }
         }
+    }
+}
+
+/// A plan keeps the outcome of its first phase two that collapsed every
+/// bracket, and answers a live deadline from it. On the two-word
+/// `dense_triangles(5, 64, 3)`, whose refinement takes 32 202 search
+/// nodes (tens of ms even in release), a plan answered once at an
+/// unlimited budget then answers under a deadline 2 ms away with the
+/// unlimited explanation. A step cap or a deadline already passed still
+/// runs phase two: the same plan answers `steps(0)`, `steps(500)` and a
+/// passed deadline as `why_anytime` does, the passed deadline with the
+/// zero-budget answer. A fresh plan answered from two threads at once
+/// at an unlimited budget gives both the same explanation. On the
+/// pinned instances, every plan answer whose brackets all collapsed, at
+/// a clock-free budget or under a deadline, is the unlimited answer.
+#[test]
+fn a_plan_answers_a_live_deadline_from_its_collapsed_outcome() {
+    let inst = dense_triangles(5, 64, 3);
+    let explainer = Explainer::new(&inst.db, &inst.query);
+    let fresh = |budget| untimed(explainer.why_anytime(&[], budget).unwrap().0);
+    let unlimited = fresh(ApproxBudget::unlimited());
+    let (plan, _) = explainer.plan_anytime(&[]).unwrap();
+    assert_eq!(untimed(plan.answer(ApproxBudget::unlimited()).0), unlimited);
+    let live = ApproxBudget::until(Instant::now() + Duration::from_millis(2));
+    assert_eq!(
+        untimed(plan.answer(live).0),
+        unlimited,
+        "a live deadline answers from the collapsed outcome"
+    );
+
+    let passed = ApproxBudget::until(Instant::now());
+    let zero = fresh(ApproxBudget::zero());
+    assert_eq!(fresh(passed), zero, "a passed deadline refines nothing");
+    for (budget, want) in [
+        (ApproxBudget::steps(0), fresh(ApproxBudget::steps(0))),
+        (ApproxBudget::steps(500), fresh(ApproxBudget::steps(500))),
+        (passed, zero),
+    ] {
+        assert_eq!(untimed(plan.answer(budget).0), want, "{budget:?}");
+    }
+
+    let (plan, _) = explainer.plan_anytime(&[]).unwrap();
+    let start = Barrier::new(2);
+    let answers = std::thread::scope(|s| {
+        let answer = || {
+            s.spawn(|| {
+                start.wait();
+                untimed(plan.answer(ApproxBudget::unlimited()).0)
+            })
+        };
+        [answer(), answer()].map(|thread| thread.join().unwrap())
+    });
+    assert_eq!(answers[0], answers[1], "two threads, one explanation");
+    assert_eq!(answers[0], unlimited);
+
+    let fan = triangle_fan(12);
+    let mut instances: Vec<(String, Database, ConjunctiveQuery)> = [
+        (4, 64, 1),
+        (4, 64, 7),
+        (4, 64, 17),
+        (5, 40, 200),
+        (5, 64, 3),
+    ]
+    .into_iter()
+    .map(|(nodes, tuples, seed)| {
+        let inst = dense_triangles(nodes, tuples, seed);
+        (
+            format!("dense_triangles({nodes}, {tuples}, {seed})"),
+            inst.db,
+            inst.query,
+        )
+    })
+    .collect();
+    instances.push((String::from("triangle_fan(12)"), fan.db, fan.query));
+    // Deadlines are set as each answer starts, so the live ones are live.
+    let live = || ApproxBudget::until(Instant::now() + Duration::from_millis(2));
+    let budgets: [fn() -> ApproxBudget; 7] = [
+        || ApproxBudget::steps(0),
+        || ApproxBudget::until(Instant::now()),
+        || ApproxBudget::steps(500),
+        live,
+        ApproxBudget::unlimited,
+        live,
+        || ApproxBudget::steps(500),
+    ];
+    for (name, db, query) in &instances {
+        let explainer = Explainer::new(db, query);
+        let unlimited = untimed(
+            explainer
+                .why_anytime(&[], ApproxBudget::unlimited())
+                .unwrap()
+                .0,
+        );
+        let (plan, _) = explainer.plan_anytime(&[]).unwrap();
+        let mut collapsed = 0;
+        for budget in budgets {
+            let budget = budget();
+            let (answer, _) = plan.answer(budget);
+            if answer
+                .causes
+                .iter()
+                .all(|c| c.bounds.expect("anytime cause").is_exact())
+            {
+                collapsed += 1;
+                assert_eq!(untimed(answer), unlimited, "{name} {budget:?}");
+            }
+        }
+        assert!(collapsed >= 2, "{name}: {collapsed} collapsed answers");
     }
 }
 

@@ -9,8 +9,8 @@
 //! plan and still equals a fresh `why_anytime`; a write to a relation
 //! the query reads rebuilds it, and one to any other relation does not;
 //! two tenants with the same query never share a plan; an exact answer
-//! replaces the plan; and brownout answers read and fill the same
-//! entries.
+//! is served before the plan; and brownout answers read and fill the
+//! same entries, beside an exact answer too.
 
 #[path = "common/tier.rs"]
 mod tier;
@@ -216,8 +216,8 @@ fn tenants_with_the_same_query_never_share_a_plan() {
 }
 
 /// A deadline-free request of the question is answered exactly, and
-/// its answer replaces the plan: a later deadline request is an LRU hit
-/// with that exact answer.
+/// its answer takes the plan's place for worker requests: a later
+/// deadline request is an LRU hit with that exact answer.
 #[test]
 fn an_exact_answer_replaces_the_plan() {
     with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
@@ -248,9 +248,10 @@ fn an_exact_answer_replaces_the_plan() {
 }
 
 /// Brownout answers equal the zero-budget `why_anytime` answer, whether
-/// the plan is built inline or was memoized; a plan built in brownout is
-/// hit by the next worker request; and a plan brownout builds never
-/// replaces an exact answer.
+/// the plan is built inline, was memoized, or has collapsed under a
+/// worker's slack; a plan built in brownout is hit by the next worker
+/// request; and beside an exact answer, which worker requests still hit,
+/// brownout answers from a plan without rebuilding it.
 #[test]
 fn brownout_reads_and_fills_the_plan_entries() {
     with_timeout(HARD_TIMEOUT, TIMED_OUT, || {
@@ -272,7 +273,7 @@ fn brownout_reads_and_fills_the_plan_entries() {
         let mut easy_db = Database::new();
         let r = easy_db.add_relation(Schema::new("R", &["x", "y"]));
         let s = easy_db.add_relation(Schema::new("S", &["y"]));
-        for x in ["a", "c"] {
+        for x in ["a", "c", "e"] {
             easy_db.insert_endo(r, vec![Value::str(x), Value::str("b")]);
         }
         easy_db.insert_endo(s, vec![Value::str("b")]);
@@ -314,18 +315,38 @@ fn brownout_reads_and_fills_the_plan_entries() {
             "the counters count worker computations only"
         );
         release(blockers);
-        // Out of brownout, the worker answers from the plan brownout built.
+        // Out of brownout, the worker answers from the plan brownout built,
+        // and its slack collapses every bracket of the plan.
         assert_answers(ask(&tier, hard, SLACK), &db);
         let stats = tier.stats().aggregate();
         assert_eq!((stats.approx_requests, stats.approx_plan_hits), (1, 1));
+        // A passed deadline never reads the plan's collapsed outcome.
+        let blockers = stall("e");
+        brownout("from the collapsed plan");
+        assert_eq!(tier.stats().frontend.brownout_served, 3);
+        release(blockers);
 
-        // An exact answer replaces the plan; brownout then builds a plan
-        // of its own, which leaves the exact answer in place.
+        // An exact answer is what worker requests get from now on; the
+        // plan stays beside it, and brownout answers from the plan.
         let exact = tier.explain(hard, why_so()).unwrap().expect_explanation();
         assert_eq!(exact.mode, ExplainMode::Exact);
         let blockers = stall("c");
         brownout("beside an exact answer");
-        assert_eq!(tier.stats().frontend.brownout_served, 3);
+        brownout("again beside an exact answer");
+        assert_eq!(tier.stats().frontend.brownout_served, 5);
+        let last_hard = tier
+            .recent_traces()
+            .into_iter()
+            .filter(|trace| trace.relations == 3)
+            .max_by_key(|trace| trace.seq)
+            .expect("the brownout is traced");
+        assert_eq!(
+            last_hard
+                .stage(Stage::LineageIntern)
+                .map(|span| span.dur_us),
+            Some(0),
+            "the second brownout beside the exact answer builds no plan"
+        );
         release(blockers);
         let later = ask(&tier, hard, SLACK);
         assert!(later.cache_hit, "the exact answer is still memoized");
