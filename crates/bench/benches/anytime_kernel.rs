@@ -28,9 +28,15 @@
 //! but (6, 150, 42): one plan per instance, answered once at an
 //! unlimited budget outside the timing, then answered under a fresh
 //! 2 ms deadline per iteration, as perfbench's `hard_triangles` does.
+//! That first answer collapses every bracket, so the plan keeps it
+//! assembled, and each repeat hands out its causes by reference: the
+//! row times a reference count and the answer tuple's copy, not a
+//! refinement or an assembly. Before timing, the bench checks once that
+//! a repeat equals a fresh unlimited `why_anytime` (`budget_spent_us`
+//! aside) and that two repeats share one causes allocation.
 
 use causality_bench::bench_group;
-use causality_core::explain::Explainer;
+use causality_core::explain::{ExplainMode, Explainer, Explanation};
 use causality_core::resp::approx::ApproxBudget;
 use causality_core::resp::exact::min_contingency_bits;
 use causality_datagen::hard_instances::dense_triangles;
@@ -84,12 +90,42 @@ fn anytime_kernel(c: &mut Criterion) {
         if nodes < 6 {
             let (plan, _) = explainer.plan_anytime(&[]).expect("h2*");
             plan.answer(ApproxBudget::unlimited());
+            let repeat = || {
+                plan.answer(ApproxBudget::until(Instant::now() + REPEAT_DEADLINE))
+                    .0
+            };
+            let (first, second) = (repeat(), repeat());
+            let at = format!("dense_triangles({nodes}, {tuples}, {seed})");
+            assert!(
+                std::ptr::eq(first.causes.as_ptr(), second.causes.as_ptr()),
+                "{at}: two repeats share one causes allocation"
+            );
+            let (unlimited, _) = explainer
+                .why_anytime(&[], ApproxBudget::unlimited())
+                .expect("h2*");
+            assert_eq!(
+                untimed(first),
+                untimed(unlimited),
+                "{at}: a repeat is the unlimited answer"
+            );
             group.bench_function(format!("repeat/{nodes}_{tuples}_{seed}"), |b| {
-                b.iter(|| plan.answer(ApproxBudget::until(Instant::now() + REPEAT_DEADLINE)));
+                b.iter(repeat);
             });
         }
     }
     group.finish();
+}
+
+/// `explanation` with its one clock-dependent field, `budget_spent_us`,
+/// zeroed.
+fn untimed(mut explanation: Explanation) -> Explanation {
+    if let ExplainMode::Approximate {
+        budget_spent_us, ..
+    } = &mut explanation.mode
+    {
+        *budget_spent_us = 0;
+    }
+    explanation
 }
 
 criterion_group!(benches, anytime_kernel);

@@ -43,9 +43,10 @@ pub enum ExplainMode {
     /// [`crate::resp::approx`].
     ///
     /// An answer from a plan's collapsed outcome (see
-    /// [`AnytimePlan::answer`]) did no refinement of its own: its
-    /// `refinements` and `search_nodes` are those of the phase two that
-    /// collapsed the plan, and its `budget_spent_us` is this call's time.
+    /// [`AnytimePlan::answer`]) did no refinement or assembly of its own:
+    /// its causes, `bounds`, `refinements` and `search_nodes` are those of
+    /// the answer that collapsed the plan, its causes shared with it, and
+    /// only its `budget_spent_us` is this call's.
     Approximate {
         /// Bracket on the explanation's ρ_max (the per-cause brackets
         /// live on [`ExplainedCause::bounds`]).
@@ -90,10 +91,66 @@ pub struct ExplainedCause {
     /// contingency found (witnessing `bounds.lower`, not necessarily
     /// minimum). Each tuple is rendered once per call, or on the anytime
     /// route once per [`AnytimePlan`]: every contingency that holds it
-    /// shares the one string.
+    /// shares the one string. An answer from a plan's collapsed outcome
+    /// shares the whole cause, contingency included, with every other
+    /// answer from it (see [`ExplainedCauses`]).
     pub contingency: Vec<Arc<str>>,
     /// Certified `[lower, upper]` bracket on ρ; `None` on exact paths.
     pub bounds: Option<RhoBounds>,
+}
+
+/// An explanation's ranked causes, in one shared allocation: cloning
+/// them, and so an [`Explanation`], costs a reference count instead of a
+/// copy of every cause.
+///
+/// Sharing is sound because an explanation is never changed once it is
+/// built: the causes can only be read, through `Deref` to a slice. A
+/// serving tier hands one set of causes to every waiter of a coalesced
+/// group and to every hit of its cache, and an [`AnytimePlan`] to every
+/// answer from its collapsed outcome.
+#[derive(Clone, Default, PartialEq)]
+pub struct ExplainedCauses(Arc<[ExplainedCause]>);
+
+impl std::ops::Deref for ExplainedCauses {
+    type Target = [ExplainedCause];
+
+    fn deref(&self) -> &[ExplainedCause] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a ExplainedCauses {
+    type Item = &'a ExplainedCause;
+    type IntoIter = std::slice::Iter<'a, ExplainedCause>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl FromIterator<ExplainedCause> for ExplainedCauses {
+    fn from_iter<I: IntoIterator<Item = ExplainedCause>>(causes: I) -> Self {
+        ExplainedCauses(causes.into_iter().collect())
+    }
+}
+
+impl From<Vec<ExplainedCause>> for ExplainedCauses {
+    fn from(causes: Vec<ExplainedCause>) -> Self {
+        ExplainedCauses(causes.into())
+    }
+}
+
+impl PartialEq<Vec<ExplainedCause>> for ExplainedCauses {
+    fn eq(&self, other: &Vec<ExplainedCause>) -> bool {
+        *self.0 == **other
+    }
+}
+
+/// Prints the causes as a list.
+impl fmt::Debug for ExplainedCauses {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.iter()).finish()
+    }
 }
 
 /// A ranked explanation of one (non-)answer.
@@ -103,8 +160,9 @@ pub struct Explanation {
     pub kind: ExplanationKind,
     /// The answer (or non-answer) tuple.
     pub answer: Vec<Value>,
-    /// Causes, ranked by responsibility (descending).
-    pub causes: Vec<ExplainedCause>,
+    /// Causes, ranked by responsibility (descending). Shared, not copied,
+    /// when the explanation is cloned.
+    pub causes: ExplainedCauses,
     /// The dichotomy verdict for the grounded query (Cor. 4.14). Why-No
     /// explanations are always [`DichotomyTag::PTime`] (Theorem 4.17).
     pub dichotomy: DichotomyTag,
@@ -510,12 +568,12 @@ impl<'a> Explainer<'a> {
 /// cache keyed on the content of the relations the query reads.
 ///
 /// Answering never changes that state. A plan keeps one thing from its
-/// answers: the outcome of the first phase two in which every bracket
-/// collapsed, which is the unlimited-budget outcome and so, like phase
-/// one, a function of the relations alone. It is set once, per cause the
-/// bracket and the contingency as arena ids with the refinement and
-/// search-node counts, and every thread holding the plan reads it; see
-/// [`AnytimePlan::answer`] for the budgets that do.
+/// answers: the first answer in which every bracket collapsed, which is
+/// the unlimited-budget answer and so, like phase one, a function of the
+/// relations alone. It is set once, assembled and ranked (the
+/// [`ExplainedCauses`], the ρ_max bracket, the refinement and search-node
+/// counts), and every thread holding the plan hands out its causes by
+/// reference; see [`AnytimePlan::answer`] for the budgets that read it.
 pub struct AnytimePlan {
     answer: Vec<Value>,
     dichotomy: DichotomyTag,
@@ -525,8 +583,8 @@ pub struct AnytimePlan {
     causes: Vec<PlannedCause>,
     /// Every arena variable as `Rel(values)`, by variable id.
     rendered: Vec<Arc<str>>,
-    /// The first phase two in which every bracket collapsed.
-    collapsed: OnceLock<Refined>,
+    /// The first answer in which every bracket collapsed.
+    collapsed: OnceLock<Assembled>,
 }
 
 /// A cause of an [`AnytimePlan`], copied out of the database.
@@ -541,86 +599,46 @@ impl AnytimePlan {
     /// [`Explainer::why_anytime`], on a copy of the plan's repair table.
     ///
     /// Phase two never changes the plan's phase one. The plan keeps one
-    /// thing from its answers: the outcome of the first phase two in
-    /// which every bracket collapsed, set once. A refinement cut short
+    /// thing from its answers: the first answer in which every bracket
+    /// collapsed, assembled and ranked, set once. A refinement cut short
     /// by its budget leaves its bracket open, so such a phase two ran
-    /// every refinement to completion, and its outcome is the plan's
-    /// [`ApproxBudget::unlimited`] outcome, counts included. A `budget`
+    /// every refinement to completion, and its answer is the plan's
+    /// [`ApproxBudget::unlimited`] answer, counts included. A `budget`
     /// with no step cap whose deadline is absent or still ahead at entry
-    /// answers from that outcome and skips phase two; a step cap or a
-    /// deadline already passed (brownout, a rescued request) runs phase
-    /// two as on a fresh plan. So at every clock-free budget the
-    /// explanation equals the one `why_anytime` gives on the database
-    /// the plan was built from, however often and in whatever order the
-    /// plan was answered before. The timing has no lineage time, and its
-    /// `solve_us`, like the mode's `budget_spent_us`, covers the whole
-    /// call.
+    /// returns that answer with its causes shared, not copied, and only
+    /// `budget_spent_us` fresh: it runs neither phase two nor assembly. A
+    /// step cap or a deadline already passed (brownout, a rescued
+    /// request) runs phase two and assembly as on a fresh plan. So at
+    /// every clock-free budget the explanation equals the one
+    /// `why_anytime` gives on the database the plan was built from,
+    /// however often and in whatever order the plan was answered before.
+    /// The timing has no lineage time, and its `solve_us`, like the
+    /// mode's `budget_spent_us`, covers the whole call.
     pub fn answer(&self, budget: ApproxBudget) -> (Explanation, ExplainTiming) {
         let started = Instant::now();
         let open_ended =
             budget.max_steps == u64::MAX && budget.deadline.is_none_or(|d| started < d);
-        let refined;
         let outcome = match self.collapsed.get() {
-            Some(collapsed) if open_ended => collapsed,
+            Some(kept) if open_ended => kept.clone(),
             _ => {
-                refined = self.refine(budget);
-                if refined.collapsed() {
+                let outcome = self.assemble(budget);
+                if outcome.collapsed() {
                     // Whichever answer sets it, the outcome is the same.
-                    self.collapsed.get_or_init(|| refined)
+                    self.collapsed.get_or_init(|| outcome).clone()
                 } else {
-                    &refined
+                    outcome
                 }
             }
         };
-        let mut explained: Vec<ExplainedCause> = self
-            .causes
-            .iter()
-            .zip(outcome.per_cause())
-            .map(|(cause, (bounds, contingency))| ExplainedCause {
-                tuple: cause.tuple,
-                relation: cause.relation.clone(),
-                values: cause.values.clone(),
-                rho: bounds.lower,
-                counterfactual: bounds.is_exact() && bounds.lower == 1.0,
-                contingency: contingency
-                    .iter()
-                    .map(|&id| Arc::clone(&self.rendered[id as usize]))
-                    .collect(),
-                bounds: Some(bounds),
-            })
-            .collect();
-        // Rank by certified lower bound, then tighter upper bound, then
-        // tuple id — deterministic like the exact ranker's order.
-        explained.sort_by(|a, b| {
-            b.rho
-                .total_cmp(&a.rho)
-                .then(
-                    b.bounds
-                        .expect("anytime cause")
-                        .upper
-                        .total_cmp(&a.bounds.expect("anytime cause").upper),
-                )
-                .then(a.tuple.cmp(&b.tuple))
-        });
         let spent_us = started.elapsed().as_micros() as u64;
-
-        // Bracket on ρ_max: the max of the per-cause brackets.
-        let bounds =
-            explained
-                .iter()
-                .filter_map(|c| c.bounds)
-                .fold(RhoBounds::exact(0.0), |acc, b| RhoBounds {
-                    lower: acc.lower.max(b.lower),
-                    upper: acc.upper.max(b.upper),
-                });
         let explanation = Explanation {
             kind: ExplanationKind::WhySo,
             answer: self.answer.clone(),
-            causes: explained,
+            causes: outcome.causes,
             dichotomy: self.dichotomy,
             lineage_conjuncts: self.lineage_conjuncts,
             mode: ExplainMode::Approximate {
-                bounds,
+                bounds: outcome.bounds,
                 budget_spent_us: spent_us,
                 refinements: outcome.refinements,
                 settled: self.brackets.settled(),
@@ -636,60 +654,87 @@ impl AnytimePlan {
         )
     }
 
-    /// Phase two on what is left of `budget`: the step budget is split
-    /// evenly across the causes, and the deadline is shared.
-    fn refine(&self, budget: ApproxBudget) -> Refined {
+    /// Phase two on what is left of `budget`, and the answer's assembly:
+    /// the step budget is split evenly across the causes and the deadline
+    /// is shared, then the causes are ranked. The one assembly of every
+    /// anytime answer.
+    fn assemble(&self, budget: ApproxBudget) -> Assembled {
         let per_cause = ApproxBudget {
             max_steps: budget.max_steps / self.causes.len().max(1) as u64,
             deadline: budget.deadline,
         };
-        let mut refined = Refined {
-            causes: Vec::with_capacity(self.causes.len()),
-            contingencies: Vec::new(),
-            refinements: 0,
-            search_nodes: 0,
-        };
+        let mut explained: Vec<ExplainedCause> = Vec::with_capacity(self.causes.len());
+        let mut planned = self.causes.iter();
+        let (mut refinements, mut search_nodes) = (0, 0);
         self.brackets.refine(per_cause, |out| {
-            refined.refinements += out.refinements;
-            refined.search_nodes += out.steps_used;
-            refined
-                .contingencies
-                .extend_from_slice(out.contingency.as_deref().unwrap_or_default());
-            refined
-                .causes
-                .push((out.bounds, refined.contingencies.len()));
+            let cause = planned.next().expect("one outcome per planned cause");
+            refinements += out.refinements;
+            search_nodes += out.steps_used;
+            explained.push(ExplainedCause {
+                tuple: cause.tuple,
+                relation: cause.relation.clone(),
+                values: cause.values.clone(),
+                rho: out.bounds.lower,
+                counterfactual: out.bounds.is_exact() && out.bounds.lower == 1.0,
+                contingency: out
+                    .contingency
+                    .as_deref()
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|&id| Arc::clone(&self.rendered[id as usize]))
+                    .collect(),
+                bounds: Some(out.bounds),
+            });
         });
-        refined
+        // Rank by certified lower bound, then tighter upper bound, then
+        // tuple id — deterministic like the exact ranker's order.
+        explained.sort_by(|a, b| {
+            b.rho
+                .total_cmp(&a.rho)
+                .then(
+                    b.bounds
+                        .expect("anytime cause")
+                        .upper
+                        .total_cmp(&a.bounds.expect("anytime cause").upper),
+                )
+                .then(a.tuple.cmp(&b.tuple))
+        });
+        // Bracket on ρ_max: the max of the per-cause brackets.
+        let bounds =
+            explained
+                .iter()
+                .filter_map(|c| c.bounds)
+                .fold(RhoBounds::exact(0.0), |acc, b| RhoBounds {
+                    lower: acc.lower.max(b.lower),
+                    upper: acc.upper.max(b.upper),
+                });
+        Assembled {
+            causes: explained.into(),
+            bounds,
+            refinements,
+            search_nodes,
+        }
     }
 }
 
-/// What one phase two made of an [`AnytimePlan`]'s brackets, compactly:
-/// per cause, in the plan's order, its bracket and its contingency as
-/// arena ids, with the refinement levels and search nodes of all the
-/// causes. Every answer is assembled from one.
-struct Refined {
-    /// Per cause, its bracket and where its contingency ends in
-    /// `contingencies` (each starts where the one before it ends).
-    causes: Vec<(RhoBounds, usize)>,
-    contingencies: Vec<u32>,
+/// One phase two's answer to an [`AnytimePlan`], assembled and ranked:
+/// the causes with their brackets and rendered contingencies, the
+/// bracket on ρ_max, and the refinement levels and search nodes of all
+/// the causes. A clone shares the causes.
+#[derive(Clone)]
+struct Assembled {
+    causes: ExplainedCauses,
+    bounds: RhoBounds,
     refinements: u32,
     search_nodes: u64,
 }
 
-impl Refined {
+impl Assembled {
     /// Whether every bracket collapsed.
     fn collapsed(&self) -> bool {
-        self.causes.iter().all(|(bounds, _)| bounds.is_exact())
-    }
-
-    /// Each cause's bracket and contingency, in the plan's order.
-    fn per_cause(&self) -> impl Iterator<Item = (RhoBounds, &[u32])> {
-        let mut start = 0;
-        self.causes.iter().map(move |&(bounds, end)| {
-            let contingency = &self.contingencies[start..end];
-            start = end;
-            (bounds, contingency)
-        })
+        self.causes
+            .iter()
+            .all(|c| c.bounds.expect("anytime cause").is_exact())
     }
 }
 

@@ -73,8 +73,9 @@
 //! of its table. A refinement cut short by its budget leaves its bracket
 //! open, so a phase two that collapses every bracket ran each refinement
 //! to completion: its outcome is the unlimited-budget one, counts
-//! included. The plan keeps the first such outcome, and an answer with
-//! no step cap whose deadline is still ahead returns it without refining.
+//! included. The plan keeps the first such answer, assembled, and an
+//! answer with no step cap whose deadline is still ahead returns it,
+//! its causes shared, without refining or assembling.
 //!
 //! Within one request the causes share their work through the lineage's
 //! hitting sets (Bertossi & Salimi, arXiv 1412.4311 and 1507.00257): a

@@ -1289,21 +1289,25 @@ mod tests {
         let (tier, t) = one_tenant(example_2_2(), ServiceConfig::default());
         let req = ExplainRequest::why_so(query(), vec![Value::str("a4")]);
         let cold = tier.explain(t, req.clone()).unwrap();
-        let warm = tier.explain(t, req).unwrap();
+        let warm = tier.explain(t, req.clone()).unwrap();
+        let again = tier.explain(t, req).unwrap();
         assert!(!cold.cache_hit);
-        assert!(warm.cache_hit);
-        assert_eq!(
-            cold.expect_explanation(),
-            warm.expect_explanation(),
-            "cache hit is bit-identical to the cold answer"
-        );
+        assert!(warm.cache_hit && again.cache_hit);
+        let cold = cold.expect_explanation();
+        let (warm, again) = (warm.expect_explanation(), again.expect_explanation());
+        assert_eq!(cold, warm, "cache hit is bit-identical to the cold answer");
+        assert_eq!(cold, again);
+        // A hit shares the cold answer's causes instead of copying them.
+        assert!(!cold.causes.is_empty());
+        assert!(std::ptr::eq(cold.causes.as_ptr(), warm.causes.as_ptr()));
+        assert!(std::ptr::eq(cold.causes.as_ptr(), again.causes.as_ptr()));
         let stats = tier.stats().aggregate();
-        assert_eq!(stats.cache_hits, 1);
+        assert_eq!(stats.cache_hits, 2);
         assert_eq!(stats.cache_misses, 1);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(
             stats.latency_samples(),
-            2,
+            3,
             "every response is a latency sample"
         );
         assert!(stats.p99_us() >= stats.p50_us());
@@ -1801,7 +1805,7 @@ mod tests {
             let memo = core.memo(&key).expect("a memoized slot");
             assert_eq!(memo.exact.as_ref(), Some(exact));
             assert!(memo.plan.is_some_and(|memo| Arc::ptr_eq(&memo, plan)));
-            assert!(Arc::ptr_eq(&core.memo_plan(&key).unwrap(), plan));
+            assert!(Arc::ptr_eq(&core.memo(&key).unwrap().plan.unwrap(), plan));
         };
 
         let exact = explainer.why(&request.answer).unwrap();
@@ -1816,6 +1820,60 @@ mod tests {
         assert_ne!(other, exact);
         core.memoize(key.clone(), other.clone().into());
         holds(&other, &second);
+        tier.shutdown();
+    }
+
+    /// The index cache's periodic sweep runs once per 64th batch, not once
+    /// per group of it, and a window that did not move sweeps nothing,
+    /// whatever the batch counter reads (brownout registers its snapshot
+    /// outside any batch).
+    #[test]
+    fn the_periodic_index_sweep_runs_once_per_batch() {
+        let (tier, t) = one_tenant(
+            example_2_2(),
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let core = &tier.shards[0].core;
+        let sweeps = || core.sweeps.load(Ordering::Relaxed);
+        let req = |a: &str| ExplainRequest::why_so(query(), vec![Value::str(a)]);
+        // Registering the tenant's snapshot moves its window: one sweep.
+        assert!(tier.explain(t, req("a2")).unwrap().result.is_ok());
+        assert_eq!(sweeps(), 1);
+
+        // The only worker stalls inside the hook until released, so the
+        // three questions queued meanwhile make one batch.
+        let released = Arc::new(AtomicBool::new(false));
+        let hold = Arc::clone(&released);
+        tier.inject_fault(move |_| {
+            while !hold.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            false
+        });
+        let blocker = tier.submit(t, req("a1")).unwrap();
+        while tier.shard_progress(0) < 1 {
+            std::thread::yield_now();
+        }
+        let batch: Vec<_> = ["a2", "a3", "a4"]
+            .into_iter()
+            .map(|a| tier.submit(t, req(a)).unwrap())
+            .collect();
+        // The next batch is the 64th.
+        core.stats.batches.add(63 - core.stats.batches.get());
+        released.store(true, Ordering::Release);
+        assert!(blocker.wait().unwrap().result.is_ok());
+        for pending in batch {
+            assert!(pending.wait().unwrap().result.is_ok());
+        }
+        assert_eq!(core.stats.batches.get(), 64, "the three made one batch");
+        assert_eq!(sweeps(), 2, "one cadence sweep for three groups");
+
+        core.stats.batches.take();
+        core.index_cache_for(t.key(), &tier.snapshot(t).unwrap());
+        assert_eq!(sweeps(), 2, "an unchanged window at counter 0");
         tier.shutdown();
     }
 

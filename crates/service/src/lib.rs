@@ -102,11 +102,12 @@
 //!   causes and every budget-free bracket) sits in the responsibility
 //!   LRU under the same (relation fingerprint, request) key as an exact
 //!   answer, and beside it, so a repeat over unchanged relations runs
-//!   only refinement and assembly. The plan also keeps the outcome of
-//!   its first refinement that collapsed every bracket, which is a
-//!   function of the relations alone: a repeat whose deadline is still
-//!   ahead is assembled from it with no refinement, and an expired one
-//!   (brownout) still gets the zero-budget bracket. The route is
+//!   only refinement and assembly. The plan also keeps the answer of
+//!   its first refinement that collapsed every bracket, assembled, which
+//!   is a function of the relations alone: a repeat whose deadline is
+//!   still ahead gets that answer with its causes shared, with no
+//!   refinement and no assembly, and an expired one (brownout) still
+//!   gets the zero-budget bracket. The route is
 //!   visible in telemetry
 //!   ([`ServiceStats::approx_requests`],
 //!   [`ServiceStats::approx_plan_hits`], the `bound_width_ppm`

@@ -82,7 +82,8 @@ pub(crate) type RelFingerprint = Vec<(RelId, RelVersion)>;
 pub(crate) type MemoKey = (RelFingerprint, ExplainRequest);
 
 /// One entry of the responsibility LRU: a question's exact explanation,
-/// its anytime plan, or both.
+/// its anytime plan, or both. Cloning one costs two reference counts and
+/// the exact answer's tuple: the explanation shares its causes.
 #[derive(Clone)]
 pub(crate) struct Memo {
     /// An exact explanation, served to every later worker request of the
@@ -91,8 +92,9 @@ pub(crate) struct Memo {
     /// The clock-free part of an NP-hard question's anytime answer. With
     /// no exact answer beside it, a later deadline request still computes
     /// its answer, from the plan under its own budget, so it counts as a
-    /// miss. Brownout answers from it at budget zero even beside an exact
-    /// answer.
+    /// miss (once the plan has collapsed, that answer shares the plan's
+    /// kept causes). Brownout answers from it at budget zero even beside
+    /// an exact answer.
     pub(crate) plan: Option<Arc<AnytimePlan>>,
 }
 
@@ -189,7 +191,7 @@ pub(crate) struct ShardCore {
     /// Request tracing hub: sampler, trace ring, and slow-log.
     pub(crate) telemetry: Telemetry,
     /// The responsibility LRU: (query's relation fingerprint, request) →
-    /// an exact explanation or an anytime plan ([`Memo`]). Keyed on
+    /// an exact explanation, an anytime plan, or both ([`Memo`]). Keyed on
     /// relation content, not snapshot version, so entries survive writes
     /// to unrelated relations — including every write belonging to a
     /// *different* tenant.
@@ -204,6 +206,9 @@ pub(crate) struct ShardCore {
     /// Classifier runs on memo misses, for tests.
     #[cfg(test)]
     pub(crate) classified: AtomicU64,
+    /// Index-cache sweeps, for tests.
+    #[cfg(test)]
+    pub(crate) sweeps: AtomicU64,
     /// The one join-index cache serving every snapshot version of every
     /// tenant on this shard — sound because its entries are keyed on
     /// process-wide-unique per-relation content stamps.
@@ -266,12 +271,6 @@ impl ShardCore {
         lock_unpoisoned(&self.resp_cache).get(key).cloned()
     }
 
-    /// The plan of the entry under `key`, marked most recently used; an
-    /// exact explanation beside it is not copied.
-    pub(crate) fn memo_plan(&self, key: &MemoKey) -> Option<Arc<AnytimePlan>> {
-        lock_unpoisoned(&self.resp_cache).get(key)?.plan.clone()
-    }
-
     /// Keep what `memo` holds under `key`, beside what the slot already
     /// holds: an exact explanation replaces the slot's exact explanation,
     /// and a plan its plan.
@@ -309,9 +308,9 @@ impl ShardCore {
     ///
     /// The first time a (tenant, version) pair is seen, its
     /// relation-version fingerprint joins that tenant's retained window
-    /// ([`ServiceConfig::cached_versions`] entries); index entries for
-    /// relation versions no longer reachable from any tenant's window
-    /// are evicted and counted.
+    /// ([`ServiceConfig::cached_versions`] entries), and the index cache
+    /// is swept ([`ShardCore::sweep_index_cache`]). Otherwise the call
+    /// takes no lock but the window map's.
     pub(crate) fn index_cache_for(
         &self,
         tenant: TenantKey,
@@ -320,7 +319,6 @@ impl ShardCore {
         let version = snapshot.version();
         let mut live = lock_unpoisoned(&self.live_snapshots);
         let window = live.entry(tenant).or_default();
-        let mut window_changed = false;
         if !window.iter().any(|(v, _)| *v == version) {
             window.push((version, snapshot.relation_versions()));
             window.sort_by_key(|(v, _)| *v);
@@ -328,28 +326,36 @@ impl ShardCore {
                 let excess = window.len() - self.cfg.cached_versions;
                 window.drain(0..excess);
             }
-            window_changed = true;
-        }
-        // Sweep when a window moved — plus on a periodic cadence: a
-        // worker still evaluating an already-dropped older snapshot may
-        // re-insert stamps from outside the window *after* the sweep that
-        // dropped them, and without the cadence those would linger until
-        // the next version arrives (forever, if the write stream stops).
-        // The cadence keeps the steady read-only path free of the index
-        // cache's write lock.
-        let periodic = self.stats.batches.get().is_multiple_of(64);
-        if window_changed || periodic {
-            let mut retained: RelFingerprint = live
-                .values()
-                .flat_map(|w| w.iter())
-                .flat_map(|(_, f)| f.iter().copied())
-                .collect();
-            retained.sort();
-            retained.dedup();
-            let evicted = self.index_cache.retain_versions(&retained);
-            self.stats.index_evictions.add(evicted as u64);
+            self.sweep(&live);
         }
         Arc::clone(&self.index_cache)
+    }
+
+    /// Evict, and count, the index entries of every relation version no
+    /// tenant's retained window reaches. Runs when a window moves, and
+    /// once every 64 batches: a worker still evaluating an
+    /// already-dropped older snapshot may re-insert stamps from outside
+    /// the window *after* the sweep that dropped them, and without the
+    /// cadence those would linger until the next version arrives
+    /// (forever, if the write stream stops). The cadence keeps the
+    /// steady read-only path free of the index cache's write lock.
+    pub(crate) fn sweep_index_cache(&self) {
+        self.sweep(&lock_unpoisoned(&self.live_snapshots));
+    }
+
+    /// [`ShardCore::sweep_index_cache`] over the windows in `live`.
+    fn sweep(&self, live: &HashMap<TenantKey, Vec<(u64, RelFingerprint)>>) {
+        #[cfg(test)]
+        self.sweeps.fetch_add(1, Ordering::Relaxed);
+        let mut retained: RelFingerprint = live
+            .values()
+            .flat_map(|w| w.iter())
+            .flat_map(|(_, f)| f.iter().copied())
+            .collect();
+        retained.sort();
+        retained.dedup();
+        let evicted = self.index_cache.retain_versions(&retained);
+        self.stats.index_evictions.add(evicted as u64);
     }
 
     /// Refuse a job that never made it into the queue (admission reject
@@ -465,6 +471,8 @@ impl Shard {
             tags: Mutex::new(LruCache::new(cfg.cache_capacity)),
             #[cfg(test)]
             classified: AtomicU64::new(0),
+            #[cfg(test)]
+            sweeps: AtomicU64::new(0),
             index_cache: Arc::new(SharedIndexCache::new()),
             live_snapshots: Mutex::new(HashMap::new()),
             chaos: Mutex::new(None),

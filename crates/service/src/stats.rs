@@ -342,9 +342,10 @@ counters! {
     /// Approx requests whose computation started from the question's
     /// memoized [`AnytimePlan`](causality_core::explain::AnytimePlan),
     /// so it ran at most phase two and assembly: none when the plan's
-    /// brackets had collapsed and the deadline was still ahead. Like
-    /// `approx_requests`, it counts worker computations only, and each
-    /// one is also a cache miss: the answer is assembled fresh.
+    /// brackets had collapsed and the deadline was still ahead, which
+    /// hands out the plan's kept answer. Like `approx_requests`, it
+    /// counts worker computations only, and each one is also a cache
+    /// miss: the answer is the plan's under the request's own budget.
     approx_plan_hits: "approx_plan_hits_total", Reset;
     /// Worker-pool restarts performed by the supervisor (PR 9). A
     /// lifecycle counter: never reset by `snapshot_and_reset`.

@@ -165,6 +165,9 @@ pub(crate) fn worker_loop(rx: &Mutex<Receiver<Box<Job>>>, core: &ShardCore, gene
 fn process_batch(core: &ShardCore, batch: Vec<Job>) {
     core.stats.batches.inc();
     core.stats.batched_requests.add(batch.len() as u64);
+    if core.stats.batches.get().is_multiple_of(64) {
+        core.sweep_index_cache();
+    }
 
     // Deadline gate at dequeue: an expired job costs a response, never a
     // computation — the worker's budget is spent on requests that can
@@ -333,9 +336,9 @@ fn process_batch(core: &ShardCore, batch: Vec<Job>) {
             }
         };
         // Fan the answer out: every waiter but the last gets a clone,
-        // and the last one takes the answer by move. Only the cache
-        // insertion of a fresh exact answer still copies it, so an
-        // anytime group of one copies nothing.
+        // and the last one takes the answer by move. A clone shares the
+        // causes, so it copies only the answer tuple, as do an LRU hit
+        // and the memoization of a fresh exact answer.
         let answer = |i: usize, mut waiter: Waiter, result: Result<Explanation, ServiceError>| {
             if let Some(tb) = waiter.trace.as_deref_mut() {
                 if !cache_hit && i > 0 {
@@ -415,7 +418,10 @@ pub(crate) fn serve_expired(
 ) -> Result<(), ServiceError> {
     let index_cache = core.index_cache_for(waiter.tenant, snapshot);
     let key = memo_key(snapshot, request);
-    let plan = key.as_ref().and_then(|key| core.memo_plan(key));
+    let plan = key
+        .as_ref()
+        .and_then(|key| core.memo(key))
+        .and_then(|memo| memo.plan);
     let expired = Some(Instant::now());
     match compute_isolated(core, snapshot, &index_cache, request, expired, plan) {
         Ok(Computed {

@@ -813,6 +813,44 @@ fn a_plan_answers_a_live_deadline_from_its_collapsed_outcome() {
     }
 }
 
+/// Once a plan has collapsed, an answer under a live deadline is the
+/// kept answer by reference. On `dense_triangles(5, 64, 3)`, two such
+/// answers share one causes allocation with the answer that collapsed
+/// the plan, and equal the unlimited explanation untimed. A step cap
+/// and a passed deadline still assemble answers of their own, each
+/// equal to `why_anytime` at its budget.
+#[test]
+fn a_collapsed_plan_hands_out_its_causes_by_reference() {
+    let inst = dense_triangles(5, 64, 3);
+    let explainer = Explainer::new(&inst.db, &inst.query);
+    let fresh = |budget| untimed(explainer.why_anytime(&[], budget).unwrap().0);
+    let unlimited = fresh(ApproxBudget::unlimited());
+    let (plan, _) = explainer.plan_anytime(&[]).unwrap();
+    let (kept, _) = plan.answer(ApproxBudget::unlimited());
+    let shares = |a: &Explanation, b: &Explanation| a.causes.as_ptr() == b.causes.as_ptr();
+    let live = || ApproxBudget::until(Instant::now() + Duration::from_millis(2));
+    let (first, _) = plan.answer(live());
+    let (second, _) = plan.answer(live());
+    assert!(!kept.causes.is_empty());
+    assert!(
+        shares(&first, &second),
+        "two live deadlines, one allocation"
+    );
+    assert!(shares(&first, &kept));
+    assert_eq!(untimed(first), unlimited);
+    assert_eq!(untimed(second), unlimited);
+
+    let (capped, _) = plan.answer(ApproxBudget::steps(500));
+    let passed = ApproxBudget::until(Instant::now());
+    let (late, _) = plan.answer(passed);
+    for answer in [&capped, &late] {
+        assert!(!shares(answer, &kept), "assembled afresh");
+    }
+    assert!(!shares(&capped, &late));
+    assert_eq!(untimed(capped), fresh(ApproxBudget::steps(500)));
+    assert_eq!(untimed(late), fresh(passed));
+}
+
 /// The repair table's soundness on one `dense_triangles` instance. At
 /// budget zero, under `steps(steps)` and at an unlimited budget, every
 /// bracket contains the exact ρ of `resp::exact` and is witnessed by a
